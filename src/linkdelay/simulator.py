@@ -10,11 +10,12 @@ plus own service time.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .empirical import LinkConfig
 from .service_time import TimingConstants, service_distribution
@@ -80,6 +81,21 @@ def simulate(
     Deterministic for a fixed rng state and inputs: service outcomes are
     drawn up front and consumed in service-start order, so queue-dropped
     packets never consume a draw.
+
+    Waiting times come from the Lindley recursion, evaluated with numpy
+    over the arrivals that cannot meet a full queue.  From the start of
+    the busy period that holds the first arrival that might, a
+    per-packet event loop takes over.  Counts and outcomes are those of
+    the event loop run over the whole input, and a packet that meets an
+    idle server has a delay of exactly its service time.  The delay of a
+    packet that waited can differ from the event loop's by rounding,
+    because the two add service times in different orders: by at most
+    5 * (p + 8) * ulp(T), where p is the packet's position in its busy
+    period (1 for the packet that opens it) and T is twice the sum of
+    all service draws and the largest |arrival|.  Two busy periods count
+    as one here when the idle time between them is below a rounding
+    margin.  At T near 1e7 ms and p near 1e3 the bound is about 1e-5 ms.
+    A wait below 2 * (p + 8) * ulp(T) is taken as none.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.size == 0:
@@ -90,13 +106,120 @@ def simulate(
     draw_attempts, draw_durations, draw_delivered = dist.sample_many(rng, arrivals.size)
 
     n = arrivals.size
-    start = np.full(n, np.nan)
-    attempts = np.zeros(n, dtype=np.int64)
-    outcome = [OUTCOME_QUEUE_DROP] * n
-    delay = np.full(n, np.nan)
+    wait, stop = _drop_free_waits(arrivals, draw_durations, cfg.q_max)
+    # no packet before stop is dropped from the queue, so packet j took draw j
+    head = wait + draw_durations[:stop]
+    head_ok = draw_delivered[:stop]
+    trace = None
+    if collect_trace:
+        trace = SimTrace(arrival=arrivals.copy(), start=np.full(n, np.nan),
+                         attempts=np.zeros(n, dtype=np.int64),
+                         outcome=[OUTCOME_QUEUE_DROP] * n, delay=np.full(n, np.nan))
+        trace.start[:stop] = arrivals[:stop] + wait
+        trace.attempts[:stop] = draw_attempts[:stop]
+        trace.outcome[:stop] = np.where(head_ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP).tolist()
+        trace.delay[:stop] = np.where(head_ok, head, np.nan)
+    tail, n_queue_drops, n_retry_drops = _serve_from(
+        stop, arrivals, cfg.q_max, draw_attempts, draw_durations, draw_delivered, trace)
+    delivered_delays = np.concatenate((head[head_ok], tail))
+    return SimResult(
+        delivered_delays=delivered_delays,
+        n_arrivals=n,
+        n_delivered=delivered_delays.size,
+        n_queue_drops=n_queue_drops,
+        n_retry_drops=n_retry_drops + stop - int(np.count_nonzero(head_ok)),
+        seed=seed,
+        trace=trace,
+    )
 
+
+# The Lindley pass works in chunks that start small, so that a queue
+# overflowing early costs little, and grow to a size that bounds memory.
+_FIRST_CHUNK = 1 << 10
+_MAX_CHUNK = 1 << 16
+
+
+def _drop_free_waits(arrivals: np.ndarray, durations: np.ndarray, q_max: int) -> tuple[np.ndarray, int]:
+    """Waiting times by the Lindley recursion, up to the first possible overflow.
+
+    With FIFO service and no drops, packet j takes draw j.  With C the
+    running sum of service times, X_j = C_{j-1} - A_j and M_j the minimum
+    of X_0..X_j, the wait is W_j = X_j - M_j and the departure
+    D_j = C_j - M_j.  Returns (waits, stop): the waits of packets
+    [0, stop), where stop is n when no arrival can meet a full queue and
+    otherwise the start of the busy period holding the first that might.
+
+    Rounding: with T twice the sum of the draws so far and the largest
+    |arrival|, for the packet at position p of its busy period this pass
+    and the event loop each stay within err = (p + 8) * ulp(T) of exact
+    arithmetic on the same inputs, in departure and in wait.  So a
+    departure counts as done before an arrival only when it precedes it
+    by more than 5 * err, which never misses an overflow; and a busy
+    period starts only after an idle gap above 5 * (h + 8) * ulp(T), h
+    the end of the chunk (never below p), which the loop sees as idle
+    too, so that packet stop meets an idle server and an empty queue in
+    the loop as well.
+    """
+    n = arrivals.size
+    waits = np.empty(n)
+    check = q_max < n - 1   # else no arrival can find q_max + 1 packets ahead of it
+    departures = np.empty(n) if check else None
+    c_last = 0.0            # C_{lo-1}
+    x_min = math.inf        # M_{lo-1}
+    start = 0               # latest busy-period start
+    lo, size = 0, _FIRST_CHUNK
+    while lo < n:
+        hi = min(lo + size, n)
+        a = arrivals[lo:hi]
+        c = np.empty(hi - lo + 1)
+        c[0] = c_last
+        c[1:] = durations[lo:hi]
+        np.cumsum(c, out=c)  # left to right, as the loop adds: c[k] = C_{lo-1+k}
+        x = c[:-1] - a
+        m = np.minimum.accumulate(x)
+        np.minimum(m, x_min, out=m)
+        ulp = float(np.spacing(2.0 * (c[-1] + max(abs(arrivals[0]), abs(a[-1])))))
+        # idle time before each arrival: A_j - D_{j-1} = M_{j-1} - X_j
+        gap = np.concatenate(([x_min], m[:-1])) - x
+        idx = np.arange(lo, hi)
+        opened = np.maximum.accumulate(np.where(gap > 5.0 * (hi + 8) * ulp, idx, start))
+        err = (idx - opened + 9) * ulp
+        w = waits[lo:hi]
+        np.subtract(x, m, out=w)
+        w[w <= 2.0 * err] = 0.0
+        if check:
+            dep = departures[:hi]
+            np.subtract(c[1:], m, out=dep[lo:])
+            ahead = idx - np.searchsorted(dep, a - 5.0 * err, side="right")
+            full = np.flatnonzero(ahead > q_max)
+            if full.size:
+                stop = int(opened[full[0]])
+                return waits[:stop], stop
+        c_last, x_min, start = float(c[-1]), float(m[-1]), int(opened[-1])
+        lo, size = hi, min(2 * size, _MAX_CHUNK)
+    return waits, n
+
+
+def _serve_from(
+    first: int,
+    arrivals: np.ndarray,
+    q_max: int,
+    draw_attempts: np.ndarray,
+    draw_durations: np.ndarray,
+    draw_delivered: np.ndarray,
+    trace: SimTrace | None,
+) -> tuple[np.ndarray, int, int]:
+    """Per-packet event loop over packets [first, n).
+
+    Packet first must meet an idle server and an empty queue, with draws
+    [0, first) used.  Returns (delivered delays in service order, queue
+    drops, retry drops) and fills the trace rows of these packets.
+    """
+    arr = arrivals[first:].tolist()  # Python floats: the same IEEE arithmetic, faster to index
+    durations = draw_durations[first:].tolist()
+    delivered = draw_delivered[first:].tolist()
     queue: deque[int] = deque()
-    busy_until = -np.inf
+    busy_until = -math.inf
     busy = False
     draw_ptr = 0
     n_queue_drops = 0
@@ -105,24 +228,23 @@ def simulate(
 
     def begin_service(idx: int, at: float) -> float:
         nonlocal draw_ptr, n_retry_drops
-        k = draw_attempts[draw_ptr]
-        duration = draw_durations[draw_ptr]
-        ok = draw_delivered[draw_ptr]
-        draw_ptr += 1
-        start[idx] = at
-        attempts[idx] = k
+        duration = durations[draw_ptr]
+        ok = delivered[draw_ptr]
         if ok:
-            outcome[idx] = OUTCOME_DELIVERED
-            d = (at - arrivals[idx]) + duration
-            delay[idx] = d
-            delays.append(d)
+            delays.append((at - arr[idx]) + duration)
         else:
-            outcome[idx] = OUTCOME_RETRY_DROP
             n_retry_drops += 1
+        if trace is not None:
+            row = first + idx
+            trace.start[row] = at
+            trace.attempts[row] = draw_attempts[first + draw_ptr]
+            trace.outcome[row] = OUTCOME_DELIVERED if ok else OUTCOME_RETRY_DROP
+            if ok:
+                trace.delay[row] = delays[-1]
+        draw_ptr += 1
         return at + duration
 
-    for i in range(n):
-        t = arrivals[i]
+    for i, t in enumerate(arr):
         # departures at or before t free the server before the arrival is seen
         while busy and busy_until <= t:
             if queue:
@@ -132,27 +254,13 @@ def simulate(
         if not busy:
             busy = True
             busy_until = begin_service(i, t)
-        elif len(queue) < cfg.q_max:
+        elif len(queue) < q_max:
             queue.append(i)
         else:
             n_queue_drops += 1
     while queue:
         busy_until = begin_service(queue.popleft(), busy_until)
-
-    delivered_delays = np.asarray(delays)
-    trace = None
-    if collect_trace:
-        trace = SimTrace(arrival=arrivals.copy(), start=start, attempts=attempts,
-                         outcome=outcome, delay=delay)
-    return SimResult(
-        delivered_delays=delivered_delays,
-        n_arrivals=n,
-        n_delivered=len(delays),
-        n_queue_drops=n_queue_drops,
-        n_retry_drops=n_retry_drops,
-        seed=seed,
-        trace=trace,
-    )
+    return np.asarray(delays, dtype=float), n_queue_drops, n_retry_drops
 
 
 def run_simulation(
@@ -197,7 +305,7 @@ def empirical_ccdf(delays: np.ndarray, grid: np.ndarray, confidence: float = 0.9
     fractions = exceed / n
     upper = np.ones_like(fractions)
     partial = exceed < n
-    upper[partial] = beta.ppf(confidence, exceed[partial] + 1, n - exceed[partial])
+    upper[partial] = betaincinv(exceed[partial] + 1, n - exceed[partial], confidence)
     return EmpiricalCcdf(delays=grid.copy(), fractions=fractions, upper=upper,
                          n_samples=n, confidence=confidence)
 

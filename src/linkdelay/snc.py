@@ -265,6 +265,29 @@ def default_theta_grid() -> np.ndarray:
     return np.logspace(-5.0, 0.0, 60)
 
 
+def _stable_curves(
+    traffic: TrafficSpec,
+    dist: ServiceDistribution,
+    packet_bits: float,
+    theta: float,
+) -> tuple[ArrivalCurve, ServiceCurve] | None:
+    """Arrival and service curves at theta, or None when theta is infeasible.
+
+    theta is infeasible when the service-time MGF or, for Poisson traffic,
+    the MGF of one packet's bits would leave exp()'s range, or when the
+    arrival envelope outruns the service curve.
+    """
+    if theta * dist.max_duration > _MGF_EXPONENT_LIMIT:
+        return None
+    if isinstance(traffic, PoissonTraffic) and theta * packet_bits > _MGF_EXPONENT_LIMIT:
+        return None
+    sc = service_curve(dist, packet_bits, theta)
+    ac = arrival_curve_for(traffic, packet_bits, theta)
+    if ac.rate > sc.rate:
+        return None
+    return ac, sc
+
+
 def _bound_prob(
     traffic: TrafficSpec,
     dist: ServiceDistribution,
@@ -273,12 +296,10 @@ def _bound_prob(
     delay: float,
 ) -> float:
     """Bound probability at one (theta, delay); inf when theta is infeasible."""
-    if theta * dist.max_duration > _MGF_EXPONENT_LIMIT:
+    curves = _stable_curves(traffic, dist, packet_bits, theta)
+    if curves is None:
         return math.inf
-    sc = service_curve(dist, packet_bits, theta)
-    ac = arrival_curve_for(traffic, packet_bits, theta)
-    if ac.rate > sc.rate:
-        return math.inf
+    ac, sc = curves
     x = delay * sc.rate - ac.burst
     if x < 0.0:
         return 1.0
@@ -332,13 +353,8 @@ def optimize_delay_ccdf(
     if grid.size == 0 or np.any(grid <= 0.0):
         raise ValueError("theta grid must contain positive exponents")
 
-    def stable(theta: float) -> bool:
-        if theta * dist.max_duration > _MGF_EXPONENT_LIMIT:
-            return False
-        sc = service_curve(dist, packet_bits, theta)
-        return arrival_curve_for(traffic, packet_bits, theta).rate <= sc.rate
-
-    feasible = [t for t in np.sort(grid) if stable(t)]
+    feasible = [t for t in np.sort(grid)
+                if _stable_curves(traffic, dist, packet_bits, t) is not None]
     if not feasible:
         raise Overload(
             "no stable exponent in the theta grid; arrival envelope exceeds "

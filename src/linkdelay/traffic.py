@@ -7,7 +7,6 @@ All rates are packets/ms, times are ms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -86,6 +85,10 @@ class OnOffTraffic:
 TrafficSpec = Union[PeriodicTraffic, PoissonTraffic, OnOffTraffic]
 
 
+# cap on the cycles drawn at once, which bounds memory when most cycles emit nothing
+_MAX_BLOCK_CYCLES = 1 << 16
+
+
 def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -103,22 +106,58 @@ def generate_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray
     raise TypeError(f"unknown traffic spec {type(spec).__name__}")
 
 
+def _emitted_by(on_time: np.ndarray, period: float) -> np.ndarray:
+    """Largest k with k * period <= on_time in float arithmetic, per element.
+
+    The quotient's floor can miss by one near a multiple of period, so it
+    is corrected with the comparison itself.
+    """
+    total = np.floor(on_time / period)
+    total += (total + 1.0) * period <= on_time
+    total -= total * period > on_time
+    return total.astype(np.int64)
+
+
 def _onoff_arrivals(spec: OnOffTraffic, rng: np.random.Generator, n: int) -> np.ndarray:
-    times: list[float] = []
-    t = 0.0           # wall clock, chain starts Off
-    on_time = 0.0     # accumulated On time
-    emitted = 0       # packets emitted so far == floor(on_time * rate)
+    """Emission instants of an On-Off source that starts Off at t = 0.
+
+    Cycles are drawn in blocks: an Off then an On sojourn per cycle, from
+    one interleaved draw, which uses the stream exactly as alternating
+    scalar draws would.  Packet k is emitted once the accumulated On time
+    reaches k / rate.  Clocks are running sums taken left to right, and
+    the stream is rewound so that it stops after the cycle holding the
+    n-th emission: the output and the rng state are those of a per-cycle
+    scalar loop, bit for bit.
+    """
     period = 1.0 / spec.rate
-    while len(times) < n:
-        t += rng.exponential(1.0 / spec.mu_off_on)       # Off sojourn
-        sojourn = rng.exponential(1.0 / spec.lam_on_off)  # On sojourn
-        # emissions at on_time crossings of integer multiples of 1/rate
-        end = on_time + sojourn
-        k = emitted + 1
-        while k * period <= end and len(times) < n:
-            times.append(t + (k * period - on_time))
-            k += 1
-        emitted = k - 1
-        on_time = end
-        t += sojourn
-    return np.asarray(times)
+    scales = np.array([1.0 / spec.mu_off_on, 1.0 / spec.lam_on_off])
+    t = 0.0          # wall clock at the end of the last cycle
+    on_time = 0.0    # accumulated On time at the end of the last cycle
+    emitted = 0      # packets emitted so far, the largest k with k * period <= on_time
+    chunks: list[np.ndarray] = []
+    left = n
+    while left:
+        # cycles expected to cover the remaining packets, with some to spare
+        cycles = min(int(1.1 * left * spec.lam_on_off / spec.rate) + 16, _MAX_BLOCK_CYCLES)
+        state = rng.bit_generator.state
+        sojourns = (rng.standard_exponential(2 * cycles).reshape(cycles, 2) * scales).ravel()
+        # clock[2c] is the wall time at which cycle c turns On
+        clock = np.cumsum(np.concatenate(([t], sojourns)))[1:]
+        on_end = np.cumsum(np.concatenate(([on_time], sojourns[1::2])))
+        on_start, on_end = on_end[:-1], on_end[1:]
+        total = _emitted_by(on_end, period)
+        counts = np.diff(total, prepend=emitted)
+        used = cycles
+        if total[-1] - emitted >= left:
+            used = int(np.searchsorted(total, emitted + left)) + 1
+            rng.bit_generator.state = state
+            rng.standard_exponential(2 * used)
+            counts = counts[:used]
+            counts[-1] -= total[used - 1] - emitted - left
+        cycle = np.repeat(np.arange(used), counts)
+        k = np.arange(emitted + 1, emitted + 1 + cycle.size, dtype=float)
+        chunks.append(clock[2 * cycle] + (k * period - on_start[cycle]))
+        left -= cycle.size
+        emitted = int(total[used - 1])
+        t, on_time = float(clock[2 * used - 1]), float(on_end[used - 1])
+    return np.concatenate(chunks)

@@ -102,6 +102,20 @@ def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
         assert prob == pytest.approx(math.exp(-(d - t1)), rel=0.01)
 
 
+def test_delay_bound_poisson_large_payload(tmp_path, capsys):
+    # 800-bit packets put theta * packet_bits past exp()'s range at the top
+    # of the default theta grid; those exponents are infeasible, not an error
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"link": {"l_d": 100},
+                               "traffic": {"kind": "poisson", "rate": 0.01, "horizon": 100}}))
+    code, out, err = run(capsys, "delay-bound", "--config", str(cfg))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    probs = [float(r[1]) for r in rows]
+    assert all(0.0 <= p <= 1.0 for p in probs)
+    assert all(b <= a for a, b in zip(probs, probs[1:]))
+
+
 def test_simulate_deterministic_and_seed_override(tmp_path):
     out1, out2, out3 = (tmp_path / f"o{i}.csv" for i in range(3))
     assert main(["simulate", "--out", str(out1)]) == 0

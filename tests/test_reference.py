@@ -1,0 +1,261 @@
+"""The vectorised simulator core and on-off generator against per-packet references.
+
+The references are the sequential event loop and the scalar on-off
+generator the package used before both were vectorised.  Counts,
+outcomes, on-off arrivals and rng states must be identical, the delay of
+a packet that met an idle server bit-equal, and every other delay within
+the rounding tolerance that ``simulate`` documents.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from linkdelay import (
+    LinkConfig,
+    OnOffTraffic,
+    PeriodicTraffic,
+    PoissonTraffic,
+    TimingConstants,
+    generate_arrivals,
+    service_distribution,
+    simulate,
+)
+from linkdelay.traffic import _emitted_by
+
+TC = TimingConstants()
+
+
+def reference_simulate(arrivals, cfg, tc, p_e, rng):
+    """Sequential event loop: (delays, queue drops, retry drops, start, attempts, outcome, delay)."""
+    dist = service_distribution(cfg, tc, p_e)
+    draw_attempts, draw_durations, draw_delivered = dist.sample_many(rng, arrivals.size)
+    n = arrivals.size
+    start = np.full(n, np.nan)
+    attempts = np.zeros(n, dtype=np.int64)
+    outcome = ["queue_drop"] * n
+    delay = np.full(n, np.nan)
+    queue = deque()
+    busy_until = -np.inf
+    busy = False
+    draw_ptr = 0
+    n_queue_drops = 0
+    n_retry_drops = 0
+    delays = []
+
+    def begin_service(idx, at):
+        nonlocal draw_ptr, n_retry_drops
+        k = draw_attempts[draw_ptr]
+        duration = draw_durations[draw_ptr]
+        ok = draw_delivered[draw_ptr]
+        draw_ptr += 1
+        start[idx] = at
+        attempts[idx] = k
+        if ok:
+            outcome[idx] = "delivered"
+            d = (at - arrivals[idx]) + duration
+            delay[idx] = d
+            delays.append(d)
+        else:
+            outcome[idx] = "retry_drop"
+            n_retry_drops += 1
+        return at + duration
+
+    for i in range(n):
+        t = arrivals[i]
+        while busy and busy_until <= t:
+            if queue:
+                busy_until = begin_service(queue.popleft(), busy_until)
+            else:
+                busy = False
+        if not busy:
+            busy = True
+            busy_until = begin_service(i, t)
+        elif len(queue) < cfg.q_max:
+            queue.append(i)
+        else:
+            n_queue_drops += 1
+    while queue:
+        busy_until = begin_service(queue.popleft(), busy_until)
+    return np.asarray(delays), n_queue_drops, n_retry_drops, start, attempts, outcome, delay
+
+
+def reference_onoff(spec, rng, n):
+    """Scalar on-off generator: one Off and one On draw per cycle."""
+    times = []
+    t = 0.0
+    on_time = 0.0
+    emitted = 0
+    period = 1.0 / spec.rate
+    while len(times) < n:
+        t += rng.exponential(1.0 / spec.mu_off_on)
+        sojourn = rng.exponential(1.0 / spec.lam_on_off)
+        end = on_time + sojourn
+        k = emitted + 1
+        while k * period <= end and len(times) < n:
+            times.append(t + (k * period - on_time))
+            k += 1
+        emitted = k - 1
+        on_time = end
+        t += sojourn
+    return np.asarray(times)
+
+
+def delay_tolerance(arrivals, cfg, p_e, ref_start, ref_outcome, ref_attempts):
+    """Per-packet bound 5 * (p + 8) * ulp(T) of ``simulate``, with p and T from the reference.
+
+    p counts packets from the last arrival that found the server idle for
+    more than twice the margin ``simulate`` needs to open a busy period,
+    so it is never below the p of ``simulate``; T uses n times the longest
+    service time, never below the sum of the draws.
+    """
+    dist = service_distribution(cfg, TC, p_e)
+    duration = {(o.attempt, o.delivered): o.duration for o in dist.outcomes}
+    n = arrivals.size
+    ends = np.full(n, -np.inf)
+    for i in np.flatnonzero(~np.isnan(ref_start)):
+        ends[i] = ref_start[i] + duration[(int(ref_attempts[i]), ref_outcome[i] == "delivered")]
+    ulp = np.spacing(2.0 * (n * dist.max_duration + max(abs(arrivals[0]), abs(arrivals[-1]))))
+    last_end = np.concatenate(([-np.inf], np.maximum.accumulate(ends)[:-1]))
+    idx = np.arange(n)
+    opened = np.maximum.accumulate(np.where(arrivals - last_end > 10.0 * (n + 8) * ulp, idx, 0))
+    return 5.0 * (idx - opened + 9) * ulp
+
+
+def assert_matches_reference(arrivals, cfg, p_e, seed, collect_trace):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = reference_simulate(arrivals, cfg, TC, p_e, ref_rng)
+    ref_delays, ref_q, ref_r, ref_start, ref_attempts, ref_outcome, ref_delay = ref
+    got = simulate(arrivals, cfg, TC, p_e, rng, collect_trace=collect_trace)
+
+    assert (got.n_queue_drops, got.n_retry_drops) == (ref_q, ref_r)
+    assert got.n_delivered == ref_delays.size
+    assert got.n_delivered + got.n_queue_drops + got.n_retry_drops == arrivals.size
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    delivered = np.array([o == "delivered" for o in ref_outcome], dtype=bool)
+    no_wait = ref_start == arrivals
+    tol = delay_tolerance(arrivals, cfg, p_e, ref_start, ref_outcome, ref_attempts)
+    assert np.array_equal(got.delivered_delays[no_wait[delivered]], ref_delays[no_wait[delivered]])
+    assert np.all(np.abs(got.delivered_delays - ref_delays) <= tol[delivered])
+
+    if collect_trace:
+        tr = got.trace
+        assert tr.outcome == ref_outcome
+        assert np.array_equal(tr.attempts, ref_attempts)
+        assert np.array_equal(np.isnan(tr.start), np.isnan(ref_start))
+        assert np.array_equal(tr.start[no_wait], ref_start[no_wait])
+        assert np.array_equal(tr.delay[no_wait], ref_delay[no_wait], equal_nan=True)
+        served = ~np.isnan(ref_start)
+        assert np.all(np.abs(tr.start - ref_start)[served] <= tol[served])
+        assert np.all(np.abs(tr.delay - ref_delay)[delivered] <= tol[delivered])
+    else:
+        assert got.trace is None
+
+
+@st.composite
+def scenarios(draw):
+    """A link, an error rate and arrivals from any traffic kind, loads either side of 1."""
+    n_max_tries = draw(st.integers(1, 5))
+    # LinkConfig rejects q_max = 0: one waiting slot is the smallest queue
+    q_max = draw(st.sampled_from([1, draw(st.integers(2, 6)), 10**6]))
+    link = LinkConfig(l_d=draw(st.integers(1, 110)), n_max_tries=n_max_tries,
+                      d_retry=draw(st.sampled_from([0.0, 12.5, 30.0])), q_max=q_max)
+    p_e = draw(st.sampled_from([0.0, draw(st.floats(0.05, 0.9)), 1.0]))
+    dist = service_distribution(link, TC, p_e)
+    mean_t = dist.mean()
+    rho = draw(st.floats(0.2, 1.3))
+    n = draw(st.integers(1, 1500))
+    kind = draw(st.sampled_from(["periodic", "tie", "poisson", "onoff"]))
+    if kind == "periodic":
+        spec = PeriodicTraffic(t_pit=mean_t / rho, horizon=n)
+    elif kind == "tie":
+        # arrivals spaced by one service atom exactly: departures land on arrival instants
+        atom = draw(st.sampled_from([o.duration for o in dist.outcomes]))
+        spec = PeriodicTraffic(t_pit=atom, horizon=n)
+    elif kind == "poisson":
+        spec = PoissonTraffic(rate=rho / mean_t, horizon=n)
+    else:
+        switch = 1.0 / (draw(st.floats(1.0, 10.0)) * mean_t)
+        spec = OnOffTraffic(lam_on_off=switch, mu_off_on=switch, rate=2.0 * rho / mean_t, horizon=n)
+    seed = draw(st.integers(0, 2**32 - 1))
+    arrivals = generate_arrivals(spec, np.random.default_rng(seed))
+    return arrivals, link, p_e, seed
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.booleans())
+def test_simulate_matches_reference_loop(scenario, collect_trace):
+    arrivals, link, p_e, seed = scenario
+    assert_matches_reference(arrivals, link, p_e, seed, collect_trace)
+
+
+@pytest.mark.parametrize("collect_trace", [False, True])
+def test_first_overflow_deep_into_a_drop_free_run(collect_trace):
+    # a light Poisson stretch the Lindley pass covers, then a burst that
+    # overflows a short queue, then light load again for the event loop
+    rng = np.random.default_rng(21)
+    light = np.cumsum(rng.exponential(40.0, 20_000))
+    burst = light[-1] + np.cumsum(rng.exponential(1.0, 50))
+    after = burst[-1] + np.cumsum(rng.exponential(40.0, 5_000))
+    arrivals = np.concatenate((light, burst, after))
+    link = LinkConfig(q_max=3)
+    assert_matches_reference(arrivals, link, 0.3, 5, collect_trace)
+
+
+@pytest.mark.parametrize("p_e", [0.0, 0.3])
+def test_exact_ties_with_one_waiting_slot(p_e):
+    # each arrival lands on the previous departure to within rounding, so
+    # the loop's own float comparisons decide who waits; with retries the
+    # single slot also overflows
+    link = LinkConfig(q_max=1)
+    atom = service_distribution(link, TC, p_e).outcomes[0].duration
+    for n in (2, 50, 3000):
+        arrivals = np.arange(n, dtype=float) * atom
+        assert_matches_reference(arrivals, link, p_e, 3, True)
+
+
+@pytest.mark.parametrize("q_max", [2, 10**6])
+def test_simultaneous_arrivals_late_in_time(q_max):
+    # batches of three equal instants near 1e9 ms: ties within a batch and
+    # a coarse ulp(T), with a waiting room the batches overflow or never fill
+    rng = np.random.default_rng(4)
+    arrivals = np.repeat(1e9 + np.cumsum(rng.exponential(60.0, 2000)), 3)
+    assert_matches_reference(arrivals, LinkConfig(q_max=q_max), 0.3, 9, True)
+
+
+ONOFF_SOURCES = (
+    OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.02),
+    OnOffTraffic(lam_on_off=0.05, mu_off_on=0.04, rate=0.1),
+    OnOffTraffic(lam_on_off=0.001, mu_off_on=0.5, rate=3.0),     # ~3000 packets per cycle
+)
+# ~500 cycles per packet, most of them silent: 300 packets already span two blocks
+SPARSE_SOURCE = OnOffTraffic(lam_on_off=5.0, mu_off_on=0.3, rate=0.01)
+
+
+def test_emission_count_exact_near_multiples_of_the_period():
+    # at and one ulp either side of k * period, floor(on_time / period)
+    # misses by one on a large share of points
+    rng = np.random.default_rng(3)
+    for rate in rng.uniform(0.001, 5.0, 20):
+        period = 1.0 / rate
+        multiples = rng.integers(1, 10**6, 2000) * period
+        on_time = np.concatenate((multiples, np.nextafter(multiples, 0.0),
+                                  np.nextafter(multiples, np.inf)))
+        k = _emitted_by(on_time, period).astype(float)
+        assert np.all(k * period <= on_time)
+        assert np.all((k + 1.0) * period > on_time)
+
+
+@pytest.mark.parametrize("spec, n", [(spec, n) for spec in ONOFF_SOURCES for n in (1, 2, 100_000)]
+                         + [(SPARSE_SOURCE, n) for n in (1, 2, 300)])
+def test_onoff_arrivals_bit_identical_to_scalar_loop(spec, n):
+    for seed in (0, 7):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = reference_onoff(spec, ref_rng, n)
+        got = generate_arrivals(OnOffTraffic(spec.lam_on_off, spec.mu_off_on, spec.rate, n), rng)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
