@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .empirical import LinkConfig, MomentCoefficients, PerCoefficients
+from .empirical import LinkConfig, MomentCoefficients, PerCoefficients, _check_integer
 from .service_time import TimingConstants
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
 
@@ -29,6 +29,7 @@ class ThetaGridSpec:
     points: int = 60
 
     def __post_init__(self) -> None:
+        _check_integer("points", self.points)
         if self.min <= 0.0 or self.max <= self.min:
             raise ValueError("theta grid needs 0 < min < max")
         if self.points < 2:
@@ -116,7 +117,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     traffic = _build_traffic(raw["traffic"]) if "traffic" in raw else base.traffic
 
     seed = raw.get("seed", base.seed)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     delay_grid = raw.get("delay_grid", base.delay_grid)

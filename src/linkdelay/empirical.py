@@ -10,6 +10,7 @@ bytes, SNR is dB.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -28,6 +29,17 @@ __all__ = [
 
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise TypeError unless value is an integer (numpy integers pass, bools do not)."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,8 @@ class LinkConfig:
     t_pit: float = 50.0    # packet inter-arrival time, ms
 
     def __post_init__(self) -> None:
+        for name in ("l_d", "n_max_tries", "q_max"):
+            _check_integer(name, getattr(self, name))
         if not 0 <= self.l_d <= 114:
             raise ValueError(f"l_d must be in [0, 114] bytes, got {self.l_d}")
         if self.n_max_tries < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import empirical
-from .empirical import LinkConfig, MomentCoefficients, PerCoefficients
+from .empirical import LinkConfig, MomentCoefficients
 from .service_time import ServiceDistribution
 
 __all__ = [
@@ -69,13 +69,11 @@ def mean_delay(inputs: Gg1Inputs) -> float:
     return waiting_time(inputs) + inputs.mean_t
 
 
-def inputs_from_fitted_models(
-    cfg: LinkConfig,
-    moment_coeffs: MomentCoefficients | None = None,
-    per_coeffs: PerCoefficients | None = None,
-) -> Gg1Inputs:
-    """Queue inputs from the measurement-fitted closed forms."""
-    del per_coeffs  # loss enters through the fitted PLR model, not the PER
+def inputs_from_fitted_models(cfg: LinkConfig, moment_coeffs: MomentCoefficients | None = None) -> Gg1Inputs:
+    """Queue inputs from the measurement-fitted closed forms.
+
+    Loss enters through the fitted PLR model, not the packet error rate.
+    """
     plr = empirical.plr_mean(cfg.l_d, cfg.snr, cfg.q_max, moment_coeffs)
     pvar = empirical.plr_var(cfg.l_d, cfg.snr, moment_coeffs)
     arrival = empirical.equivalent_arrival(cfg.t_pit, plr, pvar)

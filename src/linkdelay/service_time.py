@@ -160,23 +160,13 @@ class ServiceDistribution:
             )
         return float(sum(o.probability * math.exp(theta * o.duration) for o in self.outcomes))
 
-    def _sampling_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def sample_many(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorised draw of n outcomes by inverse CDF: (attempts, durations, delivered)."""
         cum = np.cumsum([o.probability for o in self.outcomes])
         cum[-1] = 1.0
         durations = np.array([o.duration for o in self.outcomes])
         attempts = np.array([o.attempt for o in self.outcomes])
         delivered = np.array([o.delivered for o in self.outcomes])
-        return cum, durations, attempts, delivered
-
-    def sample(self, rng: np.random.Generator) -> ServiceOutcome:
-        """Draw one outcome by inverse CDF."""
-        cum, _, _, _ = self._sampling_arrays()
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        return self.outcomes[min(idx, len(self.outcomes) - 1)]
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised draw of n outcomes: (attempts, durations, delivered)."""
-        cum, durations, attempts, delivered = self._sampling_arrays()
         idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
         return attempts[idx], durations[idx], delivered[idx]
 

@@ -11,7 +11,6 @@ plus own service time.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,12 +83,15 @@ def simulate(
 
     Waiting times come from the Lindley recursion, evaluated with numpy
     over the arrivals that cannot meet a full queue.  From the start of
-    the busy period that holds the first arrival that might, a
-    per-packet event loop takes over.  Counts and outcomes are those of
-    the event loop run over the whole input, and a packet that meets an
-    idle server has a delay of exactly its service time.  The delay of a
-    packet that waited can differ from the event loop's by rounding,
-    because the two add service times in different orders: by at most
+    the busy period that holds the first arrival that might, an exact
+    FIFO departure recurrence takes over (``_serve_from``): it does the
+    float operations of a per-packet event loop in its order, so from
+    there on every start and delay is the event loop's bit for bit.
+    Counts and outcomes are those of the event loop run over the whole
+    input, and a packet that meets an idle server has a delay of exactly
+    its service time.  In the Lindley prefix only, the delay of a packet
+    that waited can differ from the event loop's by rounding, because
+    the two add service times in different orders: by at most
     5 * (p + 8) * ulp(T), where p is the packet's position in its busy
     period (1 for the packet that opens it) and T is twice the sum of
     all service draws and the largest |arrival|.  Two busy periods count
@@ -100,6 +102,8 @@ def simulate(
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.size == 0:
         raise ValueError("arrivals must not be empty")
+    if not np.all(np.isfinite(arrivals)):
+        raise ValueError("arrivals must be finite")
     if np.any(np.diff(arrivals) < 0.0):
         raise ValueError("arrivals must be non-decreasing")
     dist = service_distribution(cfg, tc, p_e)
@@ -151,14 +155,14 @@ def _drop_free_waits(arrivals: np.ndarray, durations: np.ndarray, q_max: int) ->
 
     Rounding: with T twice the sum of the draws so far and the largest
     |arrival|, for the packet at position p of its busy period this pass
-    and the event loop each stay within err = (p + 8) * ulp(T) of exact
-    arithmetic on the same inputs, in departure and in wait.  So a
-    departure counts as done before an arrival only when it precedes it
-    by more than 5 * err, which never misses an overflow; and a busy
-    period starts only after an idle gap above 5 * (h + 8) * ulp(T), h
-    the end of the chunk (never below p), which the loop sees as idle
-    too, so that packet stop meets an idle server and an empty queue in
-    the loop as well.
+    and the event loop (whose arithmetic ``_serve_from`` repeats) each
+    stay within err = (p + 8) * ulp(T) of exact arithmetic on the same
+    inputs, in departure and in wait.  So a departure counts as done
+    before an arrival only when it precedes it by more than 5 * err,
+    which never misses an overflow; and a busy period starts only after
+    an idle gap above 5 * (h + 8) * ulp(T), h the end of the chunk (never
+    below p), which the event loop sees as idle too, so that packet stop
+    meets an idle server and an empty queue there as well.
     """
     n = arrivals.size
     waits = np.empty(n)
@@ -209,58 +213,51 @@ def _serve_from(
     draw_delivered: np.ndarray,
     trace: SimTrace | None,
 ) -> tuple[np.ndarray, int, int]:
-    """Per-packet event loop over packets [first, n).
+    """FIFO departure recurrence over packets [first, n).
 
     Packet first must meet an idle server and an empty queue, with draws
-    [0, first) used.  Returns (delivered delays in service order, queue
-    drops, retry drops) and fills the trace rows of these packets.
+    [0, first) used; the k-th packet accepted from here takes draw
+    first + k.  Service is FIFO, so departures never decrease, and an
+    arrival at t meets q_max + 1 packets in the system exactly when the
+    packet accepted q_max + 1 places before it departs after t (a
+    departure at t frees its place first).  A ring keeps the last
+    q_max + 1 departures for that test.  An accepted packet starts at the
+    later of its arrival and the previous departure.  These are the float
+    operations of a per-packet event loop, in its order, so starts and
+    delays are the loop's bit for bit.  Returns (delivered delays in
+    service order, queue drops, retry drops) and fills the trace rows of
+    these packets.
     """
     arr = arrivals[first:].tolist()  # Python floats: the same IEEE arithmetic, faster to index
     durations = draw_durations[first:].tolist()
-    delivered = draw_delivered[first:].tolist()
-    queue: deque[int] = deque()
-    busy_until = -math.inf
-    busy = False
-    draw_ptr = 0
-    n_queue_drops = 0
-    n_retry_drops = 0
-    delays: list[float] = []
-
-    def begin_service(idx: int, at: float) -> float:
-        nonlocal draw_ptr, n_retry_drops
-        duration = durations[draw_ptr]
-        ok = delivered[draw_ptr]
-        if ok:
-            delays.append((at - arr[idx]) + duration)
-        else:
-            n_retry_drops += 1
-        if trace is not None:
-            row = first + idx
-            trace.start[row] = at
-            trace.attempts[row] = draw_attempts[first + draw_ptr]
-            trace.outcome[row] = OUTCOME_DELIVERED if ok else OUTCOME_RETRY_DROP
-            if ok:
-                trace.delay[row] = delays[-1]
-        draw_ptr += 1
-        return at + duration
-
-    for i, t in enumerate(arr):
-        # departures at or before t free the server before the arrival is seen
-        while busy and busy_until <= t:
-            if queue:
-                busy_until = begin_service(queue.popleft(), busy_until)
-            else:
-                busy = False
-        if not busy:
-            busy = True
-            busy_until = begin_service(i, t)
-        elif len(queue) < q_max:
-            queue.append(i)
-        else:
-            n_queue_drops += 1
-    while queue:
-        busy_until = begin_service(queue.popleft(), busy_until)
-    return np.asarray(delays, dtype=float), n_queue_drops, n_retry_drops
+    m = min(q_max, len(arr)) + 1     # never more slots than packets, whatever q_max
+    ring = [-math.inf] * m           # departures of the last m accepted packets
+    dep = -math.inf                  # departure of the last accepted packet
+    k = 0                            # packets accepted so far
+    starts: list[float] = []         # per arrival; NaN when dropped from the queue
+    for t in arr:
+        if ring[k % m] > t:
+            starts.append(math.nan)
+            continue
+        at = dep if dep > t else t
+        dep = ring[k % m] = at + durations[k]
+        starts.append(at)
+        k += 1
+    del arr, durations               # free the per-packet lists before the arrays are built
+    start = np.array(starts, dtype=float)
+    del starts
+    accepted = ~np.isnan(start)
+    ok = draw_delivered[first:first + k]
+    delay = (start[accepted] - arrivals[first:][accepted]) + draw_durations[first:first + k]
+    if trace is not None:
+        trace.start[first:] = start
+        trace.attempts[first:][accepted] = draw_attempts[first:first + k]
+        trace.delay[first:][accepted] = np.where(ok, delay, np.nan)
+        outcome = np.full(start.size, OUTCOME_QUEUE_DROP, dtype=object)
+        outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
+        trace.outcome[first:] = outcome.tolist()
+    delays = delay[ok]
+    return delays, start.size - k, k - delays.size
 
 
 def run_simulation(

@@ -12,6 +12,8 @@ from typing import Union
 
 import numpy as np
 
+from .empirical import _check_integer
+
 __all__ = [
     "PeriodicTraffic",
     "PoissonTraffic",
@@ -90,6 +92,7 @@ _MAX_BLOCK_CYCLES = 1 << 16
 
 
 def _check_horizon(horizon: int) -> None:
+    _check_integer("horizon", horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 

@@ -64,6 +64,27 @@ def test_config_error_exit_code_names_key(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"link": {"l_d": 50.5}}, "l_d"),
+    ({"link": {"n_max_tries": 2.5}}, "n_max_tries"),
+    ({"link": {"q_max": 2.5}}, "q_max"),
+    ({"link": {"q_max": True}}, "q_max"),
+    ({"traffic": {"kind": "periodic", "t_pit": 50.0, "horizon": 100.5}}, "horizon"),
+    ({"traffic": {"kind": "poisson", "rate": 0.02, "horizon": 100.5}}, "horizon"),
+    ({"traffic": {"kind": "onoff", "lam_on_off": 0.03, "mu_off_on": 0.02, "rate": 0.02,
+                  "horizon": 100.5}}, "horizon"),
+    ({"theta_grid": {"points": 60.5}}, "points"),
+])
+def test_non_integer_count_is_a_config_error(tmp_path, capsys, raw, key):
+    # a fractional on-off horizon used to hang the generator; others raised TypeError
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and key in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -60,6 +60,8 @@ def test_invalid_values_become_config_errors():
     with pytest.raises(ConfigError):
         config_from_dict({"seed": 1.5})
     with pytest.raises(ConfigError):
+        config_from_dict({"seed": True})
+    with pytest.raises(ConfigError):
         config_from_dict({"delay_grid": [10.0, 5.0]})
     with pytest.raises(ConfigError):
         config_from_dict({"delay_grid": []})

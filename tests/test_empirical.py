@@ -165,6 +165,11 @@ def test_link_config_validation():
         LinkConfig(q_max=0)
     with pytest.raises(ValueError):
         LinkConfig(t_pit=0.0)
+    for field in ("l_d", "n_max_tries", "q_max"):
+        for bad in (2.0, 2.5, True, "2"):
+            with pytest.raises(TypeError, match=field):
+                LinkConfig(**{field: bad})
+    LinkConfig(l_d=np.int64(20), n_max_tries=np.int32(2), q_max=np.int64(5))
     LinkConfig(l_d=0)  # zero payload is allowed for degenerate checks
 
 

@@ -2,9 +2,12 @@
 
 The references are the sequential event loop and the scalar on-off
 generator the package used before both were vectorised.  Counts,
-outcomes, on-off arrivals and rng states must be identical, the delay of
-a packet that met an idle server bit-equal, and every other delay within
-the rounding tolerance that ``simulate`` documents.
+outcomes, on-off arrivals and rng states must be identical.  The
+departure recurrence that serves the packets after a possible overflow
+must reproduce the loop bit for bit.  Through ``simulate``, whose
+drop-free prefix comes from the Lindley pass, the delay of a packet that
+met an idle server must be bit-equal and every other delay within the
+rounding tolerance that ``simulate`` documents.
 """
 
 from collections import deque
@@ -19,11 +22,13 @@ from linkdelay import (
     OnOffTraffic,
     PeriodicTraffic,
     PoissonTraffic,
+    SimTrace,
     TimingConstants,
     generate_arrivals,
     service_distribution,
     simulate,
 )
+from linkdelay import simulator
 from linkdelay.traffic import _emitted_by
 
 TC = TimingConstants()
@@ -191,6 +196,31 @@ def scenarios(draw):
 def test_simulate_matches_reference_loop(scenario, collect_trace):
     arrivals, link, p_e, seed = scenario
     assert_matches_reference(arrivals, link, p_e, seed, collect_trace)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.booleans())
+def test_departure_recurrence_is_the_reference_loop_bit_for_bit(scenario, collect_trace):
+    # the recurrence alone, from packet 0: no rounding tolerance applies
+    arrivals, link, p_e, seed = scenario
+    ref = reference_simulate(arrivals, link, TC, p_e, np.random.default_rng(seed))
+    ref_delays, ref_q, ref_r, ref_start, ref_attempts, ref_outcome, ref_delay = ref
+    draws = service_distribution(link, TC, p_e).sample_many(np.random.default_rng(seed), arrivals.size)
+    n = arrivals.size
+    trace = None
+    if collect_trace:
+        trace = SimTrace(arrival=arrivals.copy(), start=np.full(n, np.nan),
+                         attempts=np.zeros(n, dtype=np.int64), outcome=["queue_drop"] * n,
+                         delay=np.full(n, np.nan))
+    delays, n_queue_drops, n_retry_drops = simulator._serve_from(0, arrivals, link.q_max, *draws, trace)
+
+    assert delays.tobytes() == ref_delays.astype(float).tobytes()
+    assert (n_queue_drops, n_retry_drops) == (ref_q, ref_r)
+    if collect_trace:
+        assert np.array_equal(trace.start, ref_start, equal_nan=True)
+        assert np.array_equal(trace.attempts, ref_attempts)
+        assert trace.outcome == ref_outcome
+        assert np.array_equal(trace.delay, ref_delay, equal_nan=True)
 
 
 @pytest.mark.parametrize("collect_trace", [False, True])

@@ -2,6 +2,7 @@
 classical queue oracles, and the empirical CCDF with its confidence band."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ def test_simulate_input_validation():
         simulate(np.array([]), *dist_cfg, rng)
     with pytest.raises(ValueError):
         simulate(np.array([5.0, 1.0]), *dist_cfg, rng)
+    with pytest.raises(ValueError):
+        simulate(np.array([1.0, np.nan]), *dist_cfg, rng)
+
+
+@pytest.mark.parametrize("q_max", [10**7, 3])
+def test_waiting_room_size_costs_no_memory(q_max):
+    # a huge q_max (drop-free, handled by the Lindley pass) and a short one
+    # (overflows early, the departure recurrence serves nearly every packet)
+    link = LinkConfig(q_max=q_max)
+    p_e = 0.1
+    spec = PoissonTraffic(rate=0.9 / service_distribution(link, TC, p_e).mean(), horizon=2000)
+    tracemalloc.start()
+    try:
+        result = run_simulation(link, TC, spec, p_e, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.n_queue_drops > 0) == (q_max == 3)
+    assert peak < 5e6
 
 
 def test_empirical_ccdf_handcrafted():

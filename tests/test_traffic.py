@@ -71,3 +71,9 @@ def test_spec_validation():
         OnOffTraffic(lam_on_off=0.03, mu_off_on=-0.1, rate=0.02, horizon=100)
     with pytest.raises(ValueError):
         OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.0, horizon=100)
+    for bad in (100.0, 100.5, True):
+        for spec in (PeriodicTraffic(t_pit=50.0), PoissonTraffic(rate=0.02),
+                     OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.02)):
+            with pytest.raises(TypeError, match="horizon"):
+                type(spec)(**{**vars(spec), "horizon": bad})
+    assert PoissonTraffic(rate=0.02, horizon=np.int64(5)).horizon == 5
