@@ -99,7 +99,7 @@ def _service_inputs(cfg: RunConfig):
     return p_e, dist, packet_bits
 
 
-def cmd_models(cfg: RunConfig) -> int:
+def cmd_models(cfg: RunConfig, args: argparse.Namespace) -> int:
     link = cfg.link
     per = packet_error_rate(link.l_d, link.snr, cfg.per_coeffs)
     pm = plr_mean(link.l_d, link.snr, link.q_max, cfg.moment_coeffs)
@@ -127,7 +127,7 @@ def cmd_models(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_mean_delay(cfg: RunConfig) -> int:
+def cmd_mean_delay(cfg: RunConfig, args: argparse.Namespace) -> int:
     inputs = gg1.inputs_from_fitted_models(cfg.link, cfg.moment_coeffs)
     rho = gg1.traffic_intensity(inputs)
     waiting = gg1.waiting_time(inputs)
@@ -137,7 +137,7 @@ def cmd_mean_delay(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_delay_bound(cfg: RunConfig) -> int:
+def cmd_delay_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, dist, packet_bits = _service_inputs(cfg)
     if packet_bits <= 0.0:
         raise ConfigError("delay-bound needs l_d >= 1 (packet size in bits must be positive)")
@@ -174,7 +174,7 @@ def _write_trace(path: str, result) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def cmd_simulate(cfg: RunConfig, trace_path: str | None = None) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     p_e, _, _ = _service_inputs(cfg)
     result = run_simulation(
         cfg.link,
@@ -182,7 +182,7 @@ def cmd_simulate(cfg: RunConfig, trace_path: str | None = None) -> int:
         cfg.traffic,
         p_e,
         cfg.seed,
-        collect_trace=trace_path is not None,
+        collect_trace=args.trace is not None,
     )
     summary = {
         "n_arrivals": result.n_arrivals,
@@ -203,13 +203,13 @@ def cmd_simulate(cfg: RunConfig, trace_path: str | None = None) -> int:
     else:
         # no delivered packets: no exceedances observed, no evidence either
         rows = [(d, 0.0, 1.0) for d in cfg.delay_grid]
-    if trace_path is not None:
-        _write_trace(trace_path, result)
+    if args.trace is not None:
+        _write_trace(args.trace, result)
     _emit(cfg, summary, columns, rows)
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     p_e, dist, packet_bits = _service_inputs(cfg)
     if packet_bits <= 0.0:
         raise ConfigError("validate needs l_d >= 1 (packet size in bits must be positive)")
@@ -291,6 +291,7 @@ _COMMANDS = {
     "models": cmd_models,
     "mean-delay": cmd_mean_delay,
     "delay-bound": cmd_delay_bound,
+    "simulate": cmd_simulate,
     "validate": cmd_validate,
 }
 
@@ -317,9 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, trace_path=args.trace)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -97,6 +98,13 @@ def _build_traffic(data: dict) -> TrafficSpec:
     return _build_section(cls, {k: v for k, v in data.items() if k != "kind"}, "traffic")
 
 
+def _as_number(value) -> float:
+    """value as a float; TypeError for anything but a real number (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 _SECTIONS = ("link", "timing", "per_coeffs", "moment_coeffs", "traffic", "seed",
              "delay_grid", "theta_grid", "mean_delay_tolerance", "output")
 
@@ -122,10 +130,10 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     delay_grid = raw.get("delay_grid", base.delay_grid)
     try:
-        delay_grid = tuple(float(d) for d in delay_grid)
-    except (TypeError, ValueError) as exc:
+        delay_grid = tuple(_as_number(d) for d in delay_grid)
+    except TypeError as exc:
         raise ConfigError(f"delay_grid must be a list of numbers: {exc}") from exc
-    if not delay_grid or any(d <= 0 for d in delay_grid) or any(
+    if not delay_grid or any(not d > 0 for d in delay_grid) or any(
         b <= a for a, b in zip(delay_grid, delay_grid[1:])
     ):
         raise ConfigError("delay_grid must be a strictly increasing list of positive ms values")
@@ -134,7 +142,7 @@ def config_from_dict(raw: dict) -> RunConfig:
                   if "theta_grid" in raw else base.theta_grid)
 
     tolerance = raw.get("mean_delay_tolerance", base.mean_delay_tolerance)
-    if not isinstance(tolerance, (int, float)) or tolerance < 0.0:
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or not tolerance >= 0.0:
         raise ConfigError(f"mean_delay_tolerance must be a number >= 0, got {tolerance!r}")
 
     output = raw.get("output", {})

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .empirical import LinkConfig
 from .service_time import TimingConstants, service_distribution
@@ -291,6 +290,8 @@ def empirical_ccdf(delays: np.ndarray, grid: np.ndarray, confidence: float = 0.9
     The upper envelope is the one-sided Clopper-Pearson binomial bound at
     the given confidence level.
     """
+    from scipy.special import betaincinv  # here, so only simulating loads scipy
+
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     samples = np.sort(np.asarray(delays, dtype=float))

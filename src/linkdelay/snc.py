@@ -69,7 +69,6 @@ class ArrivalCurve:
     rate: float           # bits/ms
     burst: float          # bits
     decay: float | None   # 1/bits, None = deterministic
-    theta: float | None
     packet_bits: float
 
     @property
@@ -122,7 +121,6 @@ def periodic_arrival_curve(packet_bits: float, period: float) -> ArrivalCurve:
         rate=packet_bits / period,
         burst=packet_bits,
         decay=None,
-        theta=None,
         packet_bits=packet_bits,
     )
 
@@ -145,7 +143,6 @@ def poisson_arrival_curve(rate: float, packet_bits: float, theta: float) -> Arri
         rate=rate * math.expm1(theta * packet_bits) / theta,
         burst=0.0,
         decay=theta,
-        theta=theta,
         packet_bits=packet_bits,
     )
 
@@ -186,7 +183,6 @@ def onoff_arrival_curve(
         rate=rate,
         burst=packet_bits,
         decay=theta,
-        theta=theta,
         packet_bits=packet_bits,
     )
 

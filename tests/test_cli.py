@@ -2,10 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from linkdelay.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 WORKED_MODELS_ROW = (
     "0.0318637237554,17.7215385987,134.425084593,0.0470716979793,"
@@ -83,6 +90,36 @@ def test_non_integer_count_is_a_config_error(tmp_path, capsys, raw, key):
     assert code == 2
     assert out == ""
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"mean_delay_tolerance": True}, "mean_delay_tolerance"),
+    ({"mean_delay_tolerance": False}, "mean_delay_tolerance"),
+    ({"delay_grid": [True, 20, 30]}, "delay_grid"),
+    ({"delay_grid": [15, 20, False]}, "delay_grid"),
+    ({"delay_grid": ["15", 20]}, "delay_grid"),
+    ({"delay_grid": [float("nan"), 20]}, "delay_grid"),
+    ({"mean_delay_tolerance": float("nan")}, "mean_delay_tolerance"),
+])
+def test_non_number_is_a_config_error(tmp_path, capsys, raw, key):
+    # booleans used to load as 1.0/0.0 and NaN passed the range checks
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and key in err
+
+
+def test_whole_numbers_still_load_as_floats(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mean_delay_tolerance": 1, "delay_grid": [10, 20.5, 30]}))
+    code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--dump-config")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mean_delay_tolerance"] == 1.0 and isinstance(doc["mean_delay_tolerance"], float)
+    assert doc["delay_grid"] == [10.0, 20.5, 30.0]
+    assert all(isinstance(d, float) for d in doc["delay_grid"])
 
 
 def test_usage_error_exit_code(capsys):
@@ -201,3 +238,44 @@ def test_output_file_and_format_override(tmp_path):
     assert main(["models", "--out", str(out), "--format", "json"]) == 0
     doc = json.loads(out.read_text())
     assert doc["rows"][0]["per"] == pytest.approx(0.03186372375543293, rel=1e-12)
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("models.csv", ["models"]),
+    ("mean-delay.csv", ["mean-delay"]),
+    ("delay-bound.csv", ["delay-bound"]),
+    ("simulate.csv", ["simulate"]),
+    ("validate.csv", ["validate"]),
+    ("delay-bound-poisson.csv", ["delay-bound", "--config", str(GOLDEN / "poisson.json")]),
+])
+def test_default_output_is_byte_identical(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv, "--seed", "1")
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+_SCIPY_PROBE = """
+import json, os, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import linkdelay
+from linkdelay import cli
+loaded = {"import": scipy_modules()}
+for command in ("models", "mean-delay", "delay-bound", "simulate"):
+    assert cli.main([command, "--out", os.devnull]) == 0, command
+    loaded[command] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_simulating_loads_scipy():
+    # the suite itself imports scipy, so only a fresh interpreter can tell
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for stage in ("import", "models", "mean-delay", "delay-bound"):
+        assert loaded[stage] == [], stage
+    # the Clopper-Pearson envelope still comes from scipy's betaincinv
+    assert "scipy.special" in loaded["simulate"]
