@@ -3,137 +3,19 @@
 Two analytic routes and one empirical route to packet-delivery delay:
 mean delay through an equivalent lossless G/G/1 queue, tail bounds
 through min-plus arrival/service curves, and a discrete-event simulator
-for validating both.
+for validating both.  The package exports each module's ``__all__``.
 """
 
-from .config import ConfigError, RunConfig, default_config, dump_config, load_config
-from .empirical import (
-    EquivalentArrival,
-    LinkConfig,
-    MomentCoefficients,
-    PerCoefficients,
-    equivalent_arrival,
-    packet_error_rate,
-    plr_mean,
-    plr_var,
-    service_time_mean,
-    service_time_var,
-)
-from .gg1 import (
-    Gg1Inputs,
-    Overloaded,
-    inputs_from_distribution,
-    inputs_from_fitted_models,
-    mean_delay,
-    traffic_intensity,
-    waiting_time,
-)
-from .service_time import (
-    ServiceComponents,
-    ServiceDistribution,
-    ServiceOutcome,
-    TimingConstants,
-    attempt_pmf,
-    delivered_duration,
-    dropped_duration,
-    service_components,
-    service_distribution,
-)
-from .simulator import (
-    DominanceViolation,
-    EmpiricalCcdf,
-    SimResult,
-    SimTrace,
-    dominance_report,
-    empirical_ccdf,
-    run_simulation,
-    simulate,
-)
-from .snc import (
-    ArrivalCurve,
-    DelayBound,
-    DelayCcdf,
-    Overload,
-    ServiceCurve,
-    StabilityViolation,
-    arrival_curve_for,
-    convolve_exponential_bounds,
-    delay_bound_at,
-    horizontal_distance,
-    onoff_arrival_curve,
-    optimize_delay_ccdf,
-    periodic_arrival_curve,
-    poisson_arrival_curve,
-    service_curve,
-)
-from .traffic import (
-    OnOffTraffic,
-    PeriodicTraffic,
-    PoissonTraffic,
-    TrafficSpec,
-    generate_arrivals,
-)
+from . import config, empirical, gg1, service_time, simulator, snc, traffic
+from .config import *  # noqa: F401,F403
+from .empirical import *  # noqa: F401,F403
+from .gg1 import *  # noqa: F401,F403
+from .service_time import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
+from .snc import *  # noqa: F401,F403
+from .traffic import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrivalCurve",
-    "ConfigError",
-    "DelayBound",
-    "DelayCcdf",
-    "DominanceViolation",
-    "EmpiricalCcdf",
-    "EquivalentArrival",
-    "Gg1Inputs",
-    "LinkConfig",
-    "MomentCoefficients",
-    "OnOffTraffic",
-    "Overload",
-    "Overloaded",
-    "PerCoefficients",
-    "PeriodicTraffic",
-    "PoissonTraffic",
-    "RunConfig",
-    "ServiceComponents",
-    "ServiceCurve",
-    "ServiceDistribution",
-    "ServiceOutcome",
-    "SimResult",
-    "SimTrace",
-    "StabilityViolation",
-    "TimingConstants",
-    "TrafficSpec",
-    "arrival_curve_for",
-    "attempt_pmf",
-    "convolve_exponential_bounds",
-    "default_config",
-    "delay_bound_at",
-    "delivered_duration",
-    "dominance_report",
-    "dropped_duration",
-    "dump_config",
-    "empirical_ccdf",
-    "equivalent_arrival",
-    "generate_arrivals",
-    "horizontal_distance",
-    "inputs_from_distribution",
-    "inputs_from_fitted_models",
-    "load_config",
-    "mean_delay",
-    "onoff_arrival_curve",
-    "optimize_delay_ccdf",
-    "packet_error_rate",
-    "periodic_arrival_curve",
-    "plr_mean",
-    "plr_var",
-    "poisson_arrival_curve",
-    "run_simulation",
-    "service_components",
-    "service_curve",
-    "service_distribution",
-    "service_time_mean",
-    "service_time_var",
-    "simulate",
-    "traffic_intensity",
-    "waiting_time",
-]
+__all__ = sorted({*config.__all__, *empirical.__all__, *gg1.__all__, *service_time.__all__,
+                  *simulator.__all__, *snc.__all__, *traffic.__all__})

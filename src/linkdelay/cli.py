@@ -99,6 +99,15 @@ def _service_inputs(cfg: RunConfig):
     return p_e, dist, packet_bits
 
 
+def _fitted_inputs(cfg: RunConfig) -> gg1.Gg1Inputs:
+    """Equivalent-queue inputs from the fitted models, which need some traffic to get through."""
+    link = cfg.link
+    if plr_mean(link.l_d, link.snr, link.q_max, cfg.moment_coeffs) >= 1.0:
+        raise ConfigError("the fitted loss rate plr_mean reaches 1 at this l_d, snr and q_max, "
+                          "so the equivalent queue gets no traffic")
+    return gg1.inputs_from_fitted_models(link, cfg.moment_coeffs)
+
+
 def cmd_models(cfg: RunConfig, args: argparse.Namespace) -> int:
     link = cfg.link
     per = packet_error_rate(link.l_d, link.snr, cfg.per_coeffs)
@@ -128,7 +137,7 @@ def cmd_models(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_mean_delay(cfg: RunConfig, args: argparse.Namespace) -> int:
-    inputs = gg1.inputs_from_fitted_models(cfg.link, cfg.moment_coeffs)
+    inputs = _fitted_inputs(cfg)
     rho = gg1.traffic_intensity(inputs)
     waiting = gg1.waiting_time(inputs)
     columns = ["rho", "waiting_ms", "service_mean_ms", "delay_ms"]
@@ -223,8 +232,8 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     inputs = gg1.inputs_from_distribution(dist, cfg.traffic.mean_interarrival)
     analytic = gg1.mean_delay(inputs)
     try:
-        fitted = gg1.mean_delay(gg1.inputs_from_fitted_models(cfg.link, cfg.moment_coeffs))
-    except gg1.Overloaded:
+        fitted = gg1.mean_delay(_fitted_inputs(cfg))
+    except (ConfigError, gg1.Overloaded):
         fitted = None
 
     rel_error = abs(sim_mean - analytic) / analytic

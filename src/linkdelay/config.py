@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -13,7 +14,7 @@ from .empirical import LinkConfig, MomentCoefficients, PerCoefficients, _check_i
 from .service_time import TimingConstants
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "dump_config", "default_config"]
+__all__ = ["ConfigError", "RunConfig", "ThetaGridSpec", "load_config", "dump_config", "default_config"]
 
 DEFAULT_DELAY_GRID = tuple(float(d) for d in range(15, 95, 5))
 DEFAULT_HORIZON = 20000
@@ -25,6 +26,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ThetaGridSpec:
+    """The theta grid of the tail-bound optimiser; its defaults are the package's default grid."""
+
     min: float = 1e-5
     max: float = 1.0
     points: int = 60
@@ -71,7 +74,14 @@ def default_config() -> RunConfig:
     )
 
 
+# real numbers, int and float first: the check against the abstract Real is slow
+_REAL = (int, float, numbers.Real)
+
+
 def _build_section(cls, data: dict, section: str):
+    """cls from the section's keys; every field of a section is a number, and a finite one."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{section}' must be an object, got {data!r}")
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
@@ -80,17 +90,23 @@ def _build_section(cls, data: dict, section: str):
             f"(allowed: {sorted(allowed)})"
         )
     try:
+        for key, value in data.items():
+            # bools are not numbers here; ints are finite, and counts check the rest in cls
+            if isinstance(value, bool) or not isinstance(value, _REAL) or not (
+                    isinstance(value, int) or math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section '{section}': {exc}") from exc
 
 
-_TRAFFIC_CLASSES = {"periodic": PeriodicTraffic, "poisson": PoissonTraffic, "onoff": OnOffTraffic}
+_TRAFFIC_CLASSES = {cls.kind: cls for cls in (PeriodicTraffic, PoissonTraffic, OnOffTraffic)}
 
 
 def _build_traffic(data: dict) -> TrafficSpec:
-    if "kind" not in data:
-        raise ConfigError("traffic section needs a 'kind' key (periodic|poisson|onoff)")
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ConfigError(f"traffic section needs to be an object with a 'kind' key "
+                          f"({'|'.join(_TRAFFIC_CLASSES)})")
     kind = data["kind"]
     cls = _TRAFFIC_CLASSES.get(kind)
     if cls is None:
@@ -100,7 +116,7 @@ def _build_traffic(data: dict) -> TrafficSpec:
 
 def _as_number(value) -> float:
     """value as a float; TypeError for anything but a real number (bools included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, _REAL):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 
@@ -188,8 +204,7 @@ def _section_dict(obj) -> dict:
 def dump_config(cfg: RunConfig) -> dict:
     """JSON-ready dict that loads back to an identical RunConfig."""
     traffic = _section_dict(cfg.traffic)
-    traffic["kind"] = {PeriodicTraffic: "periodic", PoissonTraffic: "poisson",
-                       OnOffTraffic: "onoff"}[type(cfg.traffic)]
+    traffic["kind"] = cfg.traffic.kind
     out: dict = {
         "link": _section_dict(cfg.link),
         "timing": _section_dict(cfg.timing),

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .empirical import LinkConfig
 __all__ = [
     "TimingConstants",
     "ServiceComponents",
-    "ServiceOutcome",
     "ServiceDistribution",
     "service_components",
     "delivered_duration",
@@ -104,50 +105,76 @@ def attempt_pmf(p_e: float, n_max_tries: int) -> tuple[np.ndarray, float]:
     return probs, float(p_e**n_max_tries)
 
 
-@dataclass(frozen=True)
-class ServiceOutcome:
-    """One atom of the service-time distribution."""
-
-    duration: float     # ms of server occupancy
-    probability: float
-    attempt: int        # attempts consumed (== n_max_tries when dropped)
-    delivered: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServiceDistribution:
-    """Discrete per-packet service-time law: N delivery atoms plus one drop atom."""
+    """Discrete per-packet service-time law: n_max_tries delivery atoms, then one drop atom.
 
-    outcomes: tuple[ServiceOutcome, ...]
+    durations[k - 1] and probs[k - 1] are the server occupancy (ms) and
+    the probability of delivery on attempt k; the last entry of each is
+    the drop atom, which uses all n_max_tries attempts.  Both arrays are
+    stored as read-only float copies.
+    """
+
+    durations: np.ndarray
+    probs: np.ndarray
     p_e: float
     n_max_tries: int
 
     def __post_init__(self) -> None:
-        total = sum(o.probability for o in self.outcomes)
+        for name in ("durations", "probs"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (self.n_max_tries + 1,):
+                raise ValueError(f"{name} must hold n_max_tries + 1 = {self.n_max_tries + 1} "
+                                 f"atoms, got shape {values.shape}")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        total = float(np.cumsum(self.probs)[-1])
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
-        delivered = [o for o in self.outcomes if o.delivered]
-        dropped = [o for o in self.outcomes if not o.delivered]
-        if len(dropped) != 1:
-            raise ValueError("distribution must contain exactly one drop outcome")
-        durations = [o.duration for o in delivered]
-        if any(b <= a for a, b in zip(durations, durations[1:])):
+        if np.any(self.durations[1:-1] <= self.durations[:-2]):
             raise ValueError("delivered durations must increase with attempt count")
 
     @property
-    def drop_probability(self) -> float:
-        return next(o.probability for o in self.outcomes if not o.delivered)
+    def attempts(self) -> np.ndarray:
+        """Attempts each atom uses: 1..n_max_tries, then n_max_tries for the drop."""
+        return np.append(np.arange(1, self.n_max_tries + 1), self.n_max_tries)
 
     @property
+    def delivered(self) -> np.ndarray:
+        """True for the delivery atoms, False for the drop atom."""
+        return np.arange(self.n_max_tries + 1) < self.n_max_tries
+
+    @property
+    def drop_probability(self) -> float:
+        return float(self.probs[-1])
+
+    @cached_property
     def max_duration(self) -> float:
-        return max(o.duration for o in self.outcomes)
+        return float(self.durations.max())
+
+    @cached_property
+    def _atoms(self) -> list[tuple[float, float]]:
+        """(duration, probability) of each atom as Python floats, for the scalar loops below."""
+        return list(zip(self.durations.tolist(), self.probs.tolist()))
+
+    def _expectation(self, f: Callable[[float], float]) -> float:
+        """E[f(T)] over all atoms.
+
+        The terms are added left to right in a Python loop, so that the
+        result is the same float whatever order numpy or the
+        interpreter's sum() would add them in.
+        """
+        total = 0.0
+        for d, p in self._atoms:
+            total += f(d) * p
+        return total
 
     def mean(self) -> float:
-        return sum(o.duration * o.probability for o in self.outcomes)
+        return self._expectation(lambda d: d)
 
     def variance(self) -> float:
         m = self.mean()
-        return sum((o.duration - m) ** 2 * o.probability for o in self.outcomes)
+        return self._expectation(lambda d: (d - m) ** 2)
 
     def mgf(self, theta: float) -> float:
         """E[exp(theta * T)] over all outcomes including the drop atom."""
@@ -158,38 +185,21 @@ class ServiceDistribution:
                 f"theta * max duration = {theta * self.max_duration:.3g} exceeds "
                 f"{_MGF_EXPONENT_LIMIT}; MGF would overflow"
             )
-        return float(sum(o.probability * math.exp(theta * o.duration) for o in self.outcomes))
+        return self._expectation(lambda d: math.exp(theta * d))
 
     def sample_many(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised draw of n outcomes by inverse CDF: (attempts, durations, delivered)."""
-        cum = np.cumsum([o.probability for o in self.outcomes])
+        cum = np.cumsum(self.probs)
         cum[-1] = 1.0
-        durations = np.array([o.duration for o in self.outcomes])
-        attempts = np.array([o.attempt for o in self.outcomes])
-        delivered = np.array([o.delivered for o in self.outcomes])
         idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
-        return attempts[idx], durations[idx], delivered[idx]
+        return self.attempts[idx], self.durations[idx], self.delivered[idx]
 
 
 def service_distribution(cfg: LinkConfig, tc: TimingConstants, p_e: float) -> ServiceDistribution:
     """Build the full service-time law for a link operating point."""
     comps = service_components(cfg, tc)
     probs, drop_prob = attempt_pmf(p_e, cfg.n_max_tries)
-    outcomes = [
-        ServiceOutcome(
-            duration=delivered_duration(k, comps, tc.t_spi),
-            probability=float(probs[k - 1]),
-            attempt=k,
-            delivered=True,
-        )
-        for k in range(1, cfg.n_max_tries + 1)
-    ]
-    outcomes.append(
-        ServiceOutcome(
-            duration=dropped_duration(comps, tc.t_spi, cfg.n_max_tries),
-            probability=drop_prob,
-            attempt=cfg.n_max_tries,
-            delivered=False,
-        )
-    )
-    return ServiceDistribution(outcomes=tuple(outcomes), p_e=p_e, n_max_tries=cfg.n_max_tries)
+    durations = [delivered_duration(k, comps, tc.t_spi) for k in range(1, cfg.n_max_tries + 1)]
+    durations.append(dropped_duration(comps, tc.t_spi, cfg.n_max_tries))
+    return ServiceDistribution(durations=durations, probs=np.append(probs, drop_prob),
+                               p_e=p_e, n_max_tries=cfg.n_max_tries)

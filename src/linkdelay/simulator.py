@@ -53,7 +53,6 @@ class SimResult:
     n_delivered: int
     n_queue_drops: int
     n_retry_drops: int
-    seed: int | None = None
     trace: SimTrace | None = field(default=None, repr=False)
 
     @property
@@ -72,7 +71,6 @@ def simulate(
     p_e: float,
     rng: np.random.Generator,
     collect_trace: bool = False,
-    seed: int | None = None,
 ) -> SimResult:
     """Run the queue over the given arrival instants.
 
@@ -131,7 +129,6 @@ def simulate(
         n_delivered=delivered_delays.size,
         n_queue_drops=n_queue_drops,
         n_retry_drops=n_retry_drops + stop - int(np.count_nonzero(head_ok)),
-        seed=seed,
         trace=trace,
     )
 
@@ -270,7 +267,7 @@ def run_simulation(
     """Generate arrivals and simulate with a single seeded stream."""
     rng = np.random.default_rng(seed)
     arrivals = generate_arrivals(traffic, rng)
-    return simulate(arrivals, cfg, tc, p_e, rng, collect_trace=collect_trace, seed=seed)
+    return simulate(arrivals, cfg, tc, p_e, rng, collect_trace=collect_trace)
 
 
 @dataclass

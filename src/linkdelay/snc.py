@@ -27,31 +27,15 @@ __all__ = [
     "ServiceCurve",
     "DelayBound",
     "DelayCcdf",
-    "StabilityViolation",
     "Overload",
     "periodic_arrival_curve",
     "poisson_arrival_curve",
     "onoff_arrival_curve",
     "arrival_curve_for",
     "service_curve",
-    "horizontal_distance",
     "convolve_exponential_bounds",
-    "delay_bound_at",
-    "default_theta_grid",
     "optimize_delay_ccdf",
 ]
-
-
-class StabilityViolation(Exception):
-    """Arrival envelope rate exceeds the service curve rate."""
-
-    def __init__(self, arrival_rate: float, service_rate: float):
-        self.arrival_rate = arrival_rate
-        self.service_rate = service_rate
-        super().__init__(
-            f"arrival rate {arrival_rate:.6g} bits/ms exceeds service rate "
-            f"{service_rate:.6g} bits/ms"
-        )
 
 
 class Overload(Exception):
@@ -65,11 +49,9 @@ class ArrivalCurve:
     decay None means the envelope is deterministic (never violated).
     """
 
-    kind: str
     rate: float           # bits/ms
     burst: float          # bits
     decay: float | None   # 1/bits, None = deterministic
-    packet_bits: float
 
     @property
     def deterministic(self) -> bool:
@@ -100,8 +82,6 @@ class DelayCcdf:
     """Optimised delay tail bound on a grid of target delays."""
 
     points: tuple[DelayBound, ...]
-    kind: str
-    packet_bits: float
 
     def delays(self) -> np.ndarray:
         return np.array([p.delay for p in self.points])
@@ -116,13 +96,7 @@ def periodic_arrival_curve(packet_bits: float, period: float) -> ArrivalCurve:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
     if period <= 0.0:
         raise ValueError(f"period must be > 0, got {period}")
-    return ArrivalCurve(
-        kind="periodic",
-        rate=packet_bits / period,
-        burst=packet_bits,
-        decay=None,
-        packet_bits=packet_bits,
-    )
+    return ArrivalCurve(rate=packet_bits / period, burst=packet_bits, decay=None)
 
 
 def poisson_arrival_curve(rate: float, packet_bits: float, theta: float) -> ArrivalCurve:
@@ -138,13 +112,7 @@ def poisson_arrival_curve(rate: float, packet_bits: float, theta: float) -> Arri
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
     if theta <= 0.0:
         raise ValueError(f"theta must be > 0, got {theta}")
-    return ArrivalCurve(
-        kind="poisson",
-        rate=rate * math.expm1(theta * packet_bits) / theta,
-        burst=0.0,
-        decay=theta,
-        packet_bits=packet_bits,
-    )
+    return ArrivalCurve(rate=rate * math.expm1(theta * packet_bits) / theta, burst=0.0, decay=theta)
 
 
 def onoff_arrival_curve(
@@ -178,13 +146,7 @@ def onoff_arrival_curve(
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
     tr = theta * peak_rate
     rate = (tr - lam - mu + math.sqrt((tr - lam + mu) ** 2 + 4.0 * lam * mu)) / (2.0 * theta)
-    return ArrivalCurve(
-        kind="onoff",
-        rate=rate,
-        burst=packet_bits,
-        decay=theta,
-        packet_bits=packet_bits,
-    )
+    return ArrivalCurve(rate=rate, burst=packet_bits, decay=theta)
 
 
 def arrival_curve_for(spec: TrafficSpec, packet_bits: float, theta: float) -> ArrivalCurve:
@@ -216,18 +178,6 @@ def service_curve(dist: ServiceDistribution, packet_bits: float, theta: float) -
     return ServiceCurve(rate=packet_bits * theta / log_m, theta=theta)
 
 
-def horizontal_distance(ac: ArrivalCurve, x: float, sc: ServiceCurve) -> float:
-    """Largest horizontal gap between the raised envelope ac + x and the service curve.
-
-    For affine curves under stability this is (burst + x) / R.
-    """
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if ac.rate > sc.rate:
-        raise StabilityViolation(ac.rate, sc.rate)
-    return (ac.burst + x) / sc.rate
-
-
 def convolve_exponential_bounds(a: float, b: float, x: float) -> float:
     """Tail 1 - conv(fbar, gbar)(x) for bounds exp(-a*x) and exp(-b*x).
 
@@ -244,21 +194,6 @@ def convolve_exponential_bounds(a: float, b: float, x: float) -> float:
     else:
         val = (a * math.exp(-b * x) - b * math.exp(-a * x)) / (a - b)
     return min(max(val, 0.0), 1.0)
-
-
-def delay_bound_at(ac: ArrivalCurve, sc: ServiceCurve, x: float) -> tuple[float, float]:
-    """One point of the delay tail bound: (delay, probability) at slack x bits."""
-    delay = horizontal_distance(ac, x, sc)
-    if ac.deterministic:
-        prob = math.exp(-sc.decay * x)
-    else:
-        prob = convolve_exponential_bounds(ac.decay, sc.decay, x)
-    return delay, min(max(prob, 0.0), 1.0)
-
-
-def default_theta_grid() -> np.ndarray:
-    """Log-spaced exponent grid, 60 points in [1e-5, 1] per ms."""
-    return np.logspace(-5.0, 0.0, 60)
 
 
 def _stable_curves(
@@ -284,23 +219,23 @@ def _stable_curves(
     return ac, sc
 
 
-def _bound_prob(
-    traffic: TrafficSpec,
-    dist: ServiceDistribution,
-    packet_bits: float,
-    theta: float,
-    delay: float,
-) -> float:
-    """Bound probability at one (theta, delay); inf when theta is infeasible."""
-    curves = _stable_curves(traffic, dist, packet_bits, theta)
+def _bound_prob(curves: tuple[ArrivalCurve, ServiceCurve] | None, delay: float) -> float:
+    """Bound on P{delay exceeded} from the curves at one theta; inf when theta is infeasible.
+
+    The delay is the horizontal distance (burst + x) / R between the
+    envelope raised by x bits and the service curve, so x = delay * R - burst.
+    """
     if curves is None:
         return math.inf
     ac, sc = curves
     x = delay * sc.rate - ac.burst
     if x < 0.0:
         return 1.0
-    _, prob = delay_bound_at(ac, sc, x)
-    return prob
+    if ac.deterministic:
+        prob = math.exp(-sc.decay * x)
+    else:
+        prob = convolve_exponential_bounds(ac.decay, sc.decay, x)
+    return min(max(prob, 0.0), 1.0)
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
@@ -328,7 +263,7 @@ def optimize_delay_ccdf(
     dist: ServiceDistribution,
     packet_bits: float,
     delay_grid: Sequence[float],
-    thetas: Sequence[float] | None = None,
+    thetas: Sequence[float],
 ) -> DelayCcdf:
     """Optimised tail bound over a delay grid.
 
@@ -345,32 +280,30 @@ def optimize_delay_ccdf(
         raise ValueError("delays must be > 0")
     if any(b <= a for a, b in zip(delays, delays[1:])):
         raise ValueError("delay_grid must be strictly increasing")
-    grid = np.asarray(default_theta_grid() if thetas is None else list(thetas), dtype=float)
+    grid = np.asarray(list(thetas), dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0):
         raise ValueError("theta grid must contain positive exponents")
 
-    feasible = [t for t in np.sort(grid)
-                if _stable_curves(traffic, dist, packet_bits, t) is not None]
-    if not feasible:
+    # the curves of each stable grid exponent, built once for every delay
+    stable = [(t, curves) for t in np.sort(grid)
+              if (curves := _stable_curves(traffic, dist, packet_bits, t)) is not None]
+    if not stable:
         raise Overload(
             "no stable exponent in the theta grid; arrival envelope exceeds "
             "the service curve everywhere"
         )
 
-    kind = {PeriodicTraffic: "periodic", PoissonTraffic: "poisson", OnOffTraffic: "onoff"}[
-        type(traffic)
-    ]
     points: list[DelayBound] = []
     best_prob, best_theta = math.inf, None
     for d in delays:
-        probs = [_bound_prob(traffic, dist, packet_bits, t, d) for t in feasible]
+        probs = [_bound_prob(curves, d) for _, curves in stable]
         i = int(np.argmin(probs))
-        prob, theta = probs[i], feasible[i]
-        lo = feasible[max(i - 1, 0)]
-        hi = feasible[min(i + 1, len(feasible) - 1)]
+        prob, theta = probs[i], stable[i][0]
+        lo = stable[max(i - 1, 0)][0]
+        hi = stable[min(i + 1, len(stable) - 1)][0]
         if lo < hi:
             t_ref, p_ref = _golden_min(
-                lambda t: _bound_prob(traffic, dist, packet_bits, t, d), lo, hi
+                lambda t: _bound_prob(_stable_curves(traffic, dist, packet_bits, t), d), lo, hi
             )
             if p_ref < prob:
                 prob, theta = p_ref, t_ref
@@ -381,4 +314,4 @@ def optimize_delay_ccdf(
             points.append(DelayBound(delay=d, prob=1.0, theta=None))
         else:
             points.append(DelayBound(delay=d, prob=best_prob, theta=best_theta))
-    return DelayCcdf(points=tuple(points), kind=kind, packet_bits=packet_bits)
+    return DelayCcdf(points=tuple(points))

@@ -8,7 +8,7 @@ All rates are packets/ms, times are ms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodicTraffic:
+    kind: ClassVar[str] = "periodic"  # the name a config's traffic section gives
     t_pit: float        # packet inter-arrival time, ms
     horizon: int = 20000
 
@@ -40,6 +41,7 @@ class PeriodicTraffic:
 
 @dataclass(frozen=True)
 class PoissonTraffic:
+    kind: ClassVar[str] = "poisson"
     rate: float         # packets/ms
     horizon: int = 20000
 
@@ -63,6 +65,7 @@ class OnOffTraffic:
     The source starts in Off at t = 0.
     """
 
+    kind: ClassVar[str] = "onoff"
     lam_on_off: float   # 1/ms, leaves On
     mu_off_on: float    # 1/ms, leaves Off
     rate: float         # packets/ms while On

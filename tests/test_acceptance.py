@@ -18,11 +18,11 @@ from linkdelay import (
     OnOffTraffic,
     PeriodicTraffic,
     PoissonTraffic,
+    ThetaGridSpec,
     TimingConstants,
     arrival_curve_for,
     attempt_pmf,
     convolve_exponential_bounds,
-    delay_bound_at,
     delivered_duration,
     dominance_report,
     dropped_duration,
@@ -48,12 +48,13 @@ from linkdelay import (
     waiting_time,
 )
 from linkdelay.cli import main
-from linkdelay.snc import default_theta_grid
+from test_reference import delay_bound_at
 
 TC = TimingConstants()
 FORCED_TC = TimingConstants(t_spi=0.0, frame_overhead=75)
 FORCED_CFG = LinkConfig(l_d=50, d_retry=30.0, n_max_tries=3)
 DELAY_GRID = np.arange(15.0, 95.0, 5.0)
+THETAS = ThetaGridSpec().values()
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -216,7 +217,7 @@ def test_criterion_4_bound_dominance():
     dist = service_distribution(link, TC, p_e)
     total = 0
     for name, traffic in DOMINANCE_TRAFFICS:
-        ccdf = optimize_delay_ccdf(traffic, dist, 400.0, DELAY_GRID)
+        ccdf = optimize_delay_ccdf(traffic, dist, 400.0, DELAY_GRID, THETAS)
         for seed in (101, 202, 303):
             result = run_simulation(link, TC, traffic, p_e, seed=seed)
             emp = empirical_ccdf(result.delivered_delays, DELAY_GRID, confidence=0.99)
@@ -234,8 +235,7 @@ def test_criterion_5_snc_internal_consistency():
     link = LinkConfig()
     dist = service_distribution(link, TC, packet_error_rate(link.l_d, link.snr))
 
-    thetas = default_theta_grid()
-    rates = np.array([service_curve(dist, 400.0, t).rate for t in thetas])
+    rates = np.array([service_curve(dist, 400.0, t).rate for t in THETAS])
     monotone = bool(np.all(np.diff(rates) <= 1e-9))
     limit_err = abs(service_curve(dist, 400.0, 1e-7).rate - 400.0 / dist.mean()) / (
         400.0 / dist.mean()
@@ -254,9 +254,9 @@ def test_criterion_5_snc_internal_consistency():
 
     optimum_beats_grid = True
     for _, traffic in DOMINANCE_TRAFFICS[:3]:
-        ccdf = optimize_delay_ccdf(traffic, dist, 400.0, DELAY_GRID)
+        ccdf = optimize_delay_ccdf(traffic, dist, 400.0, DELAY_GRID, THETAS)
         for point in ccdf.points:
-            for theta in thetas:
+            for theta in THETAS:
                 try:
                     sc = service_curve(dist, 400.0, theta)
                 except (ValueError, OverflowError):
@@ -332,7 +332,7 @@ def test_criterion_7_degenerate_oracle():
 
     target = t1 + 20.0
     ccdf = optimize_delay_ccdf(
-        PeriodicTraffic(t_pit=50.0, horizon=20000), dist, 400.0, [target]
+        PeriodicTraffic(t_pit=50.0, horizon=20000), dist, 400.0, [target], THETAS
     )
     point = ccdf.points[0]
     bound_small = point.prob < 1e-6 and point.theta is not None

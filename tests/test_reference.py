@@ -1,15 +1,19 @@
-"""The vectorised simulator core and on-off generator against per-packet references.
+"""The vectorised simulator core, the on-off generator and the tail bound against references.
 
 The references are the sequential event loop and the scalar on-off
-generator the package used before both were vectorised.  Counts,
+generator the package used before both were vectorised, and the
+per-(theta, delay) bound composition the optimiser used before it built
+its curves once per theta.  Counts,
 outcomes, on-off arrivals and rng states must be identical.  The
 departure recurrence that serves the packets after a possible overflow
 must reproduce the loop bit for bit.  Through ``simulate``, whose
 drop-free prefix comes from the Lindley pass, the delay of a packet that
 met an idle server must be bit-equal and every other delay within the
-rounding tolerance that ``simulate`` documents.
+rounding tolerance that ``simulate`` documents.  The optimiser's bound
+must be the reference composition's bit for bit.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -24,11 +28,14 @@ from linkdelay import (
     PoissonTraffic,
     SimTrace,
     TimingConstants,
+    arrival_curve_for,
+    convolve_exponential_bounds,
     generate_arrivals,
+    service_curve,
     service_distribution,
     simulate,
 )
-from linkdelay import simulator
+from linkdelay import simulator, snc
 from linkdelay.traffic import _emitted_by
 
 TC = TimingConstants()
@@ -118,11 +125,11 @@ def delay_tolerance(arrivals, cfg, p_e, ref_start, ref_outcome, ref_attempts):
     service time, never below the sum of the draws.
     """
     dist = service_distribution(cfg, TC, p_e)
-    duration = {(o.attempt, o.delivered): o.duration for o in dist.outcomes}
     n = arrivals.size
     ends = np.full(n, -np.inf)
     for i in np.flatnonzero(~np.isnan(ref_start)):
-        ends[i] = ref_start[i] + duration[(int(ref_attempts[i]), ref_outcome[i] == "delivered")]
+        atom = int(ref_attempts[i]) - 1 if ref_outcome[i] == "delivered" else -1
+        ends[i] = ref_start[i] + dist.durations[atom]
     ulp = np.spacing(2.0 * (n * dist.max_duration + max(abs(arrivals[0]), abs(arrivals[-1]))))
     last_end = np.concatenate(([-np.inf], np.maximum.accumulate(ends)[:-1]))
     idx = np.arange(n)
@@ -179,7 +186,7 @@ def scenarios(draw):
         spec = PeriodicTraffic(t_pit=mean_t / rho, horizon=n)
     elif kind == "tie":
         # arrivals spaced by one service atom exactly: departures land on arrival instants
-        atom = draw(st.sampled_from([o.duration for o in dist.outcomes]))
+        atom = draw(st.sampled_from(dist.durations.tolist()))
         spec = PeriodicTraffic(t_pit=atom, horizon=n)
     elif kind == "poisson":
         spec = PoissonTraffic(rate=rho / mean_t, horizon=n)
@@ -242,7 +249,7 @@ def test_exact_ties_with_one_waiting_slot(p_e):
     # the loop's own float comparisons decide who waits; with retries the
     # single slot also overflows
     link = LinkConfig(q_max=1)
-    atom = service_distribution(link, TC, p_e).outcomes[0].duration
+    atom = service_distribution(link, TC, p_e).durations[0]
     for n in (2, 50, 3000):
         arrivals = np.arange(n, dtype=float) * atom
         assert_matches_reference(arrivals, link, p_e, 3, True)
@@ -289,3 +296,73 @@ def test_onoff_arrivals_bit_identical_to_scalar_loop(spec, n):
         got = generate_arrivals(OnOffTraffic(spec.lam_on_off, spec.mu_off_on, spec.rate, n), rng)
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def horizontal_distance(ac, x, sc):
+    """Largest horizontal gap between the raised envelope ac + x and the service curve.
+
+    For affine curves under stability (ac.rate <= sc.rate) this is (burst + x) / R.
+    """
+    assert x >= 0.0 and ac.rate <= sc.rate
+    return (ac.burst + x) / sc.rate
+
+
+def delay_bound_at(ac, sc, x):
+    """One point of the delay tail bound: (delay, probability) at slack x bits."""
+    delay = horizontal_distance(ac, x, sc)
+    if ac.deterministic:
+        prob = math.exp(-sc.decay * x)
+    else:
+        prob = convolve_exponential_bounds(ac.decay, sc.decay, x)
+    return delay, min(max(prob, 0.0), 1.0)
+
+
+def reference_bound_prob(traffic, dist, packet_bits, theta, delay):
+    """Bound at one (theta, delay), curves built for the pair; inf when theta is infeasible."""
+    if theta * dist.max_duration > 700.0:
+        return math.inf  # the service-time MGF would overflow
+    if isinstance(traffic, PoissonTraffic) and theta * packet_bits > 700.0:
+        return math.inf  # so would the MGF of one packet's bits
+    sc = service_curve(dist, packet_bits, theta)
+    ac = arrival_curve_for(traffic, packet_bits, theta)
+    if ac.rate > sc.rate:
+        return math.inf
+    # the smallest slack whose horizontal distance reaches the delay
+    x = delay * sc.rate - ac.burst
+    if x < 0.0:
+        return 1.0
+    reached, prob = delay_bound_at(ac, sc, x)
+    assert reached == pytest.approx(delay, rel=1e-12)
+    return prob
+
+
+@st.composite
+def bound_points(draw):
+    """A service law, traffic of any kind at loads either side of 1, an exponent and a delay."""
+    link = LinkConfig(l_d=draw(st.integers(1, 114)), n_max_tries=draw(st.integers(1, 8)),
+                      d_retry=draw(st.sampled_from([0.0, 12.5, 30.0])))
+    p_e = draw(st.sampled_from([0.0, draw(st.floats(0.01, 0.9)), 1.0]))
+    dist = service_distribution(link, TC, p_e)
+    mean_t = dist.mean()
+    rho = draw(st.floats(0.1, 1.2))
+    kind = draw(st.sampled_from(["periodic", "poisson", "onoff"]))
+    if kind == "periodic":
+        traffic = PeriodicTraffic(t_pit=mean_t / rho, horizon=10)
+    elif kind == "poisson":
+        traffic = PoissonTraffic(rate=rho / mean_t, horizon=10)
+    else:
+        switch = 1.0 / (draw(st.floats(1.0, 10.0)) * mean_t)
+        traffic = OnOffTraffic(lam_on_off=switch, mu_off_on=switch, rate=2.0 * rho / mean_t,
+                               horizon=10)
+    theta = 10.0 ** draw(st.floats(-6.0, 0.5))
+    delay = draw(st.floats(0.1, 40.0)) * mean_t
+    return traffic, dist, 8.0 * link.l_d, theta, delay
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_points())
+def test_bound_prob_is_the_reference_composition_bit_for_bit(point):
+    traffic, dist, packet_bits, theta, delay = point
+    want = reference_bound_prob(traffic, dist, packet_bits, theta, delay)
+    got = snc._bound_prob(snc._stable_curves(traffic, dist, packet_bits, theta), delay)
+    assert got == want and type(got) is type(want)

@@ -8,7 +8,6 @@ import pytest
 from linkdelay import (
     LinkConfig,
     ServiceDistribution,
-    ServiceOutcome,
     TimingConstants,
     attempt_pmf,
     delivered_duration,
@@ -120,13 +119,12 @@ def test_attempt_pmf_sums_to_one():
 
 def test_distribution_forced_example():
     dist = service_distribution(FORCED_CFG, FORCED_TC, 0.1)
-    delivered = [o for o in dist.outcomes if o.delivered]
-    dropped = [o for o in dist.outcomes if not o.delivered]
-    assert len(dropped) == 1
-    assert [o.duration for o in delivered] == pytest.approx([DUR_K1, DUR_K2, DUR_K3], rel=REL)
-    assert [o.probability for o in delivered] == pytest.approx([0.9, 0.09, 0.009], rel=1e-12)
-    assert dropped[0].duration == pytest.approx(DUR_DROP, rel=REL)
-    assert dropped[0].probability == pytest.approx(0.001, rel=1e-12)
+    assert dist.delivered.tolist() == [True, True, True, False]
+    assert dist.attempts.tolist() == [1, 2, 3, 3]
+    assert dist.durations[:-1] == pytest.approx([DUR_K1, DUR_K2, DUR_K3], rel=REL)
+    assert dist.probs[:-1] == pytest.approx([0.9, 0.09, 0.009], rel=1e-12)
+    assert dist.durations[-1] == pytest.approx(DUR_DROP, rel=REL)
+    assert dist.probs[-1] == pytest.approx(0.001, rel=1e-12)
     assert dist.mean() == pytest.approx(FORCED_MEAN, rel=REL)
     # independent brute-force moments from the frozen atoms
     durs = np.array([DUR_K1, DUR_K2, DUR_K3, DUR_DROP])
@@ -138,32 +136,52 @@ def test_distribution_forced_example():
 
 def test_distribution_lossless_is_single_atom():
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.0)
-    delivered = [o for o in dist.outcomes if o.delivered]
-    assert delivered[0].probability == 1.0
+    assert dist.probs[0] == 1.0
     assert dist.drop_probability == 0.0
     comps = service_components(LinkConfig(), TimingConstants())
-    assert delivered[0].duration == delivered_duration(1, comps, 0.5)
+    assert dist.durations[0] == delivered_duration(1, comps, 0.5)
     assert dist.variance() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distribution_invariants_reject_bad_atoms():
     good = service_distribution(FORCED_CFG, FORCED_TC, 0.1)
     with pytest.raises(ValueError):
-        ServiceDistribution(
-            outcomes=tuple(
-                ServiceOutcome(o.duration, o.probability * 0.5, o.attempt, o.delivered)
-                for o in good.outcomes
-            ),
-            p_e=0.1,
-            n_max_tries=3,
-        )
+        ServiceDistribution(durations=good.durations, probs=good.probs * 0.5, p_e=0.1, n_max_tries=3)
     # durations must increase with the attempt index
-    shuffled = (good.outcomes[1],) + (good.outcomes[0],) + good.outcomes[2:]
+    shuffled = good.durations[[1, 0, 2, 3]]
     with pytest.raises(ValueError):
-        ServiceDistribution(outcomes=shuffled, p_e=0.1, n_max_tries=3)
-    # exactly one drop outcome
+        ServiceDistribution(durations=shuffled, probs=good.probs, p_e=0.1, n_max_tries=3)
+    # n_max_tries delivery atoms and one drop atom, in both arrays
     with pytest.raises(ValueError):
-        ServiceDistribution(outcomes=good.outcomes[:-1], p_e=0.1, n_max_tries=3)
+        ServiceDistribution(durations=good.durations[:-1], probs=good.probs, p_e=0.1, n_max_tries=3)
+    with pytest.raises(ValueError):
+        ServiceDistribution(durations=good.durations, probs=good.probs, p_e=0.1, n_max_tries=2)
+
+
+def test_distribution_arrays_are_read_only_copies():
+    durations = np.array([DUR_K1, DUR_K2, DUR_K3, DUR_DROP])
+    dist = ServiceDistribution(durations=durations, probs=[0.9, 0.09, 0.009, 0.001],
+                               p_e=0.1, n_max_tries=3)
+    durations[0] = 0.0
+    assert dist.durations[0] == DUR_K1
+    assert dist.probs.dtype == float
+    with pytest.raises(ValueError):
+        dist.durations[0] = 1.0
+    with pytest.raises(ValueError):
+        dist.probs[0] = 1.0
+
+
+def test_moments_add_left_to_right():
+    # the golden CLI outputs hold these bits; a compensated sum (math.fsum,
+    # or sum() of floats from Python 3.12 on) gives ...774 for the mean
+    dist = service_distribution(LinkConfig(), TimingConstants(), 0.03186372375543293)
+    assert dist.mean() == 11.615375918760776
+    wide = service_distribution(LinkConfig(n_max_tries=8), TimingConstants(), 0.45)
+    mean = mgf = 0.0
+    for d, p in zip(wide.durations.tolist(), wide.probs.tolist()):
+        mean += d * p
+        mgf += p * math.exp(0.02 * d)
+    assert wide.mean() == mean and wide.mgf(0.02) == mgf
 
 
 def test_mgf_at_zero_is_one():
@@ -209,7 +227,7 @@ def test_sampling_degenerate_outcomes():
     lossless = service_distribution(FORCED_CFG, FORCED_TC, 0.0)
     attempts, durations, delivered = lossless.sample_many(rng, 500)
     assert np.all(attempts == 1) and np.all(delivered)
-    assert np.all(durations == lossless.outcomes[0].duration)
+    assert np.all(durations == lossless.durations[0])
 
     hopeless = service_distribution(FORCED_CFG, FORCED_TC, 1.0)
     _, durations, delivered = hopeless.sample_many(rng, 500)
@@ -231,8 +249,7 @@ def test_sampled_moments_match_exact():
     n = 1_000_000
     _, durations, _ = dist.sample_many(rng, n)
     mean, var = dist.mean(), dist.variance()
-    durs = np.array([o.duration for o in dist.outcomes])
-    probs = np.array([o.probability for o in dist.outcomes])
+    durs, probs = dist.durations, dist.probs
     mu4 = float(probs @ (durs - mean) ** 4)
     se_mean = math.sqrt(var / n)
     se_var = math.sqrt(max(mu4 - var**2, 0.0) / n)

@@ -90,7 +90,7 @@ def test_delay_decomposition_in_trace():
     )
     tr = result.trace
     dist = service_distribution(LINK, TC, 0.2)
-    delivered_durs = {o.attempt: o.duration for o in dist.outcomes if o.delivered}
+    delivered_durs = dict(enumerate(dist.durations[:-1].tolist(), start=1))
     for i, out in enumerate(tr.outcome):
         if out != "delivered":
             continue

@@ -3,7 +3,7 @@
 Cross-checks every closed form against an independent numerical route:
 quadrature for the convolution, the tilted-generator spectrum for the
 On-Off effective bandwidth, and a brute-force curve scan for the
-horizontal distance.
+horizontal distance of the test reference in ``test_reference``.
 """
 
 import math
@@ -19,12 +19,10 @@ from linkdelay import (
     PeriodicTraffic,
     PoissonTraffic,
     OnOffTraffic,
-    StabilityViolation,
+    ThetaGridSpec,
     TimingConstants,
     arrival_curve_for,
     convolve_exponential_bounds,
-    delay_bound_at,
-    horizontal_distance,
     onoff_arrival_curve,
     optimize_delay_ccdf,
     periodic_arrival_curve,
@@ -32,13 +30,14 @@ from linkdelay import (
     service_curve,
     service_distribution,
 )
-from linkdelay.snc import default_theta_grid
+from test_reference import delay_bound_at, horizontal_distance
 
 REL = 1e-9
 
 FORCED_TC = TimingConstants(t_spi=0.0, frame_overhead=75)
 FORCED_CFG = LinkConfig(l_d=50, d_retry=30.0, n_max_tries=3)
 FORCED_MEAN = 16.716792
+THETAS = ThetaGridSpec().values()
 
 POISSON_RATE_WORKED = 14.75474092923811   # 0.03 * expm1(0.4) / 0.001
 ONOFF_RATE_WORKED = 157.03772689736613    # (0.03, 0.02, r=160, theta=0.01)
@@ -107,7 +106,8 @@ def test_onoff_rate_limits():
 
 
 def test_arrival_curve_dispatch():
-    assert arrival_curve_for(PeriodicTraffic(t_pit=50.0, horizon=10), 400.0, 0.01).kind == "periodic"
+    periodic = arrival_curve_for(PeriodicTraffic(t_pit=50.0, horizon=10), 400.0, 0.01)
+    assert periodic.deterministic and periodic.rate == pytest.approx(8.0, rel=REL)
     assert arrival_curve_for(PoissonTraffic(rate=0.03, horizon=10), 400.0, 0.001).rate == pytest.approx(
         POISSON_RATE_WORKED, rel=REL
     )
@@ -159,18 +159,6 @@ def test_horizontal_distance_closed_form_vs_scan():
         t = np.linspace(0.0, 500.0, 200_001)
         gap = (ac.rate * t + ac.burst + x - sc.rate * t) / sc.rate
         assert h == pytest.approx(float(np.max(np.maximum(gap, 0.0))), rel=1e-9)
-
-
-def test_horizontal_distance_stability_guard():
-    ac = periodic_arrival_curve(400.0, 10.0)  # 40 bits/ms
-    dist = service_distribution(LinkConfig(), TimingConstants(), 0.03)
-    sc = service_curve(dist, 400.0, 0.01)
-    with pytest.raises(StabilityViolation) as exc:
-        horizontal_distance(ac, 0.0, sc)
-    assert exc.value.arrival_rate == pytest.approx(40.0, rel=REL)
-    assert exc.value.service_rate < 40.0
-    with pytest.raises(ValueError):
-        horizontal_distance(ac, -1.0, sc)
 
 
 def test_convolution_worked_values():
@@ -237,11 +225,11 @@ def test_optimizer_deterministic_service_closed_form():
     # theta and the optimum sits at the largest exponent in the grid,
     # giving exp(-theta_max * (d - t1)) exactly
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.0)
-    t1 = dist.outcomes[0].duration
+    t1 = dist.durations[0]
     traffic = PeriodicTraffic(t_pit=50.0, horizon=100)
     grid = [t1 + 5.0, t1 + 10.0, t1 + 20.0, t1 + 40.0]
-    ccdf = optimize_delay_ccdf(traffic, dist, 400.0, grid)
-    theta_max = float(default_theta_grid()[-1])
+    ccdf = optimize_delay_ccdf(traffic, dist, 400.0, grid, THETAS)
+    theta_max = float(THETAS[-1])
     for point, d in zip(ccdf.points, grid):
         assert point.prob == pytest.approx(math.exp(-theta_max * (d - t1)), rel=0.01)
         assert point.theta == pytest.approx(theta_max, rel=0.01)
@@ -256,10 +244,10 @@ def test_optimizer_never_beats_grid_scan():
         PoissonTraffic(rate=0.03, horizon=100),
         OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.02, horizon=100),
     ):
-        ccdf = optimize_delay_ccdf(traffic, dist, 400.0, delays)
+        ccdf = optimize_delay_ccdf(traffic, dist, 400.0, delays, THETAS)
         for point in ccdf.points:
             best_grid = 1.0
-            for theta in default_theta_grid():
+            for theta in THETAS:
                 try:
                     sc = service_curve(dist, 400.0, theta)
                 except (ValueError, OverflowError):
@@ -277,22 +265,21 @@ def test_optimizer_envelope_monotone_and_vacuous_points():
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.03186372375543293)
     traffic = PeriodicTraffic(t_pit=50.0, horizon=100)
     grid = [1.0, 5.0, 20.0, 40.0, 80.0]
-    ccdf = optimize_delay_ccdf(traffic, dist, 400.0, grid)
+    ccdf = optimize_delay_ccdf(traffic, dist, 400.0, grid, THETAS)
     probs = ccdf.probs()
     assert np.all(np.diff(probs) <= 1e-15)
     # 1 ms of delay cannot absorb the one-packet burst: vacuous bound
     assert ccdf.points[0].prob == 1.0 and ccdf.points[0].theta is None
     assert ccdf.points[-1].prob < 1.0 and ccdf.points[-1].theta is not None
-    assert ccdf.kind == "periodic"
 
 
 def test_optimizer_overload_and_validation():
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.03186372375543293)
     with pytest.raises(Overload):
-        optimize_delay_ccdf(PeriodicTraffic(t_pit=9.0, horizon=10), dist, 400.0, [20.0])
+        optimize_delay_ccdf(PeriodicTraffic(t_pit=9.0, horizon=10), dist, 400.0, [20.0], THETAS)
     with pytest.raises(ValueError):
-        optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [])
+        optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [], THETAS)
     with pytest.raises(ValueError):
-        optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [5.0, 5.0])
+        optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [5.0, 5.0], THETAS)
     with pytest.raises(ValueError):
-        optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [-1.0, 5.0])
+        optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [-1.0, 5.0], THETAS)
