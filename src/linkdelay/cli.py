@@ -100,11 +100,15 @@ def _service_inputs(cfg: RunConfig):
 
 
 def _fitted_inputs(cfg: RunConfig) -> gg1.Gg1Inputs:
-    """Equivalent-queue inputs from the fitted models, which need some traffic to get through."""
+    """Equivalent-queue inputs from the fitted models, which need some traffic and some service time."""
     link = cfg.link
     if plr_mean(link.l_d, link.snr, link.q_max, cfg.moment_coeffs) >= 1.0:
         raise ConfigError("the fitted loss rate plr_mean reaches 1 at this l_d, snr and q_max, "
                           "so the equivalent queue gets no traffic")
+    mean_t = service_time_mean(link, cfg.moment_coeffs)
+    if not mean_t > 0.0:
+        raise ConfigError(f"the fitted mean service time is {mean_t:.6g} ms at this link and "
+                          "moment_coeffs; the equivalent queue needs it > 0")
     return gg1.inputs_from_fitted_models(link, cfg.moment_coeffs)
 
 

@@ -149,10 +149,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         delay_grid = tuple(_as_number(d) for d in delay_grid)
     except TypeError as exc:
         raise ConfigError(f"delay_grid must be a list of numbers: {exc}") from exc
-    if not delay_grid or any(not d > 0 for d in delay_grid) or any(
+    if not delay_grid or any(not 0.0 < d < math.inf for d in delay_grid) or any(
         b <= a for a, b in zip(delay_grid, delay_grid[1:])
     ):
-        raise ConfigError("delay_grid must be a strictly increasing list of positive ms values")
+        raise ConfigError("delay_grid must be a strictly increasing list of positive, finite ms values")
 
     theta_grid = (_build_section(ThetaGridSpec, raw["theta_grid"], "theta_grid")
                   if "theta_grid" in raw else base.theta_grid)

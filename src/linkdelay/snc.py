@@ -193,7 +193,11 @@ def convolve_exponential_bounds(a: float, b: float, x: float) -> float:
         val = (1.0 + c * x) * math.exp(-c * x)
     else:
         val = (a * math.exp(-b * x) - b * math.exp(-a * x)) / (a - b)
-    return min(max(val, 0.0), 1.0)
+    return 0.0 if val < 0.0 else 1.0 if 1.0 < val else val
+
+
+# (service rate R, arrival burst, arrival decay or None when deterministic, service decay)
+_Curves = tuple[float, float, float | None, float]
 
 
 def _stable_curves(
@@ -201,8 +205,8 @@ def _stable_curves(
     dist: ServiceDistribution,
     packet_bits: float,
     theta: float,
-) -> tuple[ArrivalCurve, ServiceCurve] | None:
-    """Arrival and service curves at theta, or None when theta is infeasible.
+) -> _Curves | None:
+    """What the bound reads of the arrival and service curves at theta; None when theta is infeasible.
 
     theta is infeasible when the service-time MGF or, for Poisson traffic,
     the MGF of one packet's bits would leave exp()'s range, or when the
@@ -216,10 +220,10 @@ def _stable_curves(
     ac = arrival_curve_for(traffic, packet_bits, theta)
     if ac.rate > sc.rate:
         return None
-    return ac, sc
+    return sc.rate, ac.burst, ac.decay, sc.decay
 
 
-def _bound_prob(curves: tuple[ArrivalCurve, ServiceCurve] | None, delay: float) -> float:
+def _bound_prob(curves: _Curves | None, delay: float) -> float:
     """Bound on P{delay exceeded} from the curves at one theta; inf when theta is infeasible.
 
     The delay is the horizontal distance (burst + x) / R between the
@@ -227,15 +231,14 @@ def _bound_prob(curves: tuple[ArrivalCurve, ServiceCurve] | None, delay: float) 
     """
     if curves is None:
         return math.inf
-    ac, sc = curves
-    x = delay * sc.rate - ac.burst
+    rate, burst, arrival_decay, service_decay = curves
+    x = delay * rate - burst
     if x < 0.0:
         return 1.0
-    if ac.deterministic:
-        prob = math.exp(-sc.decay * x)
-    else:
-        prob = convolve_exponential_bounds(ac.decay, sc.decay, x)
-    return min(max(prob, 0.0), 1.0)
+    if arrival_decay is None:
+        # x >= 0, so the exponent is <= 0 and the bound already lies in [0, 1]
+        return math.exp(-service_decay * x)
+    return convolve_exponential_bounds(arrival_decay, service_decay, x)
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
@@ -293,6 +296,16 @@ def optimize_delay_ccdf(
             "the service curve everywhere"
         )
 
+    # the curves of each exponent a golden-section probe visits, shared by
+    # the probes of every delay; grid exponents are numpy scalars and probes
+    # Python floats, so the two never share an entry and types stay as built
+    probed: dict[float, _Curves | None] = {}
+
+    def probe(t: float, d: float) -> float:
+        if t not in probed:
+            probed[t] = _stable_curves(traffic, dist, packet_bits, t)
+        return _bound_prob(probed[t], d)
+
     points: list[DelayBound] = []
     best_prob, best_theta = math.inf, None
     for d in delays:
@@ -302,9 +315,7 @@ def optimize_delay_ccdf(
         lo = stable[max(i - 1, 0)][0]
         hi = stable[min(i + 1, len(stable) - 1)][0]
         if lo < hi:
-            t_ref, p_ref = _golden_min(
-                lambda t: _bound_prob(_stable_curves(traffic, dist, packet_bits, t), d), lo, hi
-            )
+            t_ref, p_ref = _golden_min(lambda t: probe(t, d), lo, hi)
             if p_ref < prob:
                 prob, theta = p_ref, t_ref
         # a bound valid at a smaller delay also bounds every larger delay

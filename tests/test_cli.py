@@ -112,11 +112,14 @@ def test_non_integer_count_is_a_config_error(tmp_path, capsys, raw, key):
     ({"traffic": {"kind": "onoff", "lam_on_off": 0.03, "mu_off_on": True, "rate": 0.02}}, "mu_off_on"),
     ({"link": 5}, "link"),
     ({"traffic": ["poisson"]}, "traffic"),
+    ({"delay_grid": [15, 20, float("inf")]}, "delay_grid"),
+    ({"delay_grid": [float("-inf"), 15, 20]}, "delay_grid"),
 ])
 def test_non_number_is_a_config_error(tmp_path, capsys, raw, key):
-    # booleans used to load as 1.0/0.0, NaN passed the range checks and a
-    # section that was not an object raised TypeError; every subcommand
-    # loads its config before it does anything else
+    # booleans used to load as 1.0/0.0, NaN passed the range checks, a
+    # section that was not an object raised TypeError and an infinite delay
+    # got a bound row; every subcommand loads its config before it does
+    # anything else
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(raw))
     code, out, err = run(capsys, "simulate", "--config", str(cfg))
@@ -144,6 +147,24 @@ def test_fitted_loss_rate_of_one(tmp_path, capsys, link):
         assert "# fitted_mean_delay_ms=\n" in out
     else:
         assert code == 4 and "no packets delivered" in err
+
+
+@pytest.mark.parametrize("link", [{"l_d": 0}, {"d_retry": 0.0}])
+def test_fitted_mean_service_time_of_zero(tmp_path, capsys, link):
+    # the fitted E(T) is a retry term, 0 here, plus mean_offset; Gg1Inputs rejects 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"link": link, "moment_coeffs": {"mean_offset": 0.0}}))
+    code, out, err = run(capsys, "mean-delay", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "fitted mean service time" in err
+    code, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert "Traceback" not in err
+    if link == {"l_d": 0}:
+        assert code == 2 and "l_d" in err
+    else:
+        # the exact-law checks still decide the exit code
+        assert code == 0
+        assert "# fitted_mean_delay_ms=\n" in out
 
 
 def test_whole_numbers_still_load_as_floats(tmp_path, capsys):

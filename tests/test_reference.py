@@ -10,11 +10,12 @@ must reproduce the loop bit for bit.  Through ``simulate``, whose
 drop-free prefix comes from the Lindley pass, the delay of a packet that
 met an idle server must be bit-equal and every other delay within the
 rounding tolerance that ``simulate`` documents.  The optimiser's bound
-must be the reference composition's bit for bit.
+must be the reference composition's bit for bit, and so must the whole
+optimiser, against its loop as it was before probes shared their curves.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from linkdelay import (
     PeriodicTraffic,
     PoissonTraffic,
     SimTrace,
+    ThetaGridSpec,
     TimingConstants,
     arrival_curve_for,
     convolve_exponential_bounds,
@@ -366,3 +368,143 @@ def test_bound_prob_is_the_reference_composition_bit_for_bit(point):
     want = reference_bound_prob(traffic, dist, packet_bits, theta, delay)
     got = snc._bound_prob(snc._stable_curves(traffic, dist, packet_bits, theta), delay)
     assert got == want and type(got) is type(want)
+
+
+def reference_golden_min(f, lo, hi, iters=40):
+    """Golden-section minimisation on [lo, hi], sampled on a log scale."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(lo), math.log(hi)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(math.exp(c)), f(math.exp(d))
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(math.exp(d))
+    mid = math.exp(0.5 * (a + b))
+    return mid, f(mid)
+
+
+def reference_optimize_delay_ccdf(traffic, dist, packet_bits, delay_grid, thetas):
+    """The optimiser's scan and refinement, curves built anew for every (delay, theta) pair."""
+    def bound(theta, delay):
+        return reference_bound_prob(traffic, dist, packet_bits, theta, delay)
+
+    delays = [float(d) for d in delay_grid]
+    stable = [t for t in np.sort(np.asarray(list(thetas), dtype=float))
+              if bound(t, delays[0]) != math.inf]
+    if not stable:
+        raise snc.Overload("no stable exponent in the theta grid")
+    points = []
+    best_prob, best_theta = math.inf, None
+    for d in delays:
+        probs = [bound(t, d) for t in stable]
+        i = int(np.argmin(probs))
+        prob, theta = probs[i], stable[i]
+        lo, hi = stable[max(i - 1, 0)], stable[min(i + 1, len(stable) - 1)]
+        if lo < hi:
+            t_ref, p_ref = reference_golden_min(lambda t: bound(t, d), lo, hi)
+            if p_ref < prob:
+                prob, theta = p_ref, t_ref
+        if prob < best_prob:
+            best_prob, best_theta = prob, theta
+        if best_prob >= 1.0:
+            points.append(snc.DelayBound(delay=d, prob=1.0, theta=None))
+        else:
+            points.append(snc.DelayBound(delay=d, prob=best_prob, theta=best_theta))
+    return snc.DelayCcdf(points=tuple(points))
+
+
+def typed_bits(point):
+    """Each field of a DelayBound as (type, exact hex digits); None stays None."""
+    return [(type(v), None if v is None else float.hex(v))
+            for v in (point.delay, point.prob, point.theta)]
+
+
+@st.composite
+def optimiser_inputs(draw):
+    """A bound point's service law and traffic, a delay grid and a theta grid."""
+    traffic, dist, packet_bits, _, _ = draw(bound_points())
+    mean_t = dist.mean()
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        # evenly spaced, as the CLI's grids are: neighbours share brackets
+        step = draw(st.floats(0.05, 0.5))
+        delays = [mean_t * step * (k + 1) for k in range(n)]
+    else:
+        delays = [mean_t * f for f in draw(st.lists(st.floats(0.1, 40.0), min_size=1, max_size=n))]
+    delays = sorted(set(delays))
+    if draw(st.booleans()):
+        thetas = ThetaGridSpec().values()
+    else:
+        thetas = draw(st.lists(st.floats(-6.0, 0.5).map(lambda e: 10.0 ** e), min_size=1, max_size=40))
+        thetas = draw(st.permutations(thetas + draw(st.lists(st.sampled_from(thetas), max_size=4))))
+    return traffic, dist, packet_bits, delays, thetas
+
+
+def assert_same_points(got, want):
+    assert len(got.points) == len(want.points)
+    for g, w in zip(got.points, want.points):
+        assert typed_bits(g) == typed_bits(w)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(optimiser_inputs())
+def test_optimiser_is_the_reference_loop_bit_for_bit(inputs):
+    traffic, dist, packet_bits, delays, thetas = inputs
+    try:
+        want = reference_optimize_delay_ccdf(traffic, dist, packet_bits, delays, thetas)
+    except snc.Overload:
+        with pytest.raises(snc.Overload):
+            snc.optimize_delay_ccdf(traffic, dist, packet_bits, delays, thetas)
+        return
+    # above full load no exponent is stable; the margin covers rounding at small theta
+    assert dist.mean() / traffic.mean_interarrival <= 1.001
+    assert_same_points(snc.optimize_delay_ccdf(traffic, dist, packet_bits, delays, thetas), want)
+
+
+@pytest.mark.parametrize("kind", ["periodic", "onoff"])
+@pytest.mark.parametrize("rho", [0.2, 0.4])
+def test_refined_points_are_the_reference_loop_bit_for_bit(kind, rho):
+    # the optimum mostly sits on the stability edge, where the grid point
+    # wins; at a few mean service times of delay with bursty traffic the
+    # golden-section probes beat the grid, and their thetas are Python floats
+    dist = service_distribution(LinkConfig(), TC, 0.3)
+    mean_t = dist.mean()
+    if kind == "periodic":
+        traffic = PeriodicTraffic(t_pit=mean_t / rho)
+    else:
+        switch = 1.0 / (3.0 * mean_t)
+        traffic = OnOffTraffic(lam_on_off=switch, mu_off_on=switch, rate=2.0 * rho / mean_t)
+    delays = [0.25 * mean_t * (k + 1) for k in range(64)]
+    thetas = ThetaGridSpec().values()
+    want = reference_optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, thetas)
+    assert any(type(p.theta) is float for p in want.points)
+    assert_same_points(snc.optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, thetas), want)
+
+
+@pytest.mark.parametrize("traffic", [
+    PeriodicTraffic(t_pit=40.0),
+    PoissonTraffic(rate=0.025),
+    OnOffTraffic(lam_on_off=0.05, mu_off_on=0.05, rate=0.05),
+])
+def test_curves_built_once_per_theta(monkeypatch, traffic):
+    # adjacent delays refine in the same bracket and probe the same exponents
+    built = Counter()
+    stable_curves = snc._stable_curves
+
+    def counting(traffic, dist, packet_bits, theta):
+        built[float(theta)] += 1
+        return stable_curves(traffic, dist, packet_bits, theta)
+
+    monkeypatch.setattr(snc, "_stable_curves", counting)
+    dist = service_distribution(LinkConfig(), TC, 0.2)
+    delays = [3.0 * (k + 1) for k in range(64)]    # rho about 0.53 at a mean of 21 ms
+    snc.optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, ThetaGridSpec().values())
+    assert len(built) > len(ThetaGridSpec().values())  # the probes went through it too
+    assert max(built.values()) == 1
