@@ -5,8 +5,8 @@ the equivalent queue, compute optimized delay-tail bounds, run the
 discrete-event simulator, and cross-validate predictions against
 simulation.  Outputs are deterministic for a fixed config and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 overload (queue unstable
-or no feasible bound), 4 validation failure.
+Exit codes: 0 success, 2 configuration error or unwritable output file,
+3 overload (queue unstable or no feasible bound), 4 validation failure.
 """
 
 from __future__ import annotations
@@ -63,14 +63,26 @@ def _render_json(summary: dict, columns: list[str], rows: list[tuple]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+class _OutputError(Exception):
+    """An output file could not be written."""
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(cfg: RunConfig, summary: dict, columns: list[str], rows: list[tuple]) -> None:
     text = (_render_json if cfg.output_format == "json" else _render_csv)(
         summary, columns, rows
     )
-    if cfg.output_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(cfg.output_path).write_text(text)
+    _write(cfg.output_path, text)
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
@@ -184,7 +196,7 @@ def _write_trace(path: str, result) -> None:
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -322,16 +334,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.dump_config:
-        text = json.dumps(dump_config(cfg), indent=2, sort_keys=True) + "\n"
-        if cfg.output_path is None:
-            sys.stdout.write(text)
-        else:
-            Path(cfg.output_path).write_text(text)
-        return 0
-
     try:
+        if args.dump_config:
+            _write(cfg.output_path, json.dumps(dump_config(cfg), indent=2, sort_keys=True) + "\n")
+            return 0
         return _COMMANDS[args.command](cfg, args)
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,14 @@ __all__ = [
 
 class Overload(Exception):
     """No exponent in the search grid satisfies the stability constraint."""
+
+
+# decay rates this close are convolved with the equal-rates closed form
+_EQUAL_RATES_REL = 1e-12
+# np.exp against math.exp: |np.exp(y) - math.exp(y)| <= _EXP_REL * math.exp(y) + _EXP_ABS,
+# four ulps of the result in the normal range and four of the smallest subnormal below it
+_EXP_REL = 2.0**-50
+_EXP_ABS = 2.0**-1072
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,12 @@ def convolve_exponential_bounds(a: float, b: float, x: float) -> float:
         raise ValueError("decay rates must be > 0")
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if abs(a - b) <= 1e-12 * max(a, b):
+    return _convolve(a, b, x)
+
+
+def _convolve(a: float, b: float, x: float) -> float:
+    """convolve_exponential_bounds without its argument checks."""
+    if abs(a - b) <= _EQUAL_RATES_REL * max(a, b):
         c = 0.5 * (a + b)
         val = (1.0 + c * x) * math.exp(-c * x)
     else:
@@ -238,27 +251,101 @@ def _bound_prob(curves: _Curves | None, delay: float) -> float:
     if arrival_decay is None:
         # x >= 0, so the exponent is <= 0 and the bound already lies in [0, 1]
         return math.exp(-service_decay * x)
-    return convolve_exponential_bounds(arrival_decay, service_decay, x)
+    return _convolve(arrival_decay, service_decay, x)
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
-    """Golden-section minimisation on [lo, hi], sampled on a log scale."""
+def _grid_minima(curves: Sequence[_Curves], delays: Sequence[float]) -> list[tuple[int, float]]:
+    """For each delay, the index and value of the first smallest _bound_prob over curves.
+
+    The same pair, value type included, as np.argmin over the full list of
+    _bound_prob values, which is never built.  numpy fills the delays x
+    curves matrix of bounds with _bound_prob's operations in its order,
+    together with a bound on each cell's distance from the scalar value:
+    np.exp and math.exp may differ in the last bits, and each side rounds
+    its products and quotient on its own.  _bound_prob runs only on the
+    cells whose lower end reaches the smallest upper end of their row, so
+    every value returned is its own.
+    """
+    rate, burst, arrival_decay, service_decay = (np.array(v, dtype=float) for v in zip(*curves))
+    x = np.array(delays, dtype=float)[:, None] * rate - burst
+    xs = np.maximum(x, 0.0)  # cells with x < 0 are 1 exactly; this keeps their exponents <= 0
+    det = np.isnan(arrival_decay)  # a deterministic envelope; its a below is a placeholder
+    a = np.where(det, service_decay, arrival_decay)
+    b = service_decay
+    diff = a - b
+    equal = np.abs(diff) <= _EQUAL_RATES_REL * np.maximum(a, b)
+    denom = np.where(equal, 1.0, diff)
+    gap = np.abs(denom)
+    c = 0.5 * (a + b)
+    e_b = np.exp(-b * xs)
+    p_a, p_b = a * e_b, b * np.exp(-a * xs)
+    rise = 1.0 + c * xs
+    tied = rise * np.exp(-c * xs)
+    value = np.where(det, e_b, np.where(equal, tied, (p_a - p_b) / denom))
+    # |numpy - scalar| <= 2 * _EXP_REL * scale + _EXP_ABS * k.  scale is the
+    # value, or for unequal rates the cancellation factor
+    # (a e^{-bx} + b e^{-ax}) / |a - b|; 2 * _EXP_REL covers the exp slack
+    # and both sides' rounding.  k weighs the absolute errors: exp's, and
+    # those of a product or quotient that underflows.  The slack doubles
+    # that, for the rounding of these terms themselves.
+    scale = np.where(det | equal, value, (p_a + p_b) / gap)
+    k = np.where(det, 1.0, np.where(equal, rise + 1.0, (a + b + 1.0) / gap + 1.0))
+    slack = 4.0 * _EXP_REL * scale + 2.0 * _EXP_ABS * k
+    # clamping to [0, 1] is monotone, so it keeps the scalar value inside the clamped ends
+    neg = x < 0.0
+    lower = np.where(neg, 1.0, np.clip(value - slack, 0.0, 1.0))
+    upper = np.where(neg, 1.0, np.clip(value + slack, 0.0, 1.0))
+    rows, cols = np.nonzero(lower <= upper.min(axis=1, keepdims=True))
+    # in column order, a cell can only replace the row's first minimum so far
+    # when its lower end lies strictly below that minimum
+    best: list[tuple[int, float] | None] = [None] * len(delays)
+    for r, j, low in zip(rows.tolist(), cols.tolist(), lower[rows, cols].tolist()):
+        found = best[r]
+        if found is None or low < found[1]:
+            prob = _bound_prob(curves[j], delays[r])
+            if found is None or prob < found[1]:
+                best[r] = (j, prob)
+    return best
+
+
+class _ProbeCurves(dict):
+    """The curves of each exponent a golden-section probe visits, built on first use.
+
+    One call's probes of every delay share it: adjacent delays mostly
+    refine in the same bracket.  Grid exponents are numpy scalars and
+    probes Python floats, so the grid keeps its own list and the curves'
+    types stay as built.
+    """
+
+    def __init__(self, traffic: TrafficSpec, dist: ServiceDistribution, packet_bits: float):
+        super().__init__()
+        self.inputs = (traffic, dist, packet_bits)
+
+    def __missing__(self, theta: float) -> _Curves | None:
+        curves = self[theta] = _stable_curves(*self.inputs, theta)
+        return curves
+
+
+def _golden_min(probed: _ProbeCurves, delay: float, lo: float, hi: float,
+                iters: int = 40) -> tuple[float, float]:
+    """Golden-section minimisation of the bound at delay over theta in [lo, hi], sampled on a log scale."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
+    fc = _bound_prob(probed[math.exp(c)], delay)
+    fd = _bound_prob(probed[math.exp(d)], delay)
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(math.exp(c))
+            fc = _bound_prob(probed[math.exp(c)], delay)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(math.exp(d))
+            fd = _bound_prob(probed[math.exp(d)], delay)
     mid = math.exp(0.5 * (a + b))
-    return mid, f(mid)
+    return mid, _bound_prob(probed[mid], delay)
 
 
 def optimize_delay_ccdf(
@@ -273,19 +360,22 @@ def optimize_delay_ccdf(
     For each target delay the exponent is chosen by a scan over the theta
     grid followed by golden-section refinement, subject to the stability
     constraint rate(theta) <= R(theta).  Raises Overload when no grid
-    exponent is stable.  Grid points where only the vacuous bound holds
-    get probability 1 and no exponent.
+    exponent is stable, and ValueError for delays or exponents that are
+    not finite.  Grid points where only the vacuous bound holds get
+    probability 1 and no exponent.
     """
     delays = [float(d) for d in delay_grid]
     if not delays:
         raise ValueError("delay_grid must not be empty")
+    if not all(math.isfinite(d) for d in delays):
+        raise ValueError("delays must be finite")
     if any(d <= 0.0 for d in delays):
         raise ValueError("delays must be > 0")
     if any(b <= a for a, b in zip(delays, delays[1:])):
         raise ValueError("delay_grid must be strictly increasing")
     grid = np.asarray(list(thetas), dtype=float)
-    if grid.size == 0 or np.any(grid <= 0.0):
-        raise ValueError("theta grid must contain positive exponents")
+    if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
+        raise ValueError("theta grid must contain finite, positive exponents")
 
     # the curves of each stable grid exponent, built once for every delay
     stable = [(t, curves) for t in np.sort(grid)
@@ -296,26 +386,15 @@ def optimize_delay_ccdf(
             "the service curve everywhere"
         )
 
-    # the curves of each exponent a golden-section probe visits, shared by
-    # the probes of every delay; grid exponents are numpy scalars and probes
-    # Python floats, so the two never share an entry and types stay as built
-    probed: dict[float, _Curves | None] = {}
-
-    def probe(t: float, d: float) -> float:
-        if t not in probed:
-            probed[t] = _stable_curves(traffic, dist, packet_bits, t)
-        return _bound_prob(probed[t], d)
-
+    probed = _ProbeCurves(traffic, dist, packet_bits)
     points: list[DelayBound] = []
     best_prob, best_theta = math.inf, None
-    for d in delays:
-        probs = [_bound_prob(curves, d) for _, curves in stable]
-        i = int(np.argmin(probs))
-        prob, theta = probs[i], stable[i][0]
+    for d, (i, prob) in zip(delays, _grid_minima([curves for _, curves in stable], delays)):
+        theta = stable[i][0]
         lo = stable[max(i - 1, 0)][0]
         hi = stable[min(i + 1, len(stable) - 1)][0]
         if lo < hi:
-            t_ref, p_ref = _golden_min(lambda t: probe(t, d), lo, hi)
+            t_ref, p_ref = _golden_min(probed, d, lo, hi)
             if p_ref < prob:
                 prob, theta = p_ref, t_ref
         # a bound valid at a smaller delay also bounds every larger delay

@@ -296,6 +296,23 @@ def test_output_file_and_format_override(tmp_path):
     assert doc["rows"][0]["per"] == pytest.approx(0.03186372375543293, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["models", "--out", "{path}"],
+    ["simulate", "--trace", "{path}"],
+    ["delay-bound", "--dump-config", "--out", "{path}"],
+    ["mean-delay", "--config", "{config}"],   # the config's output.path
+])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_is_exit_2(tmp_path, capsys, argv, where):
+    path = tmp_path / "missing" / "out.csv" if where == "missing-dir" else tmp_path
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"output": {"path": str(path)}}))
+    code, out, err = run(capsys, *[a.format(path=path, config=cfg) for a in argv], "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"output error: cannot write {path}: ") and err.count("\n") == 1
+
+
 ONOFF = str(GOLDEN / "onoff.json")  # six attempts per packet at snr 8, on-off traffic
 GOLDEN_RUNS = [
     ("models.csv", ["models"], 0),
