@@ -188,10 +188,18 @@ class ServiceDistribution:
         return self._expectation(lambda d: math.exp(theta * d))
 
     def sample_many(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised draw of n outcomes by inverse CDF: (attempts, durations, delivered)."""
+        """Vectorised draw of n outcomes by inverse CDF: (attempts, durations, delivered).
+
+        A draw u in [0, 1) takes atom j, the number of partial sums
+        probs[0] + ... + probs[i], i < K - 1, that are <= u.  The full sum
+        is 1 > u and never counts, even where rounding lifts an earlier
+        partial sum above 1.
+        """
         cum = np.cumsum(self.probs)
-        cum[-1] = 1.0
-        idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
+        u = rng.random(n)
+        idx = np.zeros(n, dtype=np.intp)
+        for c in cum[:-1].tolist():
+            idx += u >= c
         return self.attempts[idx], self.durations[idx], self.delivered[idx]
 
 

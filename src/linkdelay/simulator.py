@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._clopper_pearson import upper_limit
 from .empirical import LinkConfig
 from .service_time import TimingConstants, service_distribution
 from .traffic import TrafficSpec, generate_arrivals
@@ -285,23 +286,18 @@ def empirical_ccdf(delays: np.ndarray, grid: np.ndarray, confidence: float = 0.9
     """Fraction of samples strictly exceeding each grid point.
 
     The upper envelope is the one-sided Clopper-Pearson binomial bound at
-    the given confidence level.
+    the given confidence level, which must lie in [0.5, 1).
     """
-    from scipy.special import betaincinv  # here, so only simulating loads scipy
-
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if not 0.5 <= confidence < 1.0:
+        raise ValueError(f"confidence must be in [0.5, 1), got {confidence}")
     samples = np.sort(np.asarray(delays, dtype=float))
     grid = np.asarray(grid, dtype=float)
     n = samples.size
     if n == 0:
         raise ValueError("need at least one delay sample")
     exceed = n - np.searchsorted(samples, grid, side="right")
-    fractions = exceed / n
-    upper = np.ones_like(fractions)
-    partial = exceed < n
-    upper[partial] = betaincinv(exceed[partial] + 1, n - exceed[partial], confidence)
-    return EmpiricalCcdf(delays=grid.copy(), fractions=fractions, upper=upper,
+    return EmpiricalCcdf(delays=grid.copy(), fractions=exceed / n,
+                         upper=upper_limit(exceed, n, confidence),
                          n_samples=n, confidence=confidence)
 
 

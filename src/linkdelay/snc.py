@@ -180,10 +180,16 @@ def service_curve(dist: ServiceDistribution, packet_bits: float, theta: float) -
         raise ValueError(f"theta must be > 0, got {theta}")
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
-    log_m = math.log(dist.mgf(theta))
-    if log_m <= 0.0:
+    rate = _service_rate(dist, packet_bits, theta)
+    if rate is None:
         raise ValueError("service-time MGF must exceed 1 for theta > 0")
-    return ServiceCurve(rate=packet_bits * theta / log_m, theta=theta)
+    return ServiceCurve(rate=rate, theta=theta)
+
+
+def _service_rate(dist: ServiceDistribution, packet_bits: float, theta: float) -> float | None:
+    """The service curve's rate at theta; None where the MGF rounds to 1 (theta near 0)."""
+    log_m = math.log(dist.mgf(theta))
+    return packet_bits * theta / log_m if log_m > 0.0 else None
 
 
 def convolve_exponential_bounds(a: float, b: float, x: float) -> float:
@@ -222,18 +228,21 @@ def _stable_curves(
     """What the bound reads of the arrival and service curves at theta; None when theta is infeasible.
 
     theta is infeasible when the service-time MGF or, for Poisson traffic,
-    the MGF of one packet's bits would leave exp()'s range, or when the
-    arrival envelope outruns the service curve.
+    the MGF of one packet's bits would leave exp()'s range, when theta is
+    so small that the service-time MGF rounds to 1 (no service curve), or
+    when the arrival envelope outruns the service curve.
     """
     if theta * dist.max_duration > _MGF_EXPONENT_LIMIT:
         return None
     if isinstance(traffic, PoissonTraffic) and theta * packet_bits > _MGF_EXPONENT_LIMIT:
         return None
-    sc = service_curve(dist, packet_bits, theta)
-    ac = arrival_curve_for(traffic, packet_bits, theta)
-    if ac.rate > sc.rate:
+    rate = _service_rate(dist, packet_bits, theta)
+    if rate is None:
         return None
-    return sc.rate, ac.burst, ac.decay, sc.decay
+    ac = arrival_curve_for(traffic, packet_bits, theta)
+    if ac.rate > rate:
+        return None
+    return rate, ac.burst, ac.decay, theta / rate   # theta / rate is ServiceCurve.decay
 
 
 def _bound_prob(curves: _Curves | None, delay: float) -> float:

@@ -202,6 +202,24 @@ def test_delay_bound_overload_exit_code(tmp_path, capsys):
     assert "overload" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["delay-bound", "validate"])
+@pytest.mark.parametrize("grid, exit_code", [
+    ({"min": 1e-18, "max": 1.0, "points": 60}, 0),   # the smallest exponents leave the MGF at 1
+    ({"min": 1e-30, "max": 1e-18, "points": 5}, 3),  # every exponent does
+])
+def test_theta_grid_below_the_mgf_resolution(tmp_path, capsys, command, grid, exit_code):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"theta_grid": grid}))
+    code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    assert code == exit_code
+    if exit_code == 3:
+        assert out == "" and err.startswith("overload: ")
+        return
+    rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+    probs = [float(row[-2 if command == "delay-bound" else 3]) for row in rows]
+    assert len(rows) == 16 and all(0.0 < p <= 1.0 for p in probs) and min(probs) < 0.01
+
+
 def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
     # snr=5000 underflows the error-rate expression to exactly zero, so the
     # service law is one atom at t1 = 10.108 ms and the optimized bound is
@@ -337,28 +355,27 @@ def test_default_output_is_byte_identical(capsys, golden, argv, exit_code):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-_SCIPY_PROBE = """
-import json, os, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-import linkdelay
+_NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None   # any scipy import now raises ImportError
 from linkdelay import cli
-loaded = {"import": scipy_modules()}
-for command in ("models", "mean-delay", "delay-bound", "simulate"):
-    assert cli.main([command, "--out", os.devnull]) == 0, command
-    loaded[command] = scipy_modules()
-print(json.dumps(loaded))
+runs = {}
+for command in ("models", "mean-delay", "delay-bound", "simulate", "validate"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([command, "--seed", "1"])
+    runs[command] = [code, out.getvalue()]
+print(json.dumps(runs))
 """
 
 
-def test_only_simulating_loads_scipy():
+def test_no_subcommand_needs_scipy():
     # the suite itself imports scipy, so only a fresh interpreter can tell
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=env,
                           capture_output=True, text=True, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    for stage in ("import", "models", "mean-delay", "delay-bound"):
-        assert loaded[stage] == [], stage
-    # the Clopper-Pearson envelope still comes from scipy's betaincinv
-    assert "scipy.special" in loaded["simulate"]
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    assert {command: code for command, (code, _) in runs.items()} == dict.fromkeys(runs, 0)
+    for command in ("simulate", "validate"):
+        assert runs[command][1] == (GOLDEN / f"{command}.csv").read_text(), command

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkdelay import (
     LinkConfig,
@@ -241,6 +243,46 @@ def test_sampling_deterministic_per_seed():
     a2 = dist.sample_many(np.random.default_rng(99), 1000)
     for x, y in zip(a1, a2):
         assert np.array_equal(x, y)
+
+
+def searchsorted_atoms(dist, rng, n):
+    """The inverse-CDF draw as sample_many took it before: a binary search on the forced cumsum."""
+    cum = np.cumsum(dist.probs)
+    cum[-1] = 1.0
+    return np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
+
+
+def law_of(probs):
+    probs = np.asarray(probs, dtype=float)
+    return ServiceDistribution(durations=np.arange(1.0, probs.size + 1.0), probs=probs,
+                               p_e=0.5, n_max_tries=probs.size - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0.0),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_sampling_counts_the_same_atoms_as_a_binary_search(weights, tiny_last, seed):
+    probs = np.asarray(weights) / sum(weights)
+    if tiny_last:
+        # a last atom too small to move the sum: the partial sums before it often round above 1
+        probs = np.append(probs, 1e-17)
+    if probs.size < 2:
+        probs = np.append(probs, 0.0)
+    dist = law_of(probs)
+    attempts, durations, delivered = dist.sample_many(np.random.default_rng(seed), 2000)
+    idx = searchsorted_atoms(dist, np.random.default_rng(seed), 2000)
+    assert np.array_equal(durations, dist.durations[idx])
+    assert np.array_equal(attempts, dist.attempts[idx])
+    assert np.array_equal(delivered, dist.delivered[idx])
+
+
+def test_sampling_where_a_partial_sum_rounds_above_one():
+    dist = law_of([0.2, 0.4, 0.3, 0.1, 1e-17])
+    assert np.cumsum(dist.probs)[-2] > 1.0
+    _, durations, _ = dist.sample_many(np.random.default_rng(3), 100_000)
+    idx = searchsorted_atoms(dist, np.random.default_rng(3), 100_000)
+    assert np.array_equal(durations, dist.durations[idx])
+    assert set(durations.tolist()) == {1.0, 2.0, 3.0, 4.0}
 
 
 def test_sampled_moments_match_exact():

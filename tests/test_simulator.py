@@ -199,6 +199,15 @@ def test_empirical_ccdf_zero_hits_still_informative():
         empirical_ccdf(np.array([]), [1.0])
 
 
+@pytest.mark.parametrize("confidence", [0.0, 0.49, 1.0, float("nan")])
+def test_empirical_ccdf_confidence_range(confidence):
+    # the envelope is an upper limit: below 1/2 it would sit under the median estimate
+    with pytest.raises(ValueError, match=r"confidence must be in \[0.5, 1\)"):
+        empirical_ccdf(np.array([1.0, 2.0]), [1.5], confidence=confidence)
+    emp = empirical_ccdf(np.array([1.0, 2.0]), [1.5], confidence=0.5)
+    assert emp.upper[0] == pytest.approx(brentq(lambda p: binom.cdf(1, 2, p) - 0.5, 1e-12, 1 - 1e-12))
+
+
 def test_empirical_ccdf_strict_exceedance():
     # samples equal to the grid point do not count as exceedances
     emp = empirical_ccdf(np.array([5.0, 5.0, 6.0]), [5.0])
