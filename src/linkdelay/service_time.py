@@ -193,14 +193,19 @@ class ServiceDistribution:
         A draw u in [0, 1) takes atom j, the number of partial sums
         probs[0] + ... + probs[i], i < K - 1, that are <= u.  The full sum
         is 1 > u and never counts, even where rounding lifts an earlier
-        partial sum above 1.
+        partial sum above 1.  The count is kept in the narrowest unsigned
+        type that holds n_max_tries, a byte for any practical law.
         """
         cum = np.cumsum(self.probs)
         u = rng.random(n)
-        idx = np.zeros(n, dtype=np.intp)
+        idx = np.zeros(n, dtype=np.min_scalar_type(self.n_max_tries))
+        hit = np.empty(n, dtype=bool)
         for c in cum[:-1].tolist():
-            idx += u >= c
-        return self.attempts[idx], self.durations[idx], self.delivered[idx]
+            np.greater_equal(u, c, out=hit)
+            idx += hit.view(np.uint8)
+        del u, hit
+        atom = idx.astype(np.intp)  # take would widen a narrow index on each call
+        return self.attempts.take(atom), self.durations.take(atom), idx < self.n_max_tries
 
 
 def service_distribution(cfg: LinkConfig, tc: TimingConstants, p_e: float) -> ServiceDistribution:

@@ -80,11 +80,14 @@ def simulate(
     packets never consume a draw.
 
     Waiting times come from the Lindley recursion, evaluated with numpy
-    over the arrivals that cannot meet a full queue.  From the start of
-    the busy period that holds the first arrival that might, an exact
-    FIFO departure recurrence takes over (``_serve_from``): it does the
-    float operations of a per-packet event loop in its order, so from
-    there on every start and delay is the event loop's bit for bit.
+    over the arrivals that cannot meet a full queue: with FIFO service and
+    no drop yet, arrival j meets a full queue exactly when packet
+    j - q_max - 1 has not departed, so each arrival is tested against
+    that one departure.  From the start of the busy period that holds the
+    first arrival that might, an exact FIFO departure recurrence takes
+    over (``_serve_from``): it does the float operations of a per-packet
+    event loop in its order, so from there on every start and delay is
+    the event loop's bit for bit.
     Counts and outcomes are those of the event loop run over the whole
     input, and a packet that meets an idle server has a delay of exactly
     its service time.  In the Lindley prefix only, the delay of a packet
@@ -95,14 +98,19 @@ def simulate(
     all service draws and the largest |arrival|.  Two busy periods count
     as one here when the idle time between them is below a rounding
     margin.  At T near 1e7 ms and p near 1e3 the bound is about 1e-5 ms.
-    A wait below 2 * (p + 8) * ulp(T) is taken as none.
+    A wait below 2 * (p + 8) * ulp(T) is taken as none.  These margins
+    are those of every packet's own p, though p is worked out only for
+    the packets a chunk-wide bound on it leaves in doubt.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.size == 0:
         raise ValueError("arrivals must not be empty")
-    if not np.all(np.isfinite(arrivals)):
-        raise ValueError("arrivals must be finite")
-    if np.any(np.diff(arrivals) < 0.0):
+    # finite ends and no step down (a NaN fails every comparison) leave
+    # every arrival finite; the full isfinite only picks the message
+    if not (math.isfinite(arrivals[0]) and math.isfinite(arrivals[-1])
+            and np.all(arrivals[1:] >= arrivals[:-1])):
+        if not np.all(np.isfinite(arrivals)):
+            raise ValueError("arrivals must be finite")
         raise ValueError("arrivals must be non-decreasing")
     dist = service_distribution(cfg, tc, p_e)
     draw_attempts, draw_durations, draw_delivered = dist.sample_many(rng, arrivals.size)
@@ -110,7 +118,6 @@ def simulate(
     n = arrivals.size
     wait, stop = _drop_free_waits(arrivals, draw_durations, cfg.q_max)
     # no packet before stop is dropped from the queue, so packet j took draw j
-    head = wait + draw_durations[:stop]
     head_ok = draw_delivered[:stop]
     trace = None
     if collect_trace:
@@ -120,16 +127,20 @@ def simulate(
         trace.start[:stop] = arrivals[:stop] + wait
         trace.attempts[:stop] = draw_attempts[:stop]
         trace.outcome[:stop] = np.where(head_ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP).tolist()
-        trace.delay[:stop] = np.where(head_ok, head, np.nan)
+        trace.delay[:stop] = np.where(head_ok, wait + draw_durations[:stop], np.nan)
     tail, n_queue_drops, n_retry_drops = _serve_from(
         stop, arrivals, cfg.q_max, draw_attempts, draw_durations, draw_delivered, trace)
-    delivered_delays = np.concatenate((head[head_ok], tail))
+    wait += draw_durations[:stop]    # in place: the delays of packets [0, stop)
+    delivered_delays = wait[head_ok]
+    n_retry_drops += stop - delivered_delays.size
+    if tail.size:
+        delivered_delays = np.concatenate((delivered_delays, tail))
     return SimResult(
         delivered_delays=delivered_delays,
         n_arrivals=n,
         n_delivered=delivered_delays.size,
         n_queue_drops=n_queue_drops,
-        n_retry_drops=n_retry_drops + stop - int(np.count_nonzero(head_ok)),
+        n_retry_drops=n_retry_drops,
         trace=trace,
     )
 
@@ -160,6 +171,16 @@ def _drop_free_waits(arrivals: np.ndarray, durations: np.ndarray, q_max: int) ->
     an idle gap above 5 * (h + 8) * ulp(T), h the end of the chunk (never
     below p), which the event loop sees as idle too, so that packet stop
     meets an idle server and an empty queue there as well.
+
+    Departures never decrease (C does not, M does not increase), so
+    arrival j has more than q_max packets ahead exactly when
+    D_{j-q_max-1} > A_j - 5 * err: one comparison per arrival.  No packet
+    of a chunk has an err above err_max = (h + 8 - s) * ulp(T), s the
+    busy-period start carried into the chunk, so the chunk is screened
+    with err_max and each packet's own err is computed only where the
+    screen leaves a doubt: waits in (0, 2 * err_max] and arrivals that
+    fail the overflow test at err_max.  The waits, stop and margins are
+    those of a pass that computes err for every packet.
     """
     n = arrivals.size
     waits = np.empty(n)
@@ -176,29 +197,47 @@ def _drop_free_waits(arrivals: np.ndarray, durations: np.ndarray, q_max: int) ->
         c[0] = c_last
         c[1:] = durations[lo:hi]
         np.cumsum(c, out=c)  # left to right, as the loop adds: c[k] = C_{lo-1+k}
-        x = c[:-1] - a
-        m = np.minimum.accumulate(x)
-        np.minimum(m, x_min, out=m)
+        xs = np.empty(hi - lo + 1)
+        xs[0] = x_min
+        x = xs[1:]
+        np.subtract(c[:-1], a, out=x)
+        ms = np.minimum.accumulate(xs)  # ms[k] = M_{lo-1+k}
+        m = ms[1:]
         ulp = float(np.spacing(2.0 * (c[-1] + max(abs(arrivals[0]), abs(a[-1])))))
         # idle time before each arrival: A_j - D_{j-1} = M_{j-1} - X_j
-        gap = np.concatenate(([x_min], m[:-1])) - x
-        idx = np.arange(lo, hi)
-        opened = np.maximum.accumulate(np.where(gap > 5.0 * (hi + 8) * ulp, idx, start))
-        err = (idx - opened + 9) * ulp
+        gap = ms[:-1] - x
+        # the busy period carried in, then those that open in this chunk
+        opens = np.concatenate(([start], lo + np.flatnonzero(gap > 5.0 * (hi + 8) * ulp)))
+        err_max = (hi + 8 - start) * ulp  # no packet of this chunk has a larger err
         w = waits[lo:hi]
         np.subtract(x, m, out=w)
-        w[w <= 2.0 * err] = 0.0
+        # err is needed only where a wait is nonzero but might fall below 2 * err
+        j = lo + np.flatnonzero((w > 0.0) & (w <= 2.0 * err_max))
+        err = (j - _opened(j, opens) + 9) * ulp
+        waits[j[waits[j] <= 2.0 * err]] = 0.0
         if check:
-            dep = departures[:hi]
-            np.subtract(c[1:], m, out=dep[lo:])
-            ahead = idx - np.searchsorted(dep, a - 5.0 * err, side="right")
-            full = np.flatnonzero(ahead > q_max)
-            if full.size:
-                stop = int(opened[full[0]])
-                return waits[:stop], stop
-        c_last, x_min, start = float(c[-1]), float(m[-1]), int(opened[-1])
+            np.subtract(c[1:], m, out=departures[lo:hi])
+            # departures never decrease, so more than q_max packets are
+            # ahead of arrival j exactly when packet j - q_max - 1 is; the
+            # chunk's err_max picks the arrivals that need their own err
+            first = max(lo, q_max + 1)   # no earlier arrival has that many ahead
+            if first < hi:
+                j = first + np.flatnonzero(departures[first - q_max - 1:hi - q_max - 1]
+                                           > arrivals[first:hi] - 5.0 * err_max)
+                opened = _opened(j, opens)
+                err = (j - opened + 9) * ulp
+                full = np.flatnonzero(departures[j - q_max - 1] > arrivals[j] - 5.0 * err)
+                if full.size:
+                    stop = int(opened[full[0]])
+                    return waits[:stop], stop
+        c_last, x_min, start = float(c[-1]), float(m[-1]), int(opens[-1])
         lo, size = hi, min(2 * size, _MAX_CHUNK)
     return waits, n
+
+
+def _opened(j: np.ndarray, opens: np.ndarray) -> np.ndarray:
+    """The start of the busy period holding each packet j: the last of opens at or before it."""
+    return opens[np.searchsorted(opens, j, side="right") - 1]
 
 
 def _serve_from(

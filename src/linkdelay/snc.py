@@ -390,6 +390,15 @@ def optimize_delay_ccdf(
     stable = [(t, curves) for t in np.sort(grid)
               if (curves := _stable_curves(traffic, dist, packet_bits, t)) is not None]
     if not stable:
+        # the MGF never decreases in theta: if it rounds to 1 at the top of
+        # the grid, no exponent had a service curve to compare against
+        top = float(grid.max())
+        if (top * dist.max_duration <= _MGF_EXPONENT_LIMIT
+                and _service_rate(dist, packet_bits, top) is None):
+            raise Overload(
+                "no stable exponent in the theta grid; the service-time MGF rounds "
+                f"to 1 up to its largest exponent {top:.3g}, so no exponent has a service curve"
+            )
         raise Overload(
             "no stable exponent in the theta grid; arrival envelope exceeds "
             "the service curve everywhere"

@@ -160,10 +160,14 @@ def _onoff_arrivals(spec: OnOffTraffic, rng: np.random.Generator, n: int) -> np.
             rng.standard_exponential(2 * used)
             counts = counts[:used]
             counts[-1] -= total[used - 1] - emitted - left
-        cycle = np.repeat(np.arange(used), counts)
-        k = np.arange(emitted + 1, emitted + 1 + cycle.size, dtype=float)
-        chunks.append(clock[2 * cycle] + (k * period - on_start[cycle]))
-        left -= cycle.size
+        # packet k of cycle c at clock[2 * c] + (k * period - on_start[c])
+        on_at = np.repeat(on_start[:used], counts)
+        times = np.arange(emitted + 1, emitted + 1 + on_at.size, dtype=float)
+        times *= period
+        times -= on_at
+        times += np.repeat(clock[:2 * used:2], counts)
+        chunks.append(times)
+        left -= times.size
         emitted = int(total[used - 1])
         t, on_time = float(clock[2 * used - 1]), float(on_end[used - 1])
     return np.concatenate(chunks)

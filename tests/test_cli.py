@@ -214,6 +214,7 @@ def test_theta_grid_below_the_mgf_resolution(tmp_path, capsys, command, grid, ex
     assert code == exit_code
     if exit_code == 3:
         assert out == "" and err.startswith("overload: ")
+        assert "service-time MGF rounds to 1" in err and "envelope" not in err
         return
     rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
     probs = [float(row[-2 if command == "delay-bound" else 3]) for row in rows]

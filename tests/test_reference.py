@@ -1,10 +1,13 @@
 """The vectorised simulator core, the on-off generator and the tail bound against references.
 
 The references are the sequential event loop and the scalar on-off
-generator the package used before both were vectorised, and the
-per-(theta, delay) bound composition the optimiser used before it built
-its curves once per theta.  Counts,
-outcomes, on-off arrivals and rng states must be identical.  The
+generator the package used before both were vectorised, the Lindley
+pass and the atom draw as they were before they skipped per-packet
+work, and the per-(theta, delay) bound composition the optimiser used
+before it built its curves once per theta.  The Lindley pass and the
+atom draw must reproduce theirs bit for bit, dtypes and rng state
+included.  Counts, outcomes, on-off arrivals and rng states must be
+identical.  The
 departure recurrence that serves the packets after a possible overflow
 must reproduce the loop bit for bit.  Through ``simulate``, whose
 drop-free prefix comes from the Lindley pass, the delay of a packet that
@@ -27,6 +30,7 @@ from linkdelay import (
     OnOffTraffic,
     PeriodicTraffic,
     PoissonTraffic,
+    ServiceDistribution,
     SimTrace,
     ThetaGridSpec,
     TimingConstants,
@@ -298,6 +302,212 @@ def test_onoff_arrivals_bit_identical_to_scalar_loop(spec, n):
         got = generate_arrivals(OnOffTraffic(spec.lam_on_off, spec.mu_off_on, spec.rate, n), rng)
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_drop_free_waits(arrivals, durations, q_max):
+    """The Lindley pass as it was: every packet's busy-period start and err, overflow by binary search."""
+    n = arrivals.size
+    waits = np.empty(n)
+    check = q_max < n - 1
+    departures = np.empty(n) if check else None
+    c_last, x_min, start = 0.0, math.inf, 0
+    lo, size = 0, simulator._FIRST_CHUNK
+    while lo < n:
+        hi = min(lo + size, n)
+        a = arrivals[lo:hi]
+        c = np.empty(hi - lo + 1)
+        c[0] = c_last
+        c[1:] = durations[lo:hi]
+        np.cumsum(c, out=c)
+        x = c[:-1] - a
+        m = np.minimum.accumulate(x)
+        np.minimum(m, x_min, out=m)
+        ulp = float(np.spacing(2.0 * (c[-1] + max(abs(arrivals[0]), abs(a[-1])))))
+        gap = np.concatenate(([x_min], m[:-1])) - x
+        idx = np.arange(lo, hi)
+        opened = np.maximum.accumulate(np.where(gap > 5.0 * (hi + 8) * ulp, idx, start))
+        err = (idx - opened + 9) * ulp
+        w = waits[lo:hi]
+        np.subtract(x, m, out=w)
+        w[w <= 2.0 * err] = 0.0
+        if check:
+            dep = departures[:hi]
+            np.subtract(c[1:], m, out=dep[lo:])
+            ahead = idx - np.searchsorted(dep, a - 5.0 * err, side="right")
+            full = np.flatnonzero(ahead > q_max)
+            if full.size:
+                stop = int(opened[full[0]])
+                return waits[:stop], stop
+        c_last, x_min, start = float(c[-1]), float(m[-1]), int(opened[-1])
+        lo, size = hi, min(2 * size, simulator._MAX_CHUNK)
+    return waits, n
+
+
+def reference_sample_many(dist, rng, n):
+    """The atom draw as it was: an intp count of partial sums, then three gathers."""
+    cum = np.cumsum(dist.probs)
+    u = rng.random(n)
+    idx = np.zeros(n, dtype=np.intp)
+    for c in cum[:-1].tolist():
+        idx += u >= c
+    return dist.attempts[idx], dist.durations[idx], dist.delivered[idx]
+
+
+# the Lindley pass's chunks hold 1024, 2048, 4096, ... packets, so the first
+# ones end at 1024, 3072 and 7168; lengths at and either side of those and
+# of the chunk sizes themselves
+CHUNK_EDGE_SIZES = [end + d for end in (1024, 2048, 3072, 4096, 7168) for d in (-1, 0, 1)]
+
+
+@st.composite
+def lindley_inputs(draw):
+    """Arrivals of any kind at loads either side of 1, service draws, and a waiting room."""
+    n = draw(st.one_of(st.sampled_from(CHUNK_EDGE_SIZES), st.integers(1, 7200)))
+    q_max = draw(st.sampled_from([1, max(1, n - 2), max(1, n - 1), 10**6, draw(st.integers(2, 40))]))
+    link = LinkConfig(n_max_tries=draw(st.integers(1, 5)), d_retry=draw(st.sampled_from([0.0, 12.5])))
+    p_e = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    dist = service_distribution(link, TC, p_e)
+    mean_t = dist.mean()
+    rho = draw(st.floats(0.3, 1.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tie", "batch", "poisson", "onoff"]))
+    if kind == "tie":
+        # spaced by one service atom exactly: with p_e = 0 every departure lands on an arrival
+        arrivals = np.arange(n, dtype=float) * dist.durations[0]
+    elif kind == "batch":
+        # three equal instants at a time, late enough for a coarse ulp
+        arrivals = np.repeat(1e9 + np.cumsum(rng.exponential(3.0 * mean_t / rho, n // 3 + 1)), 3)[:n]
+    elif kind == "poisson":
+        arrivals = generate_arrivals(PoissonTraffic(rate=rho / mean_t, horizon=n), rng)
+    else:
+        switch = 1.0 / (4.0 * mean_t)
+        spec = OnOffTraffic(lam_on_off=switch, mu_off_on=switch, rate=2.0 * rho / mean_t, horizon=n)
+        arrivals = generate_arrivals(spec, rng)
+    return arrivals, dist.sample_many(rng, n)[1], q_max
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lindley_inputs())
+def test_lindley_pass_is_the_reference_bit_for_bit(inputs):
+    arrivals, durations, q_max = inputs
+    want, want_stop = reference_drop_free_waits(arrivals, durations, q_max)
+    got, stop = simulator._drop_free_waits(arrivals, durations, q_max)
+    assert stop == want_stop
+    assert got.tobytes() == want.tobytes()
+
+
+# Unit service times from t = 0, and each later packet arrives half a unit
+# before the one ahead of it departs: packets 0-1023, the first chunk, form
+# one busy period, and the last sits at p = 1024, where the rounding margin
+# (p + 8) * ulp(T) is the largest of the chunk.  With T = 2 * (1024 + ~1023),
+# ulp(T) = 2**-41.
+CHUNK_ULP = 2.0**-41
+
+
+def one_busy_chunk(last):
+    n = simulator._FIRST_CHUNK
+    arrivals = np.arange(n) - 0.5
+    arrivals[0] = 0.0
+    arrivals[-1] = last
+    assert np.spacing(2.0 * (n + last)) == CHUNK_ULP
+    return arrivals, np.ones(n)
+
+
+@pytest.mark.parametrize("ulps, kept", [(2062, False), (2066, True)])
+def test_wait_at_the_rounding_cut_of_a_chunks_last_packet(ulps, kept):
+    # the cut 2 * (p + 8) * ulp(T) is 2064 ulps there
+    arrivals, durations = one_busy_chunk(1023.0 - ulps * CHUNK_ULP)
+    waits, stop = simulator._drop_free_waits(arrivals, durations, 10**6)
+    assert stop == arrivals.size
+    assert waits[-1] == (ulps * CHUNK_ULP if kept else 0.0)
+    assert waits.tobytes() == reference_drop_free_waits(arrivals, durations, 10**6)[0].tobytes()
+
+
+@pytest.mark.parametrize("ulps, overflows", [(5150, True), (5170, False)])
+def test_overflow_margin_at_a_chunks_last_packet(ulps, overflows):
+    # one waiting slot: the last arrival counts the packet two places back,
+    # which departs at 1022, as not gone unless it left 5 * (p + 8) = 5160
+    # ulps before the arrival
+    arrivals, durations = one_busy_chunk(1022.0 + ulps * CHUNK_ULP)
+    waits, stop = simulator._drop_free_waits(arrivals, durations, 1)
+    assert stop == (0 if overflows else arrivals.size)
+    want, want_stop = reference_drop_free_waits(arrivals, durations, 1)
+    assert stop == want_stop and waits.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arrivals, q_max, stop", [
+    ([0.0, 0.0, 0.0, 100.0, 200.0], 1, 0),      # arrival 2 meets two packets, one slot
+    ([0.0, 0.0, 0.0, 100.0, 200.0], 2, 5),      # two slots hold them
+    ([0.0, 0.0, 1.5, 100.0, 200.0], 1, 5),      # packet 0 left at 1: one ahead, not full
+    ([100.0, 200.0, 300.0, 300.0, 300.0], 1, 2),  # full in the busy period opened by packet 2
+])
+def test_first_arrival_that_can_meet_a_full_queue(arrivals, q_max, stop):
+    # unit service times; the earliest arrival that can overflow is q_max + 1
+    arrivals = np.array(arrivals)
+    durations = np.ones(arrivals.size)
+    waits, got = simulator._drop_free_waits(arrivals, durations, q_max)
+    want, want_stop = reference_drop_free_waits(arrivals, durations, q_max)
+    assert got == want_stop == stop and waits.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ulps, kept", [(18, False), (22, True)])
+def test_wait_screened_with_the_chunk_margin_decided_with_the_packets_own(ulps, kept):
+    # unit service times; packet 5 opens a busy period at 10 and departs at
+    # 11, and packet 6 waits the given ulps: inside the chunk's screen
+    # 2 * (8 + 8) = 32 ulps, against its own cut 2 * (2 + 8) = 20 ulps
+    ulp = 2.0**-47
+    arrivals = np.array([0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 11.0 - ulps * ulp, 20.0])
+    durations = np.ones(arrivals.size)
+    assert np.spacing(2.0 * (arrivals.size + arrivals[-1])) == ulp
+    waits, stop = simulator._drop_free_waits(arrivals, durations, 10**6)
+    assert waits[6] == (ulps * ulp if kept else 0.0)
+    assert waits.tobytes() == reference_drop_free_waits(arrivals, durations, 10**6)[0].tobytes()
+
+
+def test_overflow_screened_with_the_chunk_margin_decided_with_the_packets_own():
+    # unit service times, one slot; packet 5 opens a busy period at 10 and
+    # departs at 11, and arrival 7 comes 70 ulps later: inside the chunk's
+    # screen 5 * (9 + 8) = 85 ulps, outside its own margin 5 * (3 + 8) = 55
+    # ulps, so packet 6 alone is ahead of it
+    ulp = 2.0**-47
+    arrivals = np.array([0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 10.0, 11.0 + 70 * ulp, 20.0])
+    durations = np.ones(arrivals.size)
+    assert np.spacing(2.0 * (arrivals.size + arrivals[-1])) == ulp
+    waits, stop = simulator._drop_free_waits(arrivals, durations, 1)
+    want, want_stop = reference_drop_free_waits(arrivals, durations, 1)
+    assert stop == want_stop == arrivals.size and waits.tobytes() == want.tobytes()
+
+
+def assert_same_draws(dist, n, seed):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_sample_many(dist, ref_rng, n)
+    got = dist.sample_many(rng, n)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0.0),
+       st.booleans(), st.sampled_from([1, 2, 1000] + CHUNK_EDGE_SIZES), st.integers(0, 2**32 - 1))
+def test_atom_draw_is_the_reference_bit_for_bit(weights, tiny_last, n, seed):
+    probs = np.asarray(weights) / sum(weights)
+    if tiny_last:
+        # partial sums before a last atom this small often round above 1
+        probs = np.append(probs, 1e-17)
+    if probs.size < 2:
+        probs = np.append(probs, 0.0)
+    dist = ServiceDistribution(durations=np.arange(1.0, probs.size + 1.0), probs=probs,
+                               p_e=0.5, n_max_tries=probs.size - 1)
+    assert_same_draws(dist, n, seed)
+
+
+def test_atom_draw_past_a_byte_of_attempts():
+    # 300 tries: the atom count no longer fits a byte and takes two
+    dist = service_distribution(LinkConfig(n_max_tries=300), TC, 0.99)
+    attempts, _, delivered = assert_same_draws(dist, 20_000, 8)
+    assert attempts.max() == 300 and np.any(attempts[delivered] > 255) and not np.all(delivered)
 
 
 def horizontal_distance(ac, x, sc):

@@ -161,6 +161,25 @@ def test_simulate_input_validation():
         simulate(np.array([1.0, np.nan]), *dist_cfg, rng)
 
 
+@pytest.mark.parametrize("arrivals, problem", [
+    ([0.0, np.nan, 2.0], "finite"),
+    ([np.inf, 1.0, 2.0], "finite"),
+    ([-np.inf, 1.0, 2.0], "finite"),
+    ([0.0, 1.0, np.inf], "finite"),
+    ([0.0, 1.0, -np.inf], "finite"),
+    ([0.0, np.nan, 5.0, 1.0], "finite"),      # a step down after the NaN: finite still wins
+    ([np.inf], "finite"),
+    ([np.nan], "finite"),
+    ([0.0, 3.0, 2.0, 4.0], "non-decreasing"),
+])
+def test_simulate_names_the_first_problem_of_its_input(arrivals, problem):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^arrivals must be {problem}$"):
+        simulate(np.array(arrivals), LINK, TC, 0.1, rng)
+    assert rng.bit_generator.state == state   # refused before any draw
+
+
 @pytest.mark.parametrize("q_max", [10**7, 3])
 def test_waiting_room_size_costs_no_memory(q_max):
     # a huge q_max (drop-free, handled by the Lindley pass) and a short one

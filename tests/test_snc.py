@@ -275,6 +275,17 @@ def test_optimizer_envelope_monotone_and_vacuous_points():
     assert ccdf.points[-1].prob < 1.0 and ccdf.points[-1].theta is not None
 
 
+def test_overload_message_names_its_cause():
+    dist = service_distribution(LinkConfig(), TimingConstants(), 0.03186372375543293)
+    with pytest.raises(Overload, match="arrival envelope exceeds the service curve everywhere"):
+        optimize_delay_ccdf(PeriodicTraffic(t_pit=9.0, horizon=10), dist, 400.0, [20.0], THETAS)
+    # a light load, but every exponent too small for the MGF to leave 1
+    with pytest.raises(Overload, match="MGF rounds to 1 up to its largest exponent 1e-18") as info:
+        optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [20.0],
+                            np.geomspace(1e-30, 1e-18, 5))
+    assert "envelope" not in str(info.value)
+
+
 def test_optimizer_overload_and_validation():
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.03186372375543293)
     with pytest.raises(Overload):
