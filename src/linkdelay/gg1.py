@@ -90,9 +90,14 @@ def inputs_from_distribution(dist: ServiceDistribution, t_int: float) -> Gg1Inpu
 
     Loss is the residual drop probability of the retry scheme; the
     per-configuration loss rate is deterministic, so the equivalent
-    arrival-rate variance is zero.
+    arrival-rate variance is zero.  A drop probability of 1 is refused:
+    every packet exhausts its retries, so no traffic reaches the queue.
     """
     arrival = empirical.equivalent_arrival(t_int, dist.drop_probability, 0.0)
+    if arrival.lam <= 0.0:
+        raise ValueError(
+            f"drop probability {dist.drop_probability} leaves no arrivals: every packet "
+            "exhausts its retries, so no traffic reaches the equivalent queue")
     return Gg1Inputs(
         lam=arrival.lam,
         var_a=arrival.var_a,

@@ -87,7 +87,10 @@ def simulate(
     first arrival that might, an exact FIFO departure recurrence takes
     over (``_serve_from``): it does the float operations of a per-packet
     event loop in its order, so from there on every start and delay is
-    the event loop's bit for bit.
+    the event loop's bit for bit.  It keeps only a list of departures and
+    the accepted count at each queue drop; the starts, the accepted mask
+    and the trace rows are rebuilt from them with numpy.  A strided
+    arrivals array gives the result of its contiguous copy.
     Counts and outcomes are those of the event loop run over the whole
     input, and a packet that meets an idle server has a delay of exactly
     its service time.  In the Lindley prefix only, the delay of a packet
@@ -256,44 +259,49 @@ def _serve_from(
     first + k.  Service is FIFO, so departures never decrease, and an
     arrival at t meets q_max + 1 packets in the system exactly when the
     packet accepted q_max + 1 places before it departs after t (a
-    departure at t frees its place first).  A ring keeps the last
-    q_max + 1 departures for that test.  An accepted packet starts at the
-    later of its arrival and the previous departure.  These are the float
-    operations of a per-packet event loop, in its order, so starts and
-    delays are the loop's bit for bit.  Returns (delivered delays in
-    service order, queue drops, retry drops) and fills the trace rows of
-    these packets.
+    departure at t frees its place first).  One list holds the
+    departures, after m = min(q_max, n - first) + 1 leading -inf, so
+    that its entry k is the departure that the k-th accepted packet is
+    tested against.  A queue drop records only the accepted count at
+    that moment; the dropped arrival's index is that count plus the
+    drops before it.  An accepted packet starts at the later of its
+    arrival and the previous departure, which numpy takes again after
+    the loop with the same comparison.  These are the float operations
+    of a per-packet event loop, in its order, so starts and delays are
+    the loop's bit for bit.  Returns (delivered delays in service order,
+    queue drops, retry drops) and fills the trace rows of these packets.
     """
-    arr = arrivals[first:].tolist()  # Python floats: the same IEEE arithmetic, faster to index
-    durations = draw_durations[first:].tolist()
-    m = min(q_max, len(arr)) + 1     # never more slots than packets, whatever q_max
-    ring = [-math.inf] * m           # departures of the last m accepted packets
-    dep = -math.inf                  # departure of the last accepted packet
-    k = 0                            # packets accepted so far
-    starts: list[float] = []         # per arrival; NaN when dropped from the queue
-    for t in arr:
-        if ring[k % m] > t:
-            starts.append(math.nan)
+    arr = arrivals[first:]
+    durations = memoryview(draw_durations[first:])  # indexes to Python floats, no list built
+    m = min(q_max, arr.size) + 1    # never more slots than packets, whatever q_max
+    deps = [-math.inf] * m          # deps[m + i]: departure of the i-th accepted packet
+    dep = -math.inf                 # departure of the last accepted packet
+    k = 0                           # packets accepted so far
+    drops: list[int] = []           # the accepted count at each queue drop
+    for t in memoryview(arr):       # a strided view iterates in order too
+        if deps[k] > t:
+            drops.append(k)
             continue
-        at = dep if dep > t else t
-        dep = ring[k % m] = at + durations[k]
-        starts.append(at)
+        dep = (dep if dep > t else t) + durations[k]
+        deps.append(dep)
         k += 1
-    del arr, durations               # free the per-packet lists before the arrays are built
-    start = np.array(starts, dtype=float)
-    del starts
-    accepted = ~np.isnan(start)
+    prev = np.array(deps)[m - 1:-1]  # the departure before each accepted packet: -inf, D_0, ...
+    del deps
+    accepted = np.ones(arr.size, dtype=bool)
+    accepted[np.array(drops, dtype=np.intp) + np.arange(len(drops))] = False
+    arr = arr[accepted]
+    start = np.where(prev > arr, prev, arr)  # the loop's max: the arrival unless strictly later
     ok = draw_delivered[first:first + k]
-    delay = (start[accepted] - arrivals[first:][accepted]) + draw_durations[first:first + k]
+    delay = (start - arr) + draw_durations[first:first + k]
     if trace is not None:
-        trace.start[first:] = start
+        trace.start[first:][accepted] = start
         trace.attempts[first:][accepted] = draw_attempts[first:first + k]
         trace.delay[first:][accepted] = np.where(ok, delay, np.nan)
-        outcome = np.full(start.size, OUTCOME_QUEUE_DROP, dtype=object)
+        outcome = np.full(accepted.size, OUTCOME_QUEUE_DROP, dtype=object)
         outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
         trace.outcome[first:] = outcome.tolist()
     delays = delay[ok]
-    return delays, start.size - k, k - delays.size
+    return delays, len(drops), k - delays.size
 
 
 def run_simulation(

@@ -219,13 +219,20 @@ def _convolve(a: float, b: float, x: float) -> float:
 _Curves = tuple[float, float, float | None, float]
 
 
-def _stable_curves(
+# why an exponent has no curves, as the overload message states it
+_SERVICE_OVERFLOW = "the service-time MGF would leave exp()'s range"
+_PACKET_OVERFLOW = "the MGF of one packet's bits would leave exp()'s range"
+_MGF_FLAT = "the service-time MGF rounds to 1, so there is no service curve"
+_ENVELOPE = "the arrival envelope exceeds the service curve"
+
+
+def _curves_or_cause(
     traffic: TrafficSpec,
     dist: ServiceDistribution,
     packet_bits: float,
     theta: float,
-) -> _Curves | None:
-    """What the bound reads of the arrival and service curves at theta; None when theta is infeasible.
+) -> _Curves | str:
+    """What the bound reads of the arrival and service curves at theta, or why theta is infeasible.
 
     theta is infeasible when the service-time MGF or, for Poisson traffic,
     the MGF of one packet's bits would leave exp()'s range, when theta is
@@ -233,16 +240,50 @@ def _stable_curves(
     when the arrival envelope outruns the service curve.
     """
     if theta * dist.max_duration > _MGF_EXPONENT_LIMIT:
-        return None
+        return _SERVICE_OVERFLOW
     if isinstance(traffic, PoissonTraffic) and theta * packet_bits > _MGF_EXPONENT_LIMIT:
-        return None
+        return _PACKET_OVERFLOW
     rate = _service_rate(dist, packet_bits, theta)
     if rate is None:
-        return None
+        return _MGF_FLAT
     ac = arrival_curve_for(traffic, packet_bits, theta)
     if ac.rate > rate:
-        return None
+        return _ENVELOPE
     return rate, ac.burst, ac.decay, theta / rate   # theta / rate is ServiceCurve.decay
+
+
+def _stable_curves(
+    traffic: TrafficSpec,
+    dist: ServiceDistribution,
+    packet_bits: float,
+    theta: float,
+) -> _Curves | None:
+    """The curves at theta; None when theta is infeasible (see _curves_or_cause)."""
+    curves = _curves_or_cause(traffic, dist, packet_bits, theta)
+    return None if isinstance(curves, str) else curves
+
+
+def _overload_message(
+    traffic: TrafficSpec,
+    dist: ServiceDistribution,
+    packet_bits: float,
+    grid: np.ndarray,
+) -> str:
+    """Why no exponent of the grid is stable: each cause with the exponents it refused."""
+    refused: dict[str, list[float]] = {}
+    for t in np.sort(grid).tolist():
+        refused.setdefault(_curves_or_cause(traffic, dist, packet_bits, t), []).append(t)
+    head = "no stable exponent in the theta grid; "
+    if refused.keys() == {_ENVELOPE}:
+        return head + "arrival envelope exceeds the service curve everywhere"
+    if refused.keys() == {_MGF_FLAT}:
+        # the MGF never decreases in theta, so it is 1 all the way up
+        return head + (f"the service-time MGF rounds to 1 up to its largest exponent "
+                       f"{grid.max():.3g}, so no exponent has a service curve")
+    return head + "; ".join(
+        (f"at exponent {ts[0]:.3g}" if len(ts) == 1
+         else f"at {len(ts)} exponents from {ts[0]:.3g} to {ts[-1]:.3g}") + f", {cause}"
+        for cause, ts in refused.items())
 
 
 def _bound_prob(curves: _Curves | None, delay: float) -> float:
@@ -390,19 +431,7 @@ def optimize_delay_ccdf(
     stable = [(t, curves) for t in np.sort(grid)
               if (curves := _stable_curves(traffic, dist, packet_bits, t)) is not None]
     if not stable:
-        # the MGF never decreases in theta: if it rounds to 1 at the top of
-        # the grid, no exponent had a service curve to compare against
-        top = float(grid.max())
-        if (top * dist.max_duration <= _MGF_EXPONENT_LIMIT
-                and _service_rate(dist, packet_bits, top) is None):
-            raise Overload(
-                "no stable exponent in the theta grid; the service-time MGF rounds "
-                f"to 1 up to its largest exponent {top:.3g}, so no exponent has a service curve"
-            )
-        raise Overload(
-            "no stable exponent in the theta grid; arrival envelope exceeds "
-            "the service curve everywhere"
-        )
+        raise Overload(_overload_message(traffic, dist, packet_bits, grid))
 
     probed = _ProbeCurves(traffic, dist, packet_bits)
     points: list[DelayBound] = []

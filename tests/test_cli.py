@@ -221,6 +221,20 @@ def test_theta_grid_below_the_mgf_resolution(tmp_path, capsys, command, grid, ex
     assert len(rows) == 16 and all(0.0 < p <= 1.0 for p in probs) and min(probs) < 0.01
 
 
+@pytest.mark.parametrize("command", ["delay-bound", "validate"])
+def test_overload_names_each_cause_of_a_mixed_grid(tmp_path, capsys, command):
+    # the small exponent leaves the MGF at 1, the large one is past the
+    # overflow guard: neither reaches the envelope comparison
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"theta_grid": {"min": 1e-30, "max": 1e3, "points": 2}}))
+    code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    assert code == 3
+    assert out == "" and err.startswith("overload: ")
+    assert "at exponent 1e-30, the service-time MGF rounds to 1" in err
+    assert "at exponent 1e+03, the service-time MGF would leave exp()'s range" in err
+    assert "envelope" not in err
+
+
 def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
     # snr=5000 underflows the error-rate expression to exactly zero, so the
     # service law is one atom at t1 = 10.108 ms and the optimized bound is
@@ -344,6 +358,8 @@ GOLDEN_RUNS = [
     ("simulate-onoff.csv", ["simulate", "--config", ONOFF], 0),
     # the exact-law mean misses this run's simulated mean by 28%, past the 25% gate
     ("validate-onoff.csv", ["validate", "--config", ONOFF], 4),
+    # three waiting slots at rho 0.96: 3684 queue drops and 573 retry drops
+    ("simulate-overflow.csv", ["simulate", "--config", str(GOLDEN / "overflow.json")], 0),
 ]
 
 

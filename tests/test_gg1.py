@@ -63,6 +63,14 @@ def test_distribution_route_worked_values():
     assert mean_delay(inputs) == pytest.approx(wq + dist.mean(), rel=1e-12)
 
 
+def test_distribution_route_refuses_certain_loss():
+    # at p_e = 1 every packet fails all its tries and the queue sees no traffic
+    dist = service_distribution(LinkConfig(l_d=110, snr=1.0), TimingConstants(), 1.0)
+    assert dist.drop_probability == 1.0
+    with pytest.raises(ValueError, match="every packet exhausts its retries"):
+        inputs_from_distribution(dist, 50.0)
+
+
 def test_inputs_validation():
     with pytest.raises(ValueError):
         Gg1Inputs(lam=0.0, var_a=0.0, mean_t=1.0, var_t=0.0)

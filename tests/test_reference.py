@@ -270,6 +270,72 @@ def test_simultaneous_arrivals_late_in_time(q_max):
     assert_matches_reference(arrivals, LinkConfig(q_max=q_max), 0.3, 9, True)
 
 
+def strided(values):
+    """values as every other element of a larger array: a view that is not contiguous."""
+    base = np.full(2 * values.size, np.nan)   # a pass that reads a gap sees NaN
+    base[::2] = values
+    view = base[::2]
+    assert not view.flags.c_contiguous
+    return view
+
+
+def run_bytes(arrivals, link, p_e, seed, collect_trace):
+    """Every output of simulate and the rng state after it, as comparable values."""
+    rng = np.random.default_rng(seed)
+    res = simulate(arrivals, link, TC, p_e, rng, collect_trace=collect_trace)
+    out = [res.delivered_delays.tobytes(), res.n_queue_drops, res.n_retry_drops, rng.bit_generator.state]
+    if collect_trace:
+        tr = res.trace
+        out += [tr.arrival.tobytes(), tr.start.tobytes(), tr.attempts.tobytes(), tr.outcome,
+                tr.delay.tobytes()]
+    return out
+
+
+def serve_bytes(arrivals, link, p_e, seed, collect_trace):
+    """Every output of the departure recurrence from packet 0, as comparable values."""
+    n = arrivals.size
+    draws = service_distribution(link, TC, p_e).sample_many(np.random.default_rng(seed), n)
+    trace = None
+    if collect_trace:
+        trace = SimTrace(arrival=arrivals.copy(), start=np.full(n, np.nan),
+                         attempts=np.zeros(n, dtype=np.int64), outcome=["queue_drop"] * n,
+                         delay=np.full(n, np.nan))
+    delays, n_queue_drops, n_retry_drops = simulator._serve_from(0, arrivals, link.q_max, *draws, trace)
+    out = [delays.tobytes(), n_queue_drops, n_retry_drops]
+    if collect_trace:
+        out += [trace.start.tobytes(), trace.attempts.tobytes(), trace.outcome, trace.delay.tobytes()]
+    return out
+
+
+def _poisson(n, rate, seed):
+    return generate_arrivals(PoissonTraffic(rate=rate, horizon=n), np.random.default_rng(seed))
+
+
+STRIDED_CASES = {
+    # (arrivals, q_max, the packet the Lindley pass hands over at; None: inside the run)
+    "overflow mid-run": (_poisson(3000, 0.06, 1), 3, None),
+    # three arrivals at 0 overflow one waiting slot in the first busy period
+    "overflow at packet 0": (np.concatenate((np.zeros(3), _poisson(2000, 0.06, 2))), 1, 0),
+    # a waiting room as large as the run never fills
+    "q_max >= n": (_poisson(1500, 0.08, 3), 1500, 1500),
+}
+
+
+@pytest.mark.parametrize("collect_trace", [False, True])
+@pytest.mark.parametrize("case", list(STRIDED_CASES))
+def test_strided_arrivals_give_the_contiguous_result_bit_for_bit(case, collect_trace):
+    # simulate passes a strided view through to the recurrence, which
+    # iterates it as a memoryview: it must read the view's elements only
+    values, q_max, stop = STRIDED_CASES[case]
+    link, p_e, seed, n = LinkConfig(q_max=q_max), 0.3, 7, values.size
+    durations = service_distribution(link, TC, p_e).sample_many(np.random.default_rng(seed), n)[1]
+    handover = simulator._drop_free_waits(values, durations, q_max)[1]
+    assert 0 < handover < n if stop is None else handover == stop
+    view = strided(values)
+    assert run_bytes(view, link, p_e, seed, collect_trace) == run_bytes(values, link, p_e, seed, collect_trace)
+    assert serve_bytes(view, link, p_e, seed, collect_trace) == serve_bytes(values, link, p_e, seed, collect_trace)
+
+
 ONOFF_SOURCES = (
     OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.02),
     OnOffTraffic(lam_on_off=0.05, mu_off_on=0.04, rate=0.1),

@@ -286,6 +286,26 @@ def test_overload_message_names_its_cause():
     assert "envelope" not in str(info.value)
 
 
+def test_overload_message_names_each_cause_with_its_exponents():
+    dist = service_distribution(LinkConfig(), TimingConstants(), 0.03186372375543293)
+    thetas = np.geomspace(1e-30, 1e3, 40)
+    with pytest.raises(Overload) as info:
+        optimize_delay_ccdf(PoissonTraffic(rate=1 / 9.0, horizon=10), dist, 400.0, [20.0], thetas)
+    causes = str(info.value).split("; ")[1:]
+    # in exponent order: below the MGF's resolution, overloaded, then past
+    # the overflow guard of the packet's bits and of the service time
+    assert [c.split(", ", 1)[1] for c in causes] == [
+        "the service-time MGF rounds to 1, so there is no service curve",
+        "the arrival envelope exceeds the service curve",
+        "the MGF of one packet's bits would leave exp()'s range",
+        "the service-time MGF would leave exp()'s range",
+    ]
+    assert causes[0].startswith("at 16 exponents from 1e-30 to ")
+    assert causes[-1].endswith("to 1e+03, the service-time MGF would leave exp()'s range")
+    counts = [1 if c.startswith("at exponent ") else int(c.split()[1]) for c in causes]
+    assert sum(counts) == thetas.size
+
+
 def test_optimizer_overload_and_validation():
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.03186372375543293)
     with pytest.raises(Overload):
