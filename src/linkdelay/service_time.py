@@ -187,14 +187,15 @@ class ServiceDistribution:
             )
         return self._expectation(lambda d: math.exp(theta * d))
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised draw of n outcomes by inverse CDF: (attempts, durations, delivered).
+    def draw_atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Atom index of n outcomes drawn by inverse CDF from rng.random(n).
 
         A draw u in [0, 1) takes atom j, the number of partial sums
         probs[0] + ... + probs[i], i < K - 1, that are <= u.  The full sum
         is 1 > u and never counts, even where rounding lifts an earlier
         partial sum above 1.  The count is kept in the narrowest unsigned
         type that holds n_max_tries, a byte for any practical law.
+        Calls one after another draw what one call for all of them would.
         """
         cum = np.cumsum(self.probs)
         u = rng.random(n)
@@ -203,7 +204,11 @@ class ServiceDistribution:
         for c in cum[:-1].tolist():
             np.greater_equal(u, c, out=hit)
             idx += hit.view(np.uint8)
-        del u, hit
+        return idx
+
+    def sample_many(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorised draw of n outcomes: (attempts, durations, delivered), by draw_atoms."""
+        idx = self.draw_atoms(rng, n)
         atom = idx.astype(np.intp)  # take would widen a narrow index on each call
         return self.attempts.take(atom), self.durations.take(atom), idx < self.n_max_tries
 

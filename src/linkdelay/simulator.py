@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ._clopper_pearson import upper_limit
 from .empirical import LinkConfig
-from .service_time import TimingConstants, service_distribution
+from .service_time import ServiceDistribution, TimingConstants, service_distribution
 from .traffic import TrafficSpec, generate_arrivals
 
 __all__ = [
@@ -75,9 +76,22 @@ def simulate(
 ) -> SimResult:
     """Run the queue over the given arrival instants.
 
-    Deterministic for a fixed rng state and inputs: service outcomes are
-    drawn up front and consumed in service-start order, so queue-dropped
-    packets never consume a draw.
+    Deterministic for a fixed rng state and inputs: the k-th packet to
+    start service takes the k-th outcome drawn, so queue-dropped packets
+    never consume a draw, and the rng ends as one draw of n outcomes
+    would leave it.
+
+    Outcomes are drawn a chunk at a time inside the Lindley pass, and
+    each chunk's delays are written to the output as the chunk ends.  So
+    beyond its input and the delays it returns (the first n_delivered
+    slots of an array of n, 8 bytes a packet) simulate holds arrays of
+    one chunk, and the last q_max + 1 departures when the arrivals could
+    fill the waiting room: 12 bytes a packet at 1e6 drop-free packets
+    (tracemalloc peak), where drawing all outcomes up front held 33.
+    When the pass finds a possible overflow, the rng goes back to its
+    state at the draw of the chunk holding stop and draws from there to
+    the end again; the delays written past stop are taken back, and the
+    recurrence below serves the rest with the outcomes drawn again.
 
     Waiting times come from the Lindley recursion, evaluated with numpy
     over the arrivals that cannot meet a full queue: with FIFO service and
@@ -116,36 +130,94 @@ def simulate(
             raise ValueError("arrivals must be finite")
         raise ValueError("arrivals must be non-decreasing")
     dist = service_distribution(cfg, tc, p_e)
-    draw_attempts, draw_durations, draw_delivered = dist.sample_many(rng, arrivals.size)
-
     n = arrivals.size
-    wait, stop = _drop_free_waits(arrivals, draw_durations, cfg.q_max)
-    # no packet before stop is dropped from the queue, so packet j took draw j
-    head_ok = draw_delivered[:stop]
     trace = None
     if collect_trace:
         trace = SimTrace(arrival=arrivals.copy(), start=np.full(n, np.nan),
                          attempts=np.zeros(n, dtype=np.int64),
                          outcome=[OUTCOME_QUEUE_DROP] * n, delay=np.full(n, np.nan))
-        trace.start[:stop] = arrivals[:stop] + wait
-        trace.attempts[:stop] = draw_attempts[:stop]
-        trace.outcome[:stop] = np.where(head_ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP).tolist()
-        trace.delay[:stop] = np.where(head_ok, wait + draw_durations[:stop], np.nan)
-    tail, n_queue_drops, n_retry_drops = _serve_from(
-        stop, arrivals, cfg.q_max, draw_attempts, draw_durations, draw_delivered, trace)
-    wait += draw_durations[:stop]    # in place: the delays of packets [0, stop)
-    delivered_delays = wait[head_ok]
-    n_retry_drops += stop - delivered_delays.size
-    if tail.size:
-        delivered_delays = np.concatenate((delivered_delays, tail))
+    draws = _ChunkDraws(dist, rng, arrivals, trace)
+    stop = _drop_free_waits(arrivals, cfg.q_max, draws.draw, draws.sink)
+    n_queue_drops = 0
+    if stop < n:
+        atoms = draws.rewind(stop)
+        attempts = dist.attempts.take(atoms) if collect_trace else None
+        tail, n_queue_drops, _ = _serve_from(stop, arrivals, cfg.q_max, attempts,
+                                             dist.durations.take(atoms), atoms < dist.n_max_tries, trace)
+        draws.write(tail)
+    delivered_delays = draws.delays[:draws.written]
     return SimResult(
         delivered_delays=delivered_delays,
         n_arrivals=n,
         n_delivered=delivered_delays.size,
         n_queue_drops=n_queue_drops,
-        n_retry_drops=n_retry_drops,
+        n_retry_drops=n - delivered_delays.size - n_queue_drops,
         trace=trace,
     )
+
+
+class _ChunkDraws:
+    """Service outcomes drawn one Lindley chunk at a time, and the delays they give.
+
+    draw(lo, hi) draws the outcomes of packets [lo, hi) and returns their
+    service times.  sink(lo, waits) adds those times to the waits of the
+    packets from lo on, in place, writes the delays of the delivered ones
+    after the delays already written (as write does), and fills their
+    trace rows.  Only
+    the chunk drawn last is kept, and, at each chunk's draw, the rng state
+    and the number of delays written: rewind(stop) takes back what was
+    written for packets stop on and redraws their outcomes.
+    """
+
+    def __init__(self, dist: ServiceDistribution, rng: np.random.Generator, arrivals: np.ndarray,
+                 trace: SimTrace | None) -> None:
+        self.dist, self.rng, self.arrivals, self.trace = dist, rng, arrivals, trace
+        self.delays = np.empty(arrivals.size)  # delivered delays in service order: `written` of them
+        self.written = 0
+        self.marks: list[tuple[int, int, dict]] = []  # (lo, written, rng state) at each draw
+        self.atoms = self.durations = np.empty(0)
+
+    def draw(self, lo: int, hi: int) -> np.ndarray:
+        self.marks.append((lo, self.written, self.rng.bit_generator.state))
+        self.atoms = self.dist.draw_atoms(self.rng, hi - lo)
+        self.durations = self.dist.durations.take(self.atoms)
+        return self.durations
+
+    def sink(self, lo: int, waits: np.ndarray) -> None:
+        hi = lo + waits.size
+        atoms = self.atoms[:waits.size]
+        ok = atoms < self.dist.n_max_tries
+        trace = self.trace
+        if trace is not None:
+            trace.start[lo:hi] = self.arrivals[lo:hi] + waits
+            trace.attempts[lo:hi] = self.dist.attempts.take(atoms)
+            trace.outcome[lo:hi] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP).tolist()
+        waits += self.durations[:waits.size]    # in place: the delays of these packets
+        if trace is not None:
+            trace.delay[lo:hi] = np.where(ok, waits, np.nan)
+        self.write(waits[ok])
+
+    def write(self, delays: np.ndarray) -> None:
+        """Append delivered delays, in service order, to those already written."""
+        self.delays[self.written:self.written + delays.size] = delays
+        self.written += delays.size
+
+    def rewind(self, stop: int) -> np.ndarray:
+        """The atoms of packets [stop, n), drawn again; what was written for them is taken back.
+
+        The rng goes back to its state at the draw of the chunk holding
+        packet stop and draws from there to the end of the input, which
+        gives the same draws for that chunk and the stream's next ones
+        after it.  The delays written are cut back to those of packets
+        before stop.  The trace rows written past stop are left: those
+        packets passed the overflow test, so the departure recurrence
+        accepts each of them and writes its row again.
+        """
+        lo, written, state = next(mark for mark in reversed(self.marks) if mark[0] <= stop)
+        self.rng.bit_generator.state = state
+        atoms = self.dist.draw_atoms(self.rng, self.arrivals.size - lo)
+        self.written = written + int(np.count_nonzero(atoms[:stop - lo] < self.dist.n_max_tries))
+        return atoms[stop - lo:]
 
 
 # The Lindley pass works in chunks that start small, so that a queue
@@ -154,15 +226,32 @@ _FIRST_CHUNK = 1 << 10
 _MAX_CHUNK = 1 << 16
 
 
-def _drop_free_waits(arrivals: np.ndarray, durations: np.ndarray, q_max: int) -> tuple[np.ndarray, int]:
+def _drop_free_waits(
+    arrivals: np.ndarray,
+    q_max: int,
+    draw: Callable[[int, int], np.ndarray],
+    sink: Callable[[int, np.ndarray], None],
+) -> int:
     """Waiting times by the Lindley recursion, up to the first possible overflow.
 
     With FIFO service and no drops, packet j takes draw j.  With C the
     running sum of service times, X_j = C_{j-1} - A_j and M_j the minimum
     of X_0..X_j, the wait is W_j = X_j - M_j and the departure
-    D_j = C_j - M_j.  Returns (waits, stop): the waits of packets
-    [0, stop), where stop is n when no arrival can meet a full queue and
-    otherwise the start of the busy period holding the first that might.
+    D_j = C_j - M_j.  Returns stop: n when no arrival can meet a full
+    queue, otherwise the start of the busy period holding the first that
+    might.
+
+    The pass runs over chunks [lo, hi) in order.  draw(lo, hi) gives the
+    service times of a chunk's packets, called once per chunk before its
+    waits are worked out; sink(lo, waits) then takes the waits of packets
+    [lo, lo + waits.size) and may overwrite them.  A chunk is sunk whole
+    unless it finds the overflow, and then only its packets before stop.
+    So the waits sunk are those of packets [0, stop) and, when stop falls
+    in an earlier chunk than the one that finds the overflow, those of
+    the packets from stop to the start of that chunk as well.  No array
+    of all n packets is kept: the chunks' own arrays, of at most
+    _MAX_CHUNK packets, and with a waiting room that n arrivals could
+    fill, the last q_max + 1 departures.
 
     Rounding: with T twice the sum of the draws so far and the largest
     |arrival|, for the packet at position p of its busy period this pass
@@ -186,9 +275,9 @@ def _drop_free_waits(arrivals: np.ndarray, durations: np.ndarray, q_max: int) ->
     those of a pass that computes err for every packet.
     """
     n = arrivals.size
-    waits = np.empty(n)
-    check = q_max < n - 1   # else no arrival can find q_max + 1 packets ahead of it
-    departures = np.empty(n) if check else None
+    slots = q_max + 1       # arrival j meets a full queue when packet j - slots has not departed
+    check = slots < n       # else no arrival can find that many packets ahead of it
+    ring = np.empty(slots) if check else None   # D_i in ring[i % slots] for the last slots packets
     c_last = 0.0            # C_{lo-1}
     x_min = math.inf        # M_{lo-1}
     start = 0               # latest busy-period start
@@ -198,7 +287,7 @@ def _drop_free_waits(arrivals: np.ndarray, durations: np.ndarray, q_max: int) ->
         a = arrivals[lo:hi]
         c = np.empty(hi - lo + 1)
         c[0] = c_last
-        c[1:] = durations[lo:hi]
+        c[1:] = draw(lo, hi)
         np.cumsum(c, out=c)  # left to right, as the loop adds: c[k] = C_{lo-1+k}
         xs = np.empty(hi - lo + 1)
         xs[0] = x_min
@@ -212,30 +301,36 @@ def _drop_free_waits(arrivals: np.ndarray, durations: np.ndarray, q_max: int) ->
         # the busy period carried in, then those that open in this chunk
         opens = np.concatenate(([start], lo + np.flatnonzero(gap > 5.0 * (hi + 8) * ulp)))
         err_max = (hi + 8 - start) * ulp  # no packet of this chunk has a larger err
-        w = waits[lo:hi]
-        np.subtract(x, m, out=w)
+        w = np.subtract(x, m, out=gap)    # the waits, over the idle times
         # err is needed only where a wait is nonzero but might fall below 2 * err
-        j = lo + np.flatnonzero((w > 0.0) & (w <= 2.0 * err_max))
-        err = (j - _opened(j, opens) + 9) * ulp
-        waits[j[waits[j] <= 2.0 * err]] = 0.0
+        i = np.flatnonzero((w > 0.0) & (w <= 2.0 * err_max))   # positions in the chunk
+        err = (lo + i - _opened(lo + i, opens) + 9) * ulp
+        w[i[w[i] <= 2.0 * err]] = 0.0
         if check:
-            np.subtract(c[1:], m, out=departures[lo:hi])
+            departures = c[1:] - m
             # departures never decrease, so more than q_max packets are
-            # ahead of arrival j exactly when packet j - q_max - 1 is; the
+            # ahead of arrival j exactly when packet j - slots is; the
             # chunk's err_max picks the arrivals that need their own err
-            first = max(lo, q_max + 1)   # no earlier arrival has that many ahead
+            first = max(lo, slots)   # no earlier arrival has that many ahead
             if first < hi:
-                j = first + np.flatnonzero(departures[first - q_max - 1:hi - q_max - 1]
-                                           > arrivals[first:hi] - 5.0 * err_max)
+                # D_{j - slots} for j in [first, hi): the ring holds those before lo
+                held = ring.take(np.arange(first - slots, min(lo, hi - slots)), mode="wrap")
+                ahead = np.concatenate((held, departures[:max(hi - slots - lo, 0)]))
+                j = first + np.flatnonzero(ahead > arrivals[first:hi] - 5.0 * err_max)
                 opened = _opened(j, opens)
                 err = (j - opened + 9) * ulp
-                full = np.flatnonzero(departures[j - q_max - 1] > arrivals[j] - 5.0 * err)
+                full = np.flatnonzero(ahead[j - first] > arrivals[j] - 5.0 * err)
                 if full.size:
                     stop = int(opened[full[0]])
-                    return waits[:stop], stop
+                    if stop > lo:
+                        sink(lo, w[:stop - lo])
+                    return stop
+            keep = min(slots, hi - lo)
+            ring.put(np.arange(hi - keep, hi), departures[-keep:], mode="wrap")
+        sink(lo, w)
         c_last, x_min, start = float(c[-1]), float(m[-1]), int(opens[-1])
         lo, size = hi, min(2 * size, _MAX_CHUNK)
-    return waits, n
+    return n
 
 
 def _opened(j: np.ndarray, opens: np.ndarray) -> np.ndarray:
@@ -247,16 +342,17 @@ def _serve_from(
     first: int,
     arrivals: np.ndarray,
     q_max: int,
-    draw_attempts: np.ndarray,
+    draw_attempts: np.ndarray | None,
     draw_durations: np.ndarray,
     draw_delivered: np.ndarray,
     trace: SimTrace | None,
 ) -> tuple[np.ndarray, int, int]:
     """FIFO departure recurrence over packets [first, n).
 
-    Packet first must meet an idle server and an empty queue, with draws
-    [0, first) used; the k-th packet accepted from here takes draw
-    first + k.  Service is FIFO, so departures never decrease, and an
+    Packet first must meet an idle server and an empty queue.  The draws
+    given start at packet first's, and the k-th packet accepted from here
+    takes draw k; draw_attempts is read only for the trace and may be
+    None without one.  Service is FIFO, so departures never decrease, and an
     arrival at t meets q_max + 1 packets in the system exactly when the
     packet accepted q_max + 1 places before it departs after t (a
     departure at t frees its place first).  One list holds the
@@ -272,7 +368,7 @@ def _serve_from(
     queue drops, retry drops) and fills the trace rows of these packets.
     """
     arr = arrivals[first:]
-    durations = memoryview(draw_durations[first:])  # indexes to Python floats, no list built
+    durations = memoryview(draw_durations)  # indexes to Python floats, no list built
     m = min(q_max, arr.size) + 1    # never more slots than packets, whatever q_max
     deps = [-math.inf] * m          # deps[m + i]: departure of the i-th accepted packet
     dep = -math.inf                 # departure of the last accepted packet
@@ -291,11 +387,11 @@ def _serve_from(
     accepted[np.array(drops, dtype=np.intp) + np.arange(len(drops))] = False
     arr = arr[accepted]
     start = np.where(prev > arr, prev, arr)  # the loop's max: the arrival unless strictly later
-    ok = draw_delivered[first:first + k]
-    delay = (start - arr) + draw_durations[first:first + k]
+    ok = draw_delivered[:k]
+    delay = (start - arr) + draw_durations[:k]
     if trace is not None:
         trace.start[first:][accepted] = start
-        trace.attempts[first:][accepted] = draw_attempts[first:first + k]
+        trace.attempts[first:][accepted] = draw_attempts[:k]
         trace.delay[first:][accepted] = np.where(ok, delay, np.nan)
         outcome = np.full(accepted.size, OUTCOME_QUEUE_DROP, dtype=object)
         outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)

@@ -90,8 +90,10 @@ class OnOffTraffic:
 TrafficSpec = Union[PeriodicTraffic, PoissonTraffic, OnOffTraffic]
 
 
-# cap on the cycles drawn at once, which bounds memory when most cycles emit nothing
+# caps on a block of on-off cycles: the cycles drawn at once, which bounds
+# memory when most cycles emit nothing, and the packets they are sized to emit
 _MAX_BLOCK_CYCLES = 1 << 16
+_BLOCK_PACKETS = 1 << 16
 
 
 def _check_horizon(horizon: int) -> None:
@@ -106,7 +108,8 @@ def generate_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray
     if isinstance(spec, PeriodicTraffic):
         return np.arange(n, dtype=float) * spec.t_pit
     if isinstance(spec, PoissonTraffic):
-        return np.cumsum(rng.exponential(1.0 / spec.rate, n))
+        gaps = rng.exponential(1.0 / spec.rate, n)
+        return np.cumsum(gaps, out=gaps)
     if isinstance(spec, OnOffTraffic):
         return _onoff_arrivals(spec, rng, n)
     raise TypeError(f"unknown traffic spec {type(spec).__name__}")
@@ -133,18 +136,21 @@ def _onoff_arrivals(spec: OnOffTraffic, rng: np.random.Generator, n: int) -> np.
     reaches k / rate.  Clocks are running sums taken left to right, and
     the stream is rewound so that it stops after the cycle holding the
     n-th emission: the output and the rng state are those of a per-cycle
-    scalar loop, bit for bit.
+    scalar loop, bit for bit, whatever the blocks' sizes.  A block is
+    sized to emit about _BLOCK_PACKETS packets, which are written into
+    the output in place, so that no other array grows with n.
     """
     period = 1.0 / spec.rate
     scales = np.array([1.0 / spec.mu_off_on, 1.0 / spec.lam_on_off])
     t = 0.0          # wall clock at the end of the last cycle
     on_time = 0.0    # accumulated On time at the end of the last cycle
     emitted = 0      # packets emitted so far, the largest k with k * period <= on_time
-    chunks: list[np.ndarray] = []
-    left = n
-    while left:
-        # cycles expected to cover the remaining packets, with some to spare
-        cycles = min(int(1.1 * left * spec.lam_on_off / spec.rate) + 16, _MAX_BLOCK_CYCLES)
+    out = np.empty(n)
+    while emitted < n:
+        left = n - emitted
+        # cycles expected to cover the block's packets, with some to spare
+        cycles = min(int(1.1 * min(left, _BLOCK_PACKETS) * spec.lam_on_off / spec.rate) + 16,
+                     _MAX_BLOCK_CYCLES)
         state = rng.bit_generator.state
         sojourns = (rng.standard_exponential(2 * cycles).reshape(cycles, 2) * scales).ravel()
         # clock[2c] is the wall time at which cycle c turns On
@@ -155,19 +161,18 @@ def _onoff_arrivals(spec: OnOffTraffic, rng: np.random.Generator, n: int) -> np.
         counts = np.diff(total, prepend=emitted)
         used = cycles
         if total[-1] - emitted >= left:
-            used = int(np.searchsorted(total, emitted + left)) + 1
+            used = int(np.searchsorted(total, n)) + 1
             rng.bit_generator.state = state
             rng.standard_exponential(2 * used)
             counts = counts[:used]
-            counts[-1] -= total[used - 1] - emitted - left
+            counts[-1] -= total[used - 1] - n
         # packet k of cycle c at clock[2 * c] + (k * period - on_start[c])
         on_at = np.repeat(on_start[:used], counts)
-        times = np.arange(emitted + 1, emitted + 1 + on_at.size, dtype=float)
+        times = out[emitted:emitted + on_at.size]
+        times[:] = np.arange(emitted + 1, emitted + 1 + on_at.size, dtype=float)
         times *= period
         times -= on_at
         times += np.repeat(clock[:2 * used:2], counts)
-        chunks.append(times)
-        left -= times.size
-        emitted = int(total[used - 1])
+        emitted += on_at.size
         t, on_time = float(clock[2 * used - 1]), float(on_end[used - 1])
-    return np.concatenate(chunks)
+    return out

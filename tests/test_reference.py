@@ -12,11 +12,16 @@ departure recurrence that serves the packets after a possible overflow
 must reproduce the loop bit for bit.  Through ``simulate``, whose
 drop-free prefix comes from the Lindley pass, the delay of a packet that
 met an idle server must be bit-equal and every other delay within the
-rounding tolerance that ``simulate`` documents.  The optimiser's bound
+rounding tolerance that ``simulate`` documents; where no packet waits
+before the switch to the recurrence, or all arrive at 0, every delay,
+trace row and the rng state must be the loop's bit for bit, whichever
+chunk the switch packet falls in and whichever bit generator draws.
+The optimiser's bound
 must be the reference composition's bit for bit, and so must the whole
 optimiser, against its loop as it was before probes shared their curves.
 """
 
+import json
 import math
 from collections import Counter, deque
 
@@ -329,7 +334,7 @@ def test_strided_arrivals_give_the_contiguous_result_bit_for_bit(case, collect_t
     values, q_max, stop = STRIDED_CASES[case]
     link, p_e, seed, n = LinkConfig(q_max=q_max), 0.3, 7, values.size
     durations = service_distribution(link, TC, p_e).sample_many(np.random.default_rng(seed), n)[1]
-    handover = simulator._drop_free_waits(values, durations, q_max)[1]
+    handover = lindley_pass(values, durations, q_max)[1]
     assert 0 < handover < n if stop is None else handover == stop
     view = strided(values)
     assert run_bytes(view, link, p_e, seed, collect_trace) == run_bytes(values, link, p_e, seed, collect_trace)
@@ -368,6 +373,30 @@ def test_onoff_arrivals_bit_identical_to_scalar_loop(spec, n):
         got = generate_arrivals(OnOffTraffic(spec.lam_on_off, spec.mu_off_on, spec.rate, n), rng)
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def lindley_pass(arrivals, durations, q_max, drawn=None):
+    """The Lindley pass over given service times: (waits of packets [0, stop), stop).
+
+    The pass must draw each chunk once, in order, and sink the waits of
+    the chunk it drew last; drawn, when given, collects each chunk's
+    (lo, hi).
+    """
+    drawn = [] if drawn is None else drawn
+    waits = np.full(arrivals.size, np.nan)
+
+    def draw(lo, hi):
+        assert lo == (drawn[-1][1] if drawn else 0) and lo < hi
+        drawn.append((lo, hi))
+        return durations[lo:hi]
+
+    def sink(lo, w):
+        assert lo == drawn[-1][0] and w.size <= drawn[-1][1] - lo
+        waits[lo:lo + w.size] = w
+
+    stop = simulator._drop_free_waits(arrivals, q_max, draw, sink)
+    assert not np.isnan(waits[:stop]).any()
+    return waits[:stop], stop
 
 
 def reference_drop_free_waits(arrivals, durations, q_max):
@@ -429,7 +458,8 @@ CHUNK_EDGE_SIZES = [end + d for end in (1024, 2048, 3072, 4096, 7168) for d in (
 def lindley_inputs(draw):
     """Arrivals of any kind at loads either side of 1, service draws, and a waiting room."""
     n = draw(st.one_of(st.sampled_from(CHUNK_EDGE_SIZES), st.integers(1, 7200)))
-    q_max = draw(st.sampled_from([1, max(1, n - 2), max(1, n - 1), 10**6, draw(st.integers(2, 40))]))
+    q_max = draw(st.sampled_from([1, max(1, n // 3), max(1, n - 2), max(1, n - 1), 10**6,
+                                  draw(st.integers(2, 40))]))
     link = LinkConfig(n_max_tries=draw(st.integers(1, 5)), d_retry=draw(st.sampled_from([0.0, 12.5])))
     p_e = draw(st.sampled_from([0.0, 0.3, 1.0]))
     dist = service_distribution(link, TC, p_e)
@@ -457,7 +487,7 @@ def lindley_inputs(draw):
 def test_lindley_pass_is_the_reference_bit_for_bit(inputs):
     arrivals, durations, q_max = inputs
     want, want_stop = reference_drop_free_waits(arrivals, durations, q_max)
-    got, stop = simulator._drop_free_waits(arrivals, durations, q_max)
+    got, stop = lindley_pass(arrivals, durations, q_max)
     assert stop == want_stop
     assert got.tobytes() == want.tobytes()
 
@@ -483,7 +513,7 @@ def one_busy_chunk(last):
 def test_wait_at_the_rounding_cut_of_a_chunks_last_packet(ulps, kept):
     # the cut 2 * (p + 8) * ulp(T) is 2064 ulps there
     arrivals, durations = one_busy_chunk(1023.0 - ulps * CHUNK_ULP)
-    waits, stop = simulator._drop_free_waits(arrivals, durations, 10**6)
+    waits, stop = lindley_pass(arrivals, durations, 10**6)
     assert stop == arrivals.size
     assert waits[-1] == (ulps * CHUNK_ULP if kept else 0.0)
     assert waits.tobytes() == reference_drop_free_waits(arrivals, durations, 10**6)[0].tobytes()
@@ -495,7 +525,7 @@ def test_overflow_margin_at_a_chunks_last_packet(ulps, overflows):
     # which departs at 1022, as not gone unless it left 5 * (p + 8) = 5160
     # ulps before the arrival
     arrivals, durations = one_busy_chunk(1022.0 + ulps * CHUNK_ULP)
-    waits, stop = simulator._drop_free_waits(arrivals, durations, 1)
+    waits, stop = lindley_pass(arrivals, durations, 1)
     assert stop == (0 if overflows else arrivals.size)
     want, want_stop = reference_drop_free_waits(arrivals, durations, 1)
     assert stop == want_stop and waits.tobytes() == want.tobytes()
@@ -511,7 +541,7 @@ def test_first_arrival_that_can_meet_a_full_queue(arrivals, q_max, stop):
     # unit service times; the earliest arrival that can overflow is q_max + 1
     arrivals = np.array(arrivals)
     durations = np.ones(arrivals.size)
-    waits, got = simulator._drop_free_waits(arrivals, durations, q_max)
+    waits, got = lindley_pass(arrivals, durations, q_max)
     want, want_stop = reference_drop_free_waits(arrivals, durations, q_max)
     assert got == want_stop == stop and waits.tobytes() == want.tobytes()
 
@@ -525,7 +555,7 @@ def test_wait_screened_with_the_chunk_margin_decided_with_the_packets_own(ulps, 
     arrivals = np.array([0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 11.0 - ulps * ulp, 20.0])
     durations = np.ones(arrivals.size)
     assert np.spacing(2.0 * (arrivals.size + arrivals[-1])) == ulp
-    waits, stop = simulator._drop_free_waits(arrivals, durations, 10**6)
+    waits, stop = lindley_pass(arrivals, durations, 10**6)
     assert waits[6] == (ulps * ulp if kept else 0.0)
     assert waits.tobytes() == reference_drop_free_waits(arrivals, durations, 10**6)[0].tobytes()
 
@@ -539,9 +569,82 @@ def test_overflow_screened_with_the_chunk_margin_decided_with_the_packets_own():
     arrivals = np.array([0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 10.0, 11.0 + 70 * ulp, 20.0])
     durations = np.ones(arrivals.size)
     assert np.spacing(2.0 * (arrivals.size + arrivals[-1])) == ulp
-    waits, stop = simulator._drop_free_waits(arrivals, durations, 1)
+    waits, stop = lindley_pass(arrivals, durations, 1)
     want, want_stop = reference_drop_free_waits(arrivals, durations, 1)
     assert stop == want_stop == arrivals.size and waits.tobytes() == want.tobytes()
+
+
+def wide_then_burst(link, p_e, n_wide, q_max):
+    """Arrivals that never wait, then a burst from packet n_wide that overflows q_max, then wide again.
+
+    The wide arrivals come three longest service times apart, so packet
+    n_wide opens a busy period; the burst's come half the shortest
+    service time apart, so it stays busy until some arrival meets
+    q_max + 1 packets, at most 2 * q_max + 4 arrivals in.
+    """
+    dist = service_distribution(link, TC, p_e)
+    wide, burst = 3.0 * dist.max_duration, 0.5 * dist.durations[0]
+    head = np.arange(n_wide) * wide
+    rush = n_wide * wide + np.arange(2 * q_max + 100) * burst
+    calm = rush[-1] + (1.0 + np.arange(500)) * wide
+    return np.concatenate((head, rush, calm))
+
+
+def rng_state(rng):
+    """A generator's state as one comparable string; MT19937's holds an array."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+HANDOVER_CASES = {
+    # (arrivals, q_max, stop, start of the chunk that finds the overflow)
+    "stop in an earlier chunk": (wide_then_burst(LinkConfig(), 0.3, 2000, 1200), 1200, 2000, 3072),
+    "stop on a chunk boundary": (wide_then_burst(LinkConfig(), 0.3, 3072, 400), 400, 3072, 3072),
+    "stop on the boundary of an earlier chunk": (wide_then_burst(LinkConfig(), 0.3, 1024, 2100), 2100,
+                                                 1024, 3072),
+    "stop 0": (np.concatenate((np.zeros(3), 100.0 + np.arange(2000) * 60.0)), 1, 0, 0),
+    "stop 0 in an earlier chunk": (wide_then_burst(LinkConfig(), 0.3, 0, 1030), 1030, 0, 1024),
+    # one busy period of simultaneous arrivals: the last meets q_max + 1 packets only at n - 2
+    "q_max = n - 2": (np.zeros(3000), 2998, 0, 1024),
+    "q_max = n - 1": (np.zeros(3000), 2999, 3000, 1024),
+    "q_max = n": (np.zeros(3000), 3000, 3000, 1024),
+}
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("case", list(HANDOVER_CASES))
+def test_handover_redraws_the_event_loops_draws_bit_for_bit(case, bit_generator):
+    # the Lindley pass draws outcomes chunk by chunk and sinks delays as it
+    # goes; at an overflow the simulator rewinds the rng to the chunk that
+    # holds stop and redraws from there, taking back what it sank past stop.
+    # No packet waits before stop, or in a busy period of simultaneous
+    # arrivals from 0, so every delay, count, trace row and the rng state
+    # must be the event loop's bit for bit
+    arrivals, q_max, stop, found_at = HANDOVER_CASES[case]
+    link, p_e, n = LinkConfig(q_max=q_max), 0.3, arrivals.size
+
+    def make_rng():
+        return np.random.Generator(bit_generator(11))
+
+    drawn = []
+    durations = service_distribution(link, TC, p_e).sample_many(make_rng(), n)[1]
+    assert lindley_pass(arrivals, durations, q_max, drawn)[1] == stop
+    assert drawn[-1][0] == found_at
+    ref_rng = make_rng()
+    ref_delays, ref_q, ref_r, ref_start, ref_attempts, ref_outcome, ref_delay = reference_simulate(
+        arrivals, link, TC, p_e, ref_rng)
+    assert (ref_q > 0) == (stop < n)
+    for collect_trace in (False, True):
+        rng = make_rng()
+        got = simulate(arrivals, link, TC, p_e, rng, collect_trace=collect_trace)
+        assert got.delivered_delays.tobytes() == ref_delays.astype(float).tobytes()
+        assert (got.n_delivered, got.n_queue_drops, got.n_retry_drops) == (ref_delays.size, ref_q, ref_r)
+        assert rng_state(rng) == rng_state(ref_rng)
+        if collect_trace:
+            tr = got.trace
+            assert tr.start.tobytes() == ref_start.tobytes()
+            assert tr.attempts.tobytes() == ref_attempts.tobytes()
+            assert tr.delay.tobytes() == ref_delay.tobytes()
+            assert tr.outcome == ref_outcome
 
 
 def assert_same_draws(dist, n, seed):

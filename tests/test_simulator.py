@@ -18,6 +18,7 @@ from linkdelay import (
     delivered_duration,
     dominance_report,
     empirical_ccdf,
+    generate_arrivals,
     run_simulation,
     service_components,
     service_distribution,
@@ -195,6 +196,33 @@ def test_waiting_room_size_costs_no_memory(q_max):
         tracemalloc.stop()
     assert (result.n_queue_drops > 0) == (q_max == 3)
     assert peak < 5e6
+
+
+@pytest.mark.parametrize("kind, q_max", [("periodic", 10**7), ("poisson", 10**7), ("onoff", 10**7),
+                                         ("poisson", 60)])
+def test_simulate_holds_little_beyond_its_input_and_its_output(kind, q_max):
+    # drop-free, so the Lindley pass serves all 1e6 packets: service
+    # outcomes are drawn a chunk at a time and delays written as each chunk
+    # ends, so beyond the arrivals only the delays (8 bytes a packet),
+    # arrays of one chunk and, when arrivals could fill the waiting room,
+    # its last q_max + 1 departures are held; drawing every outcome up
+    # front took 33 bytes a packet
+    n, p_e = 10**6, 0.1
+    link = LinkConfig(q_max=q_max)
+    mean_t = service_distribution(link, TC, p_e).mean()
+    spec = {"periodic": PeriodicTraffic(t_pit=mean_t / 0.7, horizon=n),
+            "poisson": PoissonTraffic(rate=0.7 / mean_t, horizon=n),
+            "onoff": OnOffTraffic(lam_on_off=1.0 / (6.0 * mean_t), mu_off_on=1.0 / (6.0 * mean_t),
+                                  rate=1.4 / mean_t, horizon=n)}[kind]
+    arrivals = generate_arrivals(spec, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        result = simulate(arrivals, link, TC, p_e, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_queue_drops == 0 and result.n_delivered > 0.99 * n
+    assert peak <= 16 * n
 
 
 def test_empirical_ccdf_handcrafted():

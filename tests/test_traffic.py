@@ -1,5 +1,7 @@
 """Arrival-instant generators: exactness, long-run rates, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,26 @@ def test_generators_deterministic_per_seed():
         assert np.array_equal(a, b)
         c = generate_arrivals(spec, np.random.default_rng(315))
         assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("spec", [
+    PoissonTraffic(rate=0.05, horizon=2 * 10**6),
+    # about 1.7 packets per cycle: a block is some 43k cycles and 72k packets
+    OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.05, horizon=2 * 10**6),
+])
+def test_generators_hold_little_beyond_their_output(spec):
+    # the output takes 8 bytes a packet; Poisson sums its gaps in place
+    # and the on-off source fills its output a block at a time, whose
+    # arrays take about 4.5 MB here, whatever the horizon; summing into a
+    # new array, or joining blocks at the end, took 16 and 17 bytes a packet
+    tracemalloc.start()
+    try:
+        arr = generate_arrivals(spec, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.size == spec.horizon
+    assert peak <= 8 * spec.horizon + 6_000_000
 
 
 def test_spec_validation():
