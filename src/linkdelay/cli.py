@@ -7,6 +7,9 @@ simulation.  Outputs are deterministic for a fixed config and seed.
 
 Exit codes: 0 success, 2 configuration error or unwritable output file,
 3 overload (queue unstable or no feasible bound), 4 validation failure.
+
+models and mean-delay need no numpy: the numpy-backed modules are
+imported inside the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import gg1, snc
+from . import gg1
 from .config import ConfigError, RunConfig, default_config, dump_config, load_config
 from .empirical import (
     equivalent_arrival,
@@ -27,8 +30,6 @@ from .empirical import (
     service_time_mean,
     service_time_var,
 )
-from .service_time import service_distribution
-from .simulator import dominance_report, empirical_ccdf, run_simulation
 
 __all__ = ["main"]
 
@@ -103,52 +104,66 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _require_finite(fitted: dict) -> None:
+    """ConfigError naming the first fitted value that overflowed or is not a number."""
+    for name, value in fitted.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"the fitted {name} is {_fmt(value)} at this link and these "
+                              "coefficients; it must be finite")
+
+
 def _service_inputs(cfg: RunConfig):
     """PER, exact service distribution and packet size in bits for cfg."""
+    from .service_time import service_distribution
+
     p_e = packet_error_rate(cfg.link.l_d, cfg.link.snr, cfg.per_coeffs)
+    _require_finite({"per": p_e})
     dist = service_distribution(cfg.link, cfg.timing, p_e)
     packet_bits = 8.0 * cfg.link.l_d
     return p_e, dist, packet_bits
 
 
+def _fitted_moments(cfg: RunConfig) -> dict:
+    """The fitted service-time and loss-rate moments, by models' column names."""
+    link, coeffs = cfg.link, cfg.moment_coeffs
+    return {
+        "mean_service_ms": service_time_mean(link, coeffs),
+        "var_service_ms": service_time_var(link, coeffs),
+        "plr_mean": plr_mean(link.l_d, link.snr, link.q_max, coeffs),
+        "plr_var": plr_var(link.l_d, link.snr, coeffs),
+    }
+
+
 def _fitted_inputs(cfg: RunConfig) -> gg1.Gg1Inputs:
     """Equivalent-queue inputs from the fitted models, which need some traffic and some service time."""
-    link = cfg.link
-    if plr_mean(link.l_d, link.snr, link.q_max, cfg.moment_coeffs) >= 1.0:
+    moments = _fitted_moments(cfg)
+    if moments["plr_mean"] >= 1.0:
         raise ConfigError("the fitted loss rate plr_mean reaches 1 at this l_d, snr and q_max, "
                           "so the equivalent queue gets no traffic")
-    mean_t = service_time_mean(link, cfg.moment_coeffs)
+    mean_t = moments["mean_service_ms"]
     if not mean_t > 0.0:
         raise ConfigError(f"the fitted mean service time is {mean_t:.6g} ms at this link and "
                           "moment_coeffs; the equivalent queue needs it > 0")
-    return gg1.inputs_from_fitted_models(link, cfg.moment_coeffs)
+    _require_finite(moments)
+    try:
+        inputs = gg1.inputs_from_fitted_models(cfg.link, cfg.moment_coeffs)
+    except ValueError as exc:  # the moments are valid, so t_pit is at fault
+        raise ConfigError(f"link t_pit: {exc}") from exc
+    _require_finite({"var_a": inputs.var_a})
+    return inputs
 
 
 def cmd_models(cfg: RunConfig, args: argparse.Namespace) -> int:
     link = cfg.link
-    per = packet_error_rate(link.l_d, link.snr, cfg.per_coeffs)
-    pm = plr_mean(link.l_d, link.snr, link.q_max, cfg.moment_coeffs)
-    pv = plr_var(link.l_d, link.snr, cfg.moment_coeffs)
-    arrival = equivalent_arrival(link.t_pit, pm, pv)
-    columns = [
-        "per",
-        "mean_service_ms",
-        "var_service_ms",
-        "plr_mean",
-        "plr_var",
-        "lambda_pkts_per_ms",
-        "var_a",
-    ]
-    row = (
-        per,
-        service_time_mean(link, cfg.moment_coeffs),
-        service_time_var(link, cfg.moment_coeffs),
-        pm,
-        pv,
-        arrival.lam,
-        arrival.var_a,
-    )
-    _emit(cfg, {}, columns, [row])
+    fitted = {"per": packet_error_rate(link.l_d, link.snr, cfg.per_coeffs), **_fitted_moments(cfg)}
+    _require_finite(fitted)
+    try:
+        arrival = equivalent_arrival(link.t_pit, fitted["plr_mean"], fitted["plr_var"])
+    except ValueError as exc:
+        raise ConfigError(f"link t_pit: {exc}") from exc
+    fitted.update(lambda_pkts_per_ms=arrival.lam, var_a=arrival.var_a)
+    _require_finite(fitted)
+    _emit(cfg, {}, list(fitted), [tuple(fitted.values())])
     return 0
 
 
@@ -158,11 +173,14 @@ def cmd_mean_delay(cfg: RunConfig, args: argparse.Namespace) -> int:
     waiting = gg1.waiting_time(inputs)
     columns = ["rho", "waiting_ms", "service_mean_ms", "delay_ms"]
     row = (rho, waiting, inputs.mean_t, waiting + inputs.mean_t)
+    _require_finite(dict(zip(columns, row)))
     _emit(cfg, {}, columns, [row])
     return 0
 
 
 def cmd_delay_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import snc
+
     _, dist, packet_bits = _service_inputs(cfg)
     if packet_bits <= 0.0:
         raise ConfigError("delay-bound needs l_d >= 1 (packet size in bits must be positive)")
@@ -200,6 +218,8 @@ def _write_trace(path: str, result) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .simulator import empirical_ccdf, run_simulation
+
     p_e, _, _ = _service_inputs(cfg)
     result = run_simulation(
         cfg.link,
@@ -235,6 +255,9 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import snc
+    from .simulator import dominance_report, empirical_ccdf, run_simulation
+
     p_e, dist, packet_bits = _service_inputs(cfg)
     if packet_bits <= 0.0:
         raise ConfigError("validate needs l_d >= 1 (packet size in bits must be positive)")
@@ -245,7 +268,10 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 4
     sim_mean = result.mean_delay
 
-    inputs = gg1.inputs_from_distribution(dist, cfg.traffic.mean_interarrival)
+    try:
+        inputs = gg1.inputs_from_distribution(dist, cfg.traffic.mean_interarrival)
+    except ValueError as exc:
+        raise ConfigError(f"traffic: {exc}") from exc
     analytic = gg1.mean_delay(inputs)
     try:
         fitted = gg1.mean_delay(_fitted_inputs(cfg))
@@ -348,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except gg1.Overloaded as exc:
         print(f"overloaded: traffic intensity rho={exc.rho:.12g} >= 1", file=sys.stderr)
         return 3
-    except snc.Overload as exc:
+    except gg1.Overload as exc:
         print(f"overload: {exc}", file=sys.stderr)
         return 3
 

@@ -7,12 +7,13 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .empirical import LinkConfig, MomentCoefficients, PerCoefficients, _check_integer
-from .service_time import TimingConstants
+from .empirical import LinkConfig, MomentCoefficients, PerCoefficients, TimingConstants, _check_integer
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ConfigError", "RunConfig", "ThetaGridSpec", "load_config", "dump_config", "default_config"]
 
@@ -40,6 +41,8 @@ class ThetaGridSpec:
             raise ValueError("theta grid needs at least 2 points")
 
     def values(self) -> np.ndarray:
+        import numpy as np
+
         return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 __all__ = [
+    "TimingConstants",
     "PerCoefficients",
     "MomentCoefficients",
     "LinkConfig",
@@ -27,8 +29,26 @@ __all__ = [
 ]
 
 
+# the largest x whose exp(x) is a finite float
+_EXP_MAX = math.log(sys.float_info.max)
+
+
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
+
+
+def _times_exp(coef: float, x: float) -> float:
+    """coef * exp(x) for coef >= 0, inf where it overflows, and never an OverflowError.
+
+    Where exp(x) is finite this is the plain product; beyond, it is
+    exp(log(coef) + x), and 0 at coef 0.
+    """
+    if not x > _EXP_MAX:
+        return coef * math.exp(x)
+    if coef == 0.0:
+        return 0.0
+    x += math.log(coef)
+    return math.exp(x) if x <= _EXP_MAX else math.inf
 
 
 def _check_integer(name: str, value) -> None:
@@ -40,6 +60,28 @@ def _check_integer(name: str, value) -> None:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class TimingConstants:
+    """Fixed per-attempt timing, all in ms except byte/kbps fields."""
+
+    t_spi: float = 0.5            # one-time bus load per packet
+    t_tr: float = 0.224           # radio turnaround
+    t_bo: float = 5.28            # mean CSMA backoff
+    t_ack: float = 1.96           # ACK reception
+    t_wait_ack: float = 8.192     # ACK timeout on a failed attempt
+    frame_overhead: int = 17      # non-payload frame bytes
+    phy_rate: float = 250.0       # radio bit rate, kbit/s == bits/ms
+
+    def __post_init__(self) -> None:
+        for name in ("t_spi", "t_tr", "t_bo", "t_ack", "t_wait_ack"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.frame_overhead < 0:
+            raise ValueError("frame_overhead must be >= 0")
+        if self.phy_rate <= 0.0:
+            raise ValueError("phy_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -116,24 +158,24 @@ class EquivalentArrival:
 
 
 def packet_error_rate(l_d: float, snr: float, coeffs: PerCoefficients | None = None) -> float:
-    """Single-attempt packet error probability, clamped to [0, 1]."""
+    """Single-attempt packet error probability, clamped to [0, 1]; 0 at l_d 0."""
     c = coeffs if coeffs is not None else PerCoefficients()
     if l_d < 0:
         raise ValueError(f"l_d must be >= 0, got {l_d}")
-    return _clamp01(c.alpha * l_d * math.exp(c.beta * snr))
+    return _clamp01(_times_exp(c.alpha * l_d, c.beta * snr))
 
 
 def service_time_mean(cfg: LinkConfig, coeffs: MomentCoefficients | None = None) -> float:
-    """Fitted mean per-packet service time E(T) in ms."""
+    """Fitted mean per-packet service time E(T) in ms; inf where it overflows."""
     c = coeffs if coeffs is not None else MomentCoefficients()
     retry = (c.mean_scale / cfg.n_max_tries) * cfg.d_retry * cfg.l_d
-    return retry * math.exp(c.mean_exponent * cfg.snr) + c.mean_offset
+    return _times_exp(retry, c.mean_exponent * cfg.snr) + c.mean_offset
 
 
 def service_time_var(cfg: LinkConfig, coeffs: MomentCoefficients | None = None) -> float:
-    """Fitted service-time variance Var(T) in ms^2."""
+    """Fitted service-time variance Var(T) in ms^2; inf where it overflows."""
     c = coeffs if coeffs is not None else MomentCoefficients()
-    return c.var_scale * cfg.n_max_tries * cfg.d_retry * math.exp(c.var_exponent * cfg.snr)
+    return _times_exp(c.var_scale * cfg.n_max_tries * cfg.d_retry, c.var_exponent * cfg.snr)
 
 
 def plr_mean(l_d: float, snr: float, q_max: int, coeffs: MomentCoefficients | None = None) -> float:
@@ -145,13 +187,13 @@ def plr_mean(l_d: float, snr: float, q_max: int, coeffs: MomentCoefficients | No
     c = coeffs if coeffs is not None else MomentCoefficients()
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    return _clamp01(c.plr_mean_scale * l_d * math.exp(c.plr_mean_exponent * snr) + 1.0 / q_max)
+    return _clamp01(_times_exp(c.plr_mean_scale * l_d, c.plr_mean_exponent * snr) + 1.0 / q_max)
 
 
 def plr_var(l_d: float, snr: float, coeffs: MomentCoefficients | None = None) -> float:
-    """Fitted packet-loss-rate variance."""
+    """Fitted packet-loss-rate variance; inf where it overflows."""
     c = coeffs if coeffs is not None else MomentCoefficients()
-    return c.plr_var_scale * l_d * math.exp(c.plr_var_exponent * snr)
+    return _times_exp(c.plr_var_scale * l_d, c.plr_var_exponent * snr)
 
 
 def equivalent_arrival(t_int: float, plr_mean_value: float, plr_var_value: float) -> EquivalentArrival:
@@ -159,14 +201,17 @@ def equivalent_arrival(t_int: float, plr_mean_value: float, plr_var_value: float
 
     The delivered fraction (1 - PLR) of the offered rate 1/t_int becomes
     the equivalent arrival rate, so lam * t_int + PLR == 1 holds by
-    construction.
+    construction.  A t_int whose square underflows to 0 is refused.
     """
     if t_int <= 0.0:
         raise ValueError(f"t_int must be > 0, got {t_int}")
+    t_sq = t_int * t_int
+    if t_sq == 0.0:
+        raise ValueError(f"an interarrival time of {t_int:.6g} ms is too small: its square underflows to 0")
     if not 0.0 <= plr_mean_value <= 1.0:
         raise ValueError(f"plr mean must be in [0, 1], got {plr_mean_value}")
     if plr_var_value < 0.0:
         raise ValueError(f"plr variance must be >= 0, got {plr_var_value}")
     lam = (1.0 - plr_mean_value) / t_int
-    var_a = plr_var_value / (t_int * t_int)
+    var_a = plr_var_value / t_sq
     return EquivalentArrival(lam=lam, var_a=var_a)

@@ -9,13 +9,17 @@ from the exact discrete service-time distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import empirical
 from .empirical import LinkConfig, MomentCoefficients
-from .service_time import ServiceDistribution
+
+if TYPE_CHECKING:
+    from .service_time import ServiceDistribution
 
 __all__ = [
     "Gg1Inputs",
+    "Overload",
     "Overloaded",
     "traffic_intensity",
     "waiting_time",
@@ -31,6 +35,14 @@ class Overloaded(Exception):
     def __init__(self, rho: float):
         self.rho = rho
         super().__init__(f"traffic intensity rho = {rho:.6g} >= 1, queue is unstable")
+
+
+class Overload(Exception):
+    """No exponent in the tail bound's search grid satisfies the stability constraint.
+
+    Raised by snc, which re-exports it; it lives here so that the CLI can
+    catch it without importing snc's numpy.
+    """
 
 
 @dataclass(frozen=True)

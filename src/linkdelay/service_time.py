@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .empirical import LinkConfig
+from .empirical import LinkConfig, TimingConstants
 
+# TimingConstants lives in the numpy-free empirical module and is re-exported here
 __all__ = [
     "TimingConstants",
     "ServiceComponents",
@@ -31,28 +32,6 @@ __all__ = [
 
 # exp() overflow guard for MGF evaluation; float64 overflows near exp(709)
 _MGF_EXPONENT_LIMIT = 700.0
-
-
-@dataclass(frozen=True)
-class TimingConstants:
-    """Fixed per-attempt timing, all in ms except byte/kbps fields."""
-
-    t_spi: float = 0.5            # one-time bus load per packet
-    t_tr: float = 0.224           # radio turnaround
-    t_bo: float = 5.28            # mean CSMA backoff
-    t_ack: float = 1.96           # ACK reception
-    t_wait_ack: float = 8.192     # ACK timeout on a failed attempt
-    frame_overhead: int = 17      # non-payload frame bytes
-    phy_rate: float = 250.0       # radio bit rate, kbit/s == bits/ms
-
-    def __post_init__(self) -> None:
-        for name in ("t_spi", "t_tr", "t_bo", "t_ack", "t_wait_ack"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.frame_overhead < 0:
-            raise ValueError("frame_overhead must be >= 0")
-        if self.phy_rate <= 0.0:
-            raise ValueError("phy_rate must be > 0")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .gg1 import Overload
 from .service_time import ServiceDistribution, _MGF_EXPONENT_LIMIT
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
 
@@ -36,10 +37,6 @@ __all__ = [
     "convolve_exponential_bounds",
     "optimize_delay_ccdf",
 ]
-
-
-class Overload(Exception):
-    """No exponent in the search grid satisfies the stability constraint."""
 
 
 # decay rates this close are convolved with the equal-rates closed form

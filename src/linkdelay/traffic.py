@@ -2,17 +2,19 @@
 
 Three traffic shapes: strictly periodic, Poisson, and a two-state
 Markov On-Off source that emits packets at a constant rate while On.
-All rates are packets/ms, times are ms.
+All rates are packets/ms, times are ms.  The specs need no numpy; the
+generators import it when they run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Union
 
 from .empirical import _check_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PeriodicTraffic",
@@ -104,6 +106,8 @@ def _check_horizon(horizon: int) -> None:
 
 def generate_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray:
     """Arrival instants (ms, non-decreasing) for spec.horizon packets."""
+    import numpy as np
+
     n = spec.horizon
     if isinstance(spec, PeriodicTraffic):
         return np.arange(n, dtype=float) * spec.t_pit
@@ -121,6 +125,8 @@ def _emitted_by(on_time: np.ndarray, period: float) -> np.ndarray:
     The quotient's floor can miss by one near a multiple of period, so it
     is corrected with the comparison itself.
     """
+    import numpy as np
+
     total = np.floor(on_time / period)
     total += (total + 1.0) * period <= on_time
     total -= total * period > on_time
@@ -140,6 +146,8 @@ def _onoff_arrivals(spec: OnOffTraffic, rng: np.random.Generator, n: int) -> np.
     sized to emit about _BLOCK_PACKETS packets, which are written into
     the output in place, so that no other array grows with n.
     """
+    import numpy as np
+
     period = 1.0 / spec.rate
     scales = np.array([1.0 / spec.mu_off_on, 1.0 / spec.lam_on_off])
     t = 0.0          # wall clock at the end of the last cycle

@@ -1,13 +1,18 @@
 """Command-line behavior: worked outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkdelay.cli import main
 
@@ -396,3 +401,147 @@ def test_no_subcommand_needs_scipy():
     assert {command: code for command, (code, _) in runs.items()} == dict.fromkeys(runs, 0)
     for command in ("simulate", "validate"):
         assert runs[command][1] == (GOLDEN / f"{command}.csv").read_text(), command
+
+
+_NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None   # any numpy import now raises ImportError
+import linkdelay
+numerics = [m for m in ("service_time", "simulator", "snc", "_clopper_pearson")
+            if "linkdelay." + m in sys.modules]
+from linkdelay import cli
+runs = {}
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    runs[" ".join(argv)] = [code, out.getvalue()]
+for command in ("models", "mean-delay"):
+    for config in sys.argv[1:]:
+        for fmt in ("csv", "json"):
+            run(command, "--seed", "1", "--format", fmt, *(["--config", config] if config else []))
+for command in ("models", "mean-delay", "delay-bound", "simulate", "validate"):
+    run(command, "--dump-config")
+print(json.dumps({"numerics": numerics, "runs": runs}))
+"""
+
+
+def test_models_and_mean_delay_need_no_numpy():
+    # the suite itself imports numpy, so only a fresh interpreter can tell
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    configs = ["", *(str(GOLDEN / f"{name}.json") for name in ("poisson", "onoff", "overflow"))]
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE, *configs], env=env,
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["numerics"] == []
+    runs = report["runs"]
+    assert len(runs) == 2 * len(configs) * 2 + 5
+    assert {argv: code for argv, (code, _) in runs.items()} == dict.fromkeys(runs, 0)
+    for command in ("models", "mean-delay"):
+        out = runs[f"{command} --seed 1 --format csv"][1]
+        assert out == (GOLDEN / f"{command}.csv").read_text(), command
+
+
+# inputs whose fitted values overflow or whose interarrival time squares to 0, and
+# each subcommand's exit code and a word its message must hold
+EXTREME_INPUTS = {
+    "snr": ({"link": {"snr": -5000}}, {
+        "models": (2, "var_service_ms"),
+        "mean-delay": (2, "plr_mean"),
+        "delay-bound": (3, "overload"),
+        "simulate": (0, None),
+        "validate": (4, "no packets delivered"),
+    }),
+    "link_t_pit": ({"link": {"t_pit": 1e-200}}, {
+        "models": (2, "t_pit"),
+        "mean-delay": (2, "t_pit"),
+        "validate": (0, None),
+    }),
+    "traffic_t_pit": ({"traffic": {"kind": "periodic", "t_pit": 1e-300}}, {
+        "delay-bound": (3, "overload"),
+        "validate": (2, "interarrival"),
+    }),
+    "var_scale": ({"moment_coeffs": {"var_scale": 1e308}}, {
+        "models": (2, "var_service_ms"),
+        "mean-delay": (2, "var_service_ms"),
+        "validate": (0, None),
+    }),
+    # alpha * l_d overflows to inf and exp(beta * snr) underflows to 0: PER is nan
+    "per_nan": ({"per_coeffs": {"alpha": 1e308}, "link": {"snr": 1e4}}, {
+        "models": (2, "per"),
+        "delay-bound": (2, "per"),
+        "simulate": (2, "per"),
+        "validate": (2, "per"),
+    }),
+}
+
+
+@pytest.mark.parametrize("case, command", [(case, command) for case, (_, codes) in EXTREME_INPUTS.items()
+                                           for command in codes])
+def test_extreme_fitted_inputs_exit_cleanly(tmp_path, capsys, case, command):
+    raw, codes = EXTREME_INPUTS[case]
+    exit_code, word = codes[command]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == exit_code, err
+    if word is not None:
+        assert word in err and err.count("\n") == 1
+    assert re.search(r"\b(inf|nan)\b", out) is None, out
+
+
+def test_validate_leaves_an_unrepresentable_fitted_delay_blank(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"moment_coeffs": {"var_scale": 1e308}}))
+    code, out, _ = run(capsys, "validate", "--config", str(cfg))
+    assert code == 0
+    assert "# fitted_mean_delay_ms=\n" in out
+
+
+def _finite(lo, hi, **bounds):
+    """Floats in [lo, hi] half the time, and finite floats of any magnitude within bounds."""
+    return st.one_of(st.floats(lo, hi),
+                     st.floats(allow_nan=False, allow_infinity=False, **bounds))
+
+
+@st.composite
+def fitted_configs(draw):
+    """Valid configs, mostly near the defaults, some at the ends of the float range."""
+    positive = {"min_value": 0.0, "exclude_min": True}
+    negative = {"max_value": 0.0, "exclude_max": True}
+    link = {
+        "snr": draw(_finite(-30.0, 50.0)),
+        "l_d": draw(st.integers(0, 114)),
+        "t_pit": draw(_finite(1.0, 500.0, **positive)),
+        "d_retry": draw(_finite(0.0, 100.0, min_value=0.0)),
+        "q_max": draw(st.integers(1, 10**6)),
+        "n_max_tries": draw(st.integers(1, 64)),
+    }
+    per = {"alpha": draw(_finite(1e-4, 1.0, **positive)), "beta": draw(_finite(-1.0, -1e-3, **negative))}
+    moments = {name: draw(_finite(-1.0, -1e-3, **negative) if name.endswith("exponent")
+                          else _finite(1e-4, 100.0, **positive))
+               for name in ("mean_scale", "mean_exponent", "var_scale", "var_exponent",
+                            "plr_mean_scale", "plr_mean_exponent", "plr_var_scale",
+                            "plr_var_exponent")}
+    moments["mean_offset"] = draw(_finite(0.0, 50.0, min_value=0.0))
+    return {"link": link, "per_coeffs": per, "moment_coeffs": moments}
+
+
+@pytest.fixture(scope="module")
+def sweep_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep") / "c.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(fitted_configs())
+def test_fitted_subcommands_exit_cleanly_on_any_finite_input(sweep_config, raw):
+    sweep_config.write_text(json.dumps(raw))
+    for command in ("models", "mean-delay"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(sweep_config)])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            header, row = out.getvalue().splitlines()
+            assert all(math.isfinite(float(value)) for value in row.split(",")), (header, row)

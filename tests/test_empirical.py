@@ -1,6 +1,7 @@
 """Fitted link-model formulas against independently evaluated constants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,28 @@ def test_per_edge_cases():
     assert packet_error_rate(114, -50.0) == 1.0
     with pytest.raises(ValueError):
         packet_error_rate(-1, 10.0)
+
+
+def test_fitted_models_past_the_range_of_exp():
+    # beta * snr = 750 lies past exp()'s range, where exp raised OverflowError
+    assert packet_error_rate(50, -5000.0) == 1.0
+    assert packet_error_rate(0, -5000.0) == 0.0
+    cfg = LinkConfig(snr=-5000.0)
+    assert service_time_var(cfg) == math.inf
+    assert plr_mean(50, -5000.0, 60) == 1.0
+    assert plr_var(0, -1e4) == 0.0
+    # a coefficient small enough that the product is finite after all
+    per = packet_error_rate(1, -4800.0, PerCoefficients(alpha=1e-320))
+    assert per == pytest.approx(math.exp(math.log(1e-320) + 720.0), rel=1e-12) and per < 1e-7
+
+
+@pytest.mark.parametrize("x", [709.0, math.log(sys.float_info.max), 1e-300, -745.0, -800.0])
+def test_fitted_models_bit_for_bit_where_exp_is_finite(x):
+    # up to the last x whose exp is finite, the value is the plain product
+    snr = x / -0.15
+    assert packet_error_rate(7, snr) == min(max(0.0128 * 7 * math.exp(-0.15 * snr), 0.0), 1.0)
+    assert plr_var(7, snr / 1.5, MomentCoefficients(plr_var_exponent=-0.1)) == (
+        (1.0 / 500.0) * 7 * math.exp(-0.1 * (snr / 1.5)))
 
 
 def test_per_monotone_and_bounded():
@@ -140,6 +163,10 @@ def test_equivalent_arrival_edge_cases():
         equivalent_arrival(50.0, 1.5, 0.0)
     with pytest.raises(ValueError):
         equivalent_arrival(50.0, 0.1, -0.1)
+    # t_int * t_int underflows to 0, where var_a divided by zero
+    with pytest.raises(ValueError, match="underflows"):
+        equivalent_arrival(1e-200, 0.1, 0.0)
+    assert equivalent_arrival(1e-160, 0.1, 0.0).var_a == 0.0
 
 
 def test_rate_conservation_identity():
