@@ -9,13 +9,13 @@ Exit codes: 0 success, 2 configuration error or unwritable output file,
 3 overload (queue unstable or no feasible bound), 4 validation failure.
 
 models and mean-delay need no numpy: the numpy-backed modules are
-imported inside the subcommands that use them.
+imported inside the subcommands that use them.  json, likewise, is
+imported only where a config file is read or JSON is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -57,6 +57,8 @@ def _render_csv(summary: dict, columns: list[str], rows: list[tuple]) -> str:
 
 
 def _render_json(summary: dict, columns: list[str], rows: list[tuple]) -> str:
+    import json
+
     doc = {
         "summary": summary,
         "rows": [dict(zip(columns, row)) for row in rows],
@@ -98,9 +100,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     if args.format is not None:
         overrides["output_format"] = args.format
     if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
+        cfg = cfg.replace(**overrides)
     return cfg
 
 
@@ -362,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.dump_config:
+            import json
+
             _write(cfg.output_path, json.dumps(dump_config(cfg), indent=2, sort_keys=True) + "\n")
             return 0
         return _COMMANDS[args.command](cfg, args)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._record import Frozen
 from .empirical import LinkConfig, MomentCoefficients, PerCoefficients, TimingConstants, _check_integer
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
 
@@ -25,20 +24,18 @@ class ConfigError(Exception):
     """Invalid run configuration."""
 
 
-@dataclass(frozen=True)
-class ThetaGridSpec:
+class ThetaGridSpec(Frozen):
     """The theta grid of the tail-bound optimiser; its defaults are the package's default grid."""
 
-    min: float = 1e-5
-    max: float = 1.0
-    points: int = 60
+    __slots__ = ("min", "max", "points")
 
-    def __post_init__(self) -> None:
-        _check_integer("points", self.points)
-        if self.min <= 0.0 or self.max <= self.min:
+    def __init__(self, min: float = 1e-5, max: float = 1.0, points: int = 60) -> None:
+        _check_integer("points", points)
+        if min <= 0.0 or max <= min:
             raise ValueError("theta grid needs 0 < min < max")
-        if self.points < 2:
+        if points < 2:
             raise ValueError("theta grid needs at least 2 points")
+        self._set_fields(min, max, points)
 
     def values(self) -> np.ndarray:
         import numpy as np
@@ -46,19 +43,26 @@ class ThetaGridSpec:
         return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    link: LinkConfig
-    timing: TimingConstants
-    per_coeffs: PerCoefficients
-    moment_coeffs: MomentCoefficients
-    traffic: TrafficSpec
-    seed: int
-    delay_grid: tuple[float, ...]
-    theta_grid: ThetaGridSpec
-    mean_delay_tolerance: float
-    output_path: str | None
-    output_format: str
+class RunConfig(Frozen):
+    __slots__ = ("link", "timing", "per_coeffs", "moment_coeffs", "traffic", "seed", "delay_grid",
+                 "theta_grid", "mean_delay_tolerance", "output_path", "output_format")
+
+    def __init__(
+        self,
+        link: LinkConfig,
+        timing: TimingConstants,
+        per_coeffs: PerCoefficients,
+        moment_coeffs: MomentCoefficients,
+        traffic: TrafficSpec,
+        seed: int,
+        delay_grid: tuple[float, ...],
+        theta_grid: ThetaGridSpec,
+        mean_delay_tolerance: float,
+        output_path: str | None,
+        output_format: str,
+    ) -> None:
+        self._set_fields(link, timing, per_coeffs, moment_coeffs, traffic, seed, delay_grid,
+                         theta_grid, mean_delay_tolerance, output_path, output_format)
 
 
 def default_config() -> RunConfig:
@@ -85,7 +89,7 @@ def _build_section(cls, data: dict, section: str):
     """cls from the section's keys; every field of a section is a number, and a finite one."""
     if not isinstance(data, dict):
         raise ConfigError(f"section '{section}' must be an object, got {data!r}")
-    allowed = {f.name for f in fields(cls)}
+    allowed = set(cls.__slots__)
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(
@@ -191,6 +195,8 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    import json
+
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -201,7 +207,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _section_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: getattr(obj, name) for name in obj.__slots__}
 
 
 def dump_config(cfg: RunConfig) -> dict:

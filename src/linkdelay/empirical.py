@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+
+from ._record import Frozen
 
 __all__ = [
     "TimingConstants",
@@ -62,99 +63,119 @@ def _check_integer(name: str, value) -> None:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class TimingConstants:
+class TimingConstants(Frozen):
     """Fixed per-attempt timing, all in ms except byte/kbps fields."""
 
-    t_spi: float = 0.5            # one-time bus load per packet
-    t_tr: float = 0.224           # radio turnaround
-    t_bo: float = 5.28            # mean CSMA backoff
-    t_ack: float = 1.96           # ACK reception
-    t_wait_ack: float = 8.192     # ACK timeout on a failed attempt
-    frame_overhead: int = 17      # non-payload frame bytes
-    phy_rate: float = 250.0       # radio bit rate, kbit/s == bits/ms
+    __slots__ = ("t_spi", "t_tr", "t_bo", "t_ack", "t_wait_ack", "frame_overhead", "phy_rate")
 
-    def __post_init__(self) -> None:
-        for name in ("t_spi", "t_tr", "t_bo", "t_ack", "t_wait_ack"):
-            if getattr(self, name) < 0.0:
+    def __init__(
+        self,
+        t_spi: float = 0.5,           # one-time bus load per packet
+        t_tr: float = 0.224,          # radio turnaround
+        t_bo: float = 5.28,           # mean CSMA backoff
+        t_ack: float = 1.96,          # ACK reception
+        t_wait_ack: float = 8.192,    # ACK timeout on a failed attempt
+        frame_overhead: int = 17,     # non-payload frame bytes
+        phy_rate: float = 250.0,      # radio bit rate, kbit/s == bits/ms
+    ) -> None:
+        for name, value in (("t_spi", t_spi), ("t_tr", t_tr), ("t_bo", t_bo), ("t_ack", t_ack),
+                            ("t_wait_ack", t_wait_ack)):
+            if value < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.frame_overhead < 0:
+        if frame_overhead < 0:
             raise ValueError("frame_overhead must be >= 0")
-        if self.phy_rate <= 0.0:
+        if phy_rate <= 0.0:
             raise ValueError("phy_rate must be > 0")
+        self._set_fields(t_spi, t_tr, t_bo, t_ack, t_wait_ack, frame_overhead, phy_rate)
 
 
-@dataclass(frozen=True)
-class PerCoefficients:
+class PerCoefficients(Frozen):
     """Coefficients of the packet-error-rate model alpha*l_d*exp(beta*snr)."""
 
-    alpha: float = 0.0128
-    beta: float = -0.15
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta >= 0.0:
-            raise ValueError(f"beta must be negative, got {self.beta}")
+    def __init__(self, alpha: float = 0.0128, beta: float = -0.15) -> None:
+        if alpha <= 0.0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        if beta >= 0.0:
+            raise ValueError(f"beta must be negative, got {beta}")
+        self._set_fields(alpha, beta)
 
 
-@dataclass(frozen=True)
-class MomentCoefficients:
+class MomentCoefficients(Frozen):
     """Coefficients of the fitted service-time and loss-rate moment models."""
 
-    mean_scale: float = 0.06
-    mean_offset: float = 15.0
-    mean_exponent: float = -0.12
-    var_scale: float = 30.0
-    var_exponent: float = -0.15
-    plr_mean_scale: float = 1.0 / 100.0
-    plr_mean_exponent: float = -0.14
-    plr_var_scale: float = 1.0 / 500.0
-    plr_var_exponent: float = -0.1
+    __slots__ = ("mean_scale", "mean_offset", "mean_exponent", "var_scale", "var_exponent",
+                 "plr_mean_scale", "plr_mean_exponent", "plr_var_scale", "plr_var_exponent")
 
-    def __post_init__(self) -> None:
-        for name in ("mean_scale", "var_scale", "plr_mean_scale", "plr_var_scale"):
-            if getattr(self, name) <= 0.0:
+    def __init__(
+        self,
+        mean_scale: float = 0.06,
+        mean_offset: float = 15.0,
+        mean_exponent: float = -0.12,
+        var_scale: float = 30.0,
+        var_exponent: float = -0.15,
+        plr_mean_scale: float = 1.0 / 100.0,
+        plr_mean_exponent: float = -0.14,
+        plr_var_scale: float = 1.0 / 500.0,
+        plr_var_exponent: float = -0.1,
+    ) -> None:
+        for name, value in (("mean_scale", mean_scale), ("var_scale", var_scale),
+                            ("plr_mean_scale", plr_mean_scale), ("plr_var_scale", plr_var_scale)):
+            if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("mean_exponent", "var_exponent", "plr_mean_exponent", "plr_var_exponent"):
-            if getattr(self, name) >= 0.0:
+        for name, value in (("mean_exponent", mean_exponent), ("var_exponent", var_exponent),
+                            ("plr_mean_exponent", plr_mean_exponent),
+                            ("plr_var_exponent", plr_var_exponent)):
+            if value >= 0.0:
                 raise ValueError(f"{name} must be negative")
-        if self.mean_offset < 0.0:
+        if mean_offset < 0.0:
             raise ValueError("mean_offset must be non-negative")
+        self._set_fields(mean_scale, mean_offset, mean_exponent, var_scale, var_exponent,
+                         plr_mean_scale, plr_mean_exponent, plr_var_scale, plr_var_exponent)
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(Frozen):
     """Operating point of one link: payload, channel quality and MAC limits."""
 
-    l_d: int = 50          # payload bytes
-    snr: float = 20.0      # dB
-    n_max_tries: int = 3   # transmission attempts per packet
-    d_retry: float = 30.0  # retry delay, ms
-    q_max: int = 60        # queue capacity in waiting packets
-    t_pit: float = 50.0    # packet inter-arrival time, ms
+    __slots__ = ("l_d", "snr", "n_max_tries", "d_retry", "q_max", "t_pit")
 
-    def __post_init__(self) -> None:
-        for name in ("l_d", "n_max_tries", "q_max"):
-            _check_integer(name, getattr(self, name))
-        if not 0 <= self.l_d <= 114:
-            raise ValueError(f"l_d must be in [0, 114] bytes, got {self.l_d}")
-        if self.n_max_tries < 1:
-            raise ValueError(f"n_max_tries must be >= 1, got {self.n_max_tries}")
-        if self.d_retry < 0.0:
-            raise ValueError(f"d_retry must be >= 0, got {self.d_retry}")
-        if self.q_max < 1:
-            raise ValueError(f"q_max must be >= 1, got {self.q_max}")
-        if self.t_pit <= 0.0:
-            raise ValueError(f"t_pit must be > 0, got {self.t_pit}")
+    def __init__(
+        self,
+        l_d: int = 50,          # payload bytes
+        snr: float = 20.0,      # dB
+        n_max_tries: int = 3,   # transmission attempts per packet
+        d_retry: float = 30.0,  # retry delay, ms
+        q_max: int = 60,        # queue capacity in waiting packets
+        t_pit: float = 50.0,    # packet inter-arrival time, ms
+    ) -> None:
+        _check_integer("l_d", l_d)
+        _check_integer("n_max_tries", n_max_tries)
+        _check_integer("q_max", q_max)
+        if not 0 <= l_d <= 114:
+            raise ValueError(f"l_d must be in [0, 114] bytes, got {l_d}")
+        if n_max_tries < 1:
+            raise ValueError(f"n_max_tries must be >= 1, got {n_max_tries}")
+        if d_retry < 0.0:
+            raise ValueError(f"d_retry must be >= 0, got {d_retry}")
+        if q_max < 1:
+            raise ValueError(f"q_max must be >= 1, got {q_max}")
+        if t_pit <= 0.0:
+            raise ValueError(f"t_pit must be > 0, got {t_pit}")
+        self._set_fields(l_d, snr, n_max_tries, d_retry, q_max, t_pit)
 
 
-@dataclass(frozen=True)
-class EquivalentArrival:
+class EquivalentArrival(Frozen):
     """Rate and variance of the loss-compensated arrival process."""
 
-    lam: float    # packets/ms
-    var_a: float  # variance of the equivalent arrival rate
+    __slots__ = ("lam", "var_a")
+
+    def __init__(
+        self,
+        lam: float,    # packets/ms
+        var_a: float,  # variance of the equivalent arrival rate
+    ) -> None:
+        self._set_fields(lam, var_a)
 
 
 def packet_error_rate(l_d: float, snr: float, coeffs: PerCoefficients | None = None) -> float:

@@ -8,10 +8,10 @@ from the exact discrete service-time distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import empirical
+from ._record import Frozen
 from .empirical import LinkConfig, MomentCoefficients
 
 if TYPE_CHECKING:
@@ -45,22 +45,25 @@ class Overload(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Gg1Inputs:
+class Gg1Inputs(Frozen):
     """Moment inputs of the equivalent queue."""
 
-    lam: float     # arrival rate, packets/ms
-    var_a: float   # equivalent arrival-rate variance
-    mean_t: float  # mean service time, ms
-    var_t: float   # service-time variance, ms^2
+    __slots__ = ("lam", "var_a", "mean_t", "var_t")
 
-    def __post_init__(self) -> None:
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if self.var_a < 0.0 or self.var_t < 0.0:
+    def __init__(
+        self,
+        lam: float,     # arrival rate, packets/ms
+        var_a: float,   # equivalent arrival-rate variance
+        mean_t: float,  # mean service time, ms
+        var_t: float,   # service-time variance, ms^2
+    ) -> None:
+        if lam <= 0.0:
+            raise ValueError(f"lam must be > 0, got {lam}")
+        if var_a < 0.0 or var_t < 0.0:
             raise ValueError("variances must be >= 0")
-        if self.mean_t <= 0.0:
-            raise ValueError(f"mean_t must be > 0, got {self.mean_t}")
+        if mean_t <= 0.0:
+            raise ValueError(f"mean_t must be > 0, got {mean_t}")
+        self._set_fields(lam, var_a, mean_t, var_t)
 
 
 def traffic_intensity(inputs: Gg1Inputs) -> float:

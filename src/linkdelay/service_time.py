@@ -10,12 +10,12 @@ yields a small discrete service-time distribution with an explicit MGF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from ._record import Frozen
 from .empirical import LinkConfig, TimingConstants
 
 # TimingConstants lives in the numpy-free empirical module and is re-exported here
@@ -34,15 +34,20 @@ __all__ = [
 _MGF_EXPONENT_LIMIT = 700.0
 
 
-@dataclass(frozen=True)
-class ServiceComponents:
+class ServiceComponents(Frozen):
     """Durations of one attempt, ms."""
 
-    t_mac: float    # channel access: turnaround + backoff
-    t_frame: float  # on-air frame time
-    t_succ: float   # successful attempt: access + frame + ACK
-    t_fail: float   # failed attempt: access + frame + ACK timeout
-    t_retry: float  # retry spacing + failed attempt
+    __slots__ = ("t_mac", "t_frame", "t_succ", "t_fail", "t_retry")
+
+    def __init__(
+        self,
+        t_mac: float,    # channel access: turnaround + backoff
+        t_frame: float,  # on-air frame time
+        t_succ: float,   # successful attempt: access + frame + ACK
+        t_fail: float,   # failed attempt: access + frame + ACK timeout
+        t_retry: float,  # retry spacing + failed attempt
+    ) -> None:
+        self._set_fields(t_mac, t_frame, t_succ, t_fail, t_retry)
 
 
 def service_components(cfg: LinkConfig, tc: TimingConstants) -> ServiceComponents:
@@ -84,34 +89,33 @@ def attempt_pmf(p_e: float, n_max_tries: int) -> tuple[np.ndarray, float]:
     return probs, float(p_e**n_max_tries)
 
 
-@dataclass(frozen=True, eq=False)
-class ServiceDistribution:
+class ServiceDistribution(Frozen):
     """Discrete per-packet service-time law: n_max_tries delivery atoms, then one drop atom.
 
     durations[k - 1] and probs[k - 1] are the server occupancy (ms) and
     the probability of delivery on attempt k; the last entry of each is
     the drop atom, which uses all n_max_tries attempts.  Both arrays are
-    stored as read-only float copies.
+    stored as read-only float copies.  Laws compare and hash by identity.
     """
 
-    durations: np.ndarray
-    probs: np.ndarray
-    p_e: float
-    n_max_tries: int
+    # __dict__ holds the cached properties
+    __slots__ = ("durations", "probs", "p_e", "n_max_tries", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        for name in ("durations", "probs"):
-            values = np.array(getattr(self, name), dtype=float)
-            if values.shape != (self.n_max_tries + 1,):
-                raise ValueError(f"{name} must hold n_max_tries + 1 = {self.n_max_tries + 1} "
+    def __init__(self, durations: np.ndarray, probs: np.ndarray, p_e: float, n_max_tries: int) -> None:
+        durations, probs = np.array(durations, dtype=float), np.array(probs, dtype=float)
+        for name, values in (("durations", durations), ("probs", probs)):
+            if values.shape != (n_max_tries + 1,):
+                raise ValueError(f"{name} must hold n_max_tries + 1 = {n_max_tries + 1} "
                                  f"atoms, got shape {values.shape}")
             values.flags.writeable = False
-            object.__setattr__(self, name, values)
-        total = float(np.cumsum(self.probs)[-1])
+        total = float(np.cumsum(probs)[-1])
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
-        if np.any(self.durations[1:-1] <= self.durations[:-2]):
+        if np.any(durations[1:-1] <= durations[:-2]):
             raise ValueError("delivered durations must increase with attempt count")
+        self._set_fields(durations, probs, p_e, n_max_tries)
 
     @property
     def attempts(self) -> np.ndarray:

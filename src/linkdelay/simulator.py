@@ -11,12 +11,12 @@ plus own service time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ._clopper_pearson import upper_limit
+from ._record import Frozen, Record
 from .empirical import LinkConfig
 from .service_time import ServiceDistribution, TimingConstants, service_distribution
 from .traffic import TrafficSpec, generate_arrivals
@@ -37,25 +37,23 @@ OUTCOME_RETRY_DROP = "retry_drop"
 OUTCOME_QUEUE_DROP = "queue_drop"
 
 
-@dataclass
-class SimTrace:
+class SimTrace(Record):
     """Per-packet record in arrival order; NaN marks fields that never happened."""
 
-    arrival: np.ndarray
-    start: np.ndarray
-    attempts: np.ndarray
-    outcome: list[str]
-    delay: np.ndarray
+    __slots__ = ("arrival", "start", "attempts", "outcome", "delay")
+
+    def __init__(self, arrival: np.ndarray, start: np.ndarray, attempts: np.ndarray,
+                 outcome: list[str], delay: np.ndarray) -> None:
+        self._set_fields(arrival, start, attempts, outcome, delay)
 
 
-@dataclass
-class SimResult:
-    delivered_delays: np.ndarray
-    n_arrivals: int
-    n_delivered: int
-    n_queue_drops: int
-    n_retry_drops: int
-    trace: SimTrace | None = field(default=None, repr=False)
+class SimResult(Record):
+    __slots__ = ("delivered_delays", "n_arrivals", "n_delivered", "n_queue_drops", "n_retry_drops",
+                 "trace")
+
+    def __init__(self, delivered_delays: np.ndarray, n_arrivals: int, n_delivered: int,
+                 n_queue_drops: int, n_retry_drops: int, trace: SimTrace | None = None) -> None:
+        self._set_fields(delivered_delays, n_arrivals, n_delivered, n_queue_drops, n_retry_drops, trace)
 
     @property
     def mean_delay(self) -> float:
@@ -414,15 +412,14 @@ def run_simulation(
     return simulate(arrivals, cfg, tc, p_e, rng, collect_trace=collect_trace)
 
 
-@dataclass
-class EmpiricalCcdf:
+class EmpiricalCcdf(Record):
     """Exceedance fractions on a delay grid with one-sided upper confidence."""
 
-    delays: np.ndarray
-    fractions: np.ndarray
-    upper: np.ndarray
-    n_samples: int
-    confidence: float
+    __slots__ = ("delays", "fractions", "upper", "n_samples", "confidence")
+
+    def __init__(self, delays: np.ndarray, fractions: np.ndarray, upper: np.ndarray,
+                 n_samples: int, confidence: float) -> None:
+        self._set_fields(delays, fractions, upper, n_samples, confidence)
 
 
 def empirical_ccdf(delays: np.ndarray, grid: np.ndarray, confidence: float = 0.99) -> EmpiricalCcdf:
@@ -444,11 +441,11 @@ def empirical_ccdf(delays: np.ndarray, grid: np.ndarray, confidence: float = 0.9
                          n_samples=n, confidence=confidence)
 
 
-@dataclass(frozen=True)
-class DominanceViolation:
-    delay: float
-    empirical_upper: float
-    bound_prob: float
+class DominanceViolation(Frozen):
+    __slots__ = ("delay", "empirical_upper", "bound_prob")
+
+    def __init__(self, delay: float, empirical_upper: float, bound_prob: float) -> None:
+        self._set_fields(delay, empirical_upper, bound_prob)
 
 
 def dominance_report(

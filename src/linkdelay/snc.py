@@ -14,11 +14,11 @@ its arrival instant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Frozen
 from .gg1 import Overload
 from .service_time import ServiceDistribution, _MGF_EXPONENT_LIMIT
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
@@ -47,46 +47,63 @@ _EXP_REL = 2.0**-50
 _EXP_ABS = 2.0**-1072
 
 
-@dataclass(frozen=True)
-class ArrivalCurve:
+class ArrivalCurve(Frozen):
     """Affine envelope rate*t + burst with violation bound exp(-decay*x).
 
     decay None means the envelope is deterministic (never violated).
     """
 
-    rate: float           # bits/ms
-    burst: float          # bits
-    decay: float | None   # 1/bits, None = deterministic
+    __slots__ = ("rate", "burst", "decay")
+
+    def __init__(
+        self,
+        rate: float,           # bits/ms
+        burst: float,          # bits
+        decay: float | None,   # 1/bits, None = deterministic
+    ) -> None:
+        self._set_fields(rate, burst, decay)
 
     @property
     def deterministic(self) -> bool:
         return self.decay is None
 
 
-@dataclass(frozen=True)
-class ServiceCurve:
+class ServiceCurve(Frozen):
     """Rate service curve R*t with violation bound exp(-theta*x/R)."""
 
-    rate: float   # bits/ms
-    theta: float  # 1/ms
+    __slots__ = ("rate", "theta")
+
+    def __init__(
+        self,
+        rate: float,   # bits/ms
+        theta: float,  # 1/ms
+    ) -> None:
+        self._set_fields(rate, theta)
 
     @property
     def decay(self) -> float:
         return self.theta / self.rate
 
 
-@dataclass(frozen=True)
-class DelayBound:
-    delay: float          # ms
-    prob: float           # bound on P{delay exceeded}
-    theta: float | None   # optimal exponent, None when only the vacuous bound holds
+class DelayBound(Frozen):
+    __slots__ = ("delay", "prob", "theta")
+
+    def __init__(
+        self,
+        delay: float,          # ms
+        prob: float,           # bound on P{delay exceeded}
+        theta: float | None,   # optimal exponent, None when only the vacuous bound holds
+    ) -> None:
+        self._set_fields(delay, prob, theta)
 
 
-@dataclass(frozen=True)
-class DelayCcdf:
+class DelayCcdf(Frozen):
     """Optimised delay tail bound on a grid of target delays."""
 
-    points: tuple[DelayBound, ...]
+    __slots__ = ("points",)
+
+    def __init__(self, points: tuple[DelayBound, ...]) -> None:
+        self._set_fields(points)
 
     def delays(self) -> np.ndarray:
         return np.array([p.delay for p in self.points])
@@ -95,13 +112,21 @@ class DelayCcdf:
         return np.array([p.prob for p in self.points])
 
 
+# (rate in bits/ms, burst in bits, decay in 1/bits or None): an ArrivalCurve's fields
+_Envelope = tuple[float, float, float | None]
+
+
 def periodic_arrival_curve(packet_bits: float, period: float) -> ArrivalCurve:
     """Deterministic envelope of a periodic source: one packet burst plus mean rate."""
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
     if period <= 0.0:
         raise ValueError(f"period must be > 0, got {period}")
-    return ArrivalCurve(rate=packet_bits / period, burst=packet_bits, decay=None)
+    return ArrivalCurve(*_periodic_envelope(packet_bits, period))
+
+
+def _periodic_envelope(packet_bits: float, period: float) -> _Envelope:
+    return packet_bits / period, packet_bits, None
 
 
 def poisson_arrival_curve(rate: float, packet_bits: float, theta: float) -> ArrivalCurve:
@@ -117,7 +142,11 @@ def poisson_arrival_curve(rate: float, packet_bits: float, theta: float) -> Arri
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
     if theta <= 0.0:
         raise ValueError(f"theta must be > 0, got {theta}")
-    return ArrivalCurve(rate=rate * math.expm1(theta * packet_bits) / theta, burst=0.0, decay=theta)
+    return ArrivalCurve(*_poisson_envelope(rate, packet_bits, theta))
+
+
+def _poisson_envelope(rate: float, packet_bits: float, theta: float) -> _Envelope:
+    return rate * math.expm1(theta * packet_bits) / theta, 0.0, theta
 
 
 def onoff_arrival_curve(
@@ -149,25 +178,36 @@ def onoff_arrival_curve(
         raise ValueError(f"theta must be > 0, got {theta}")
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
+    return ArrivalCurve(*_onoff_envelope(lam, mu, peak_rate, theta, packet_bits))
+
+
+def _onoff_envelope(lam: float, mu: float, peak_rate: float, theta: float, packet_bits: float) -> _Envelope:
     tr = theta * peak_rate
     rate = (tr - lam - mu + math.sqrt((tr - lam + mu) ** 2 + 4.0 * lam * mu)) / (2.0 * theta)
-    return ArrivalCurve(rate=rate, burst=packet_bits, decay=theta)
+    return rate, packet_bits, theta
 
 
 def arrival_curve_for(spec: TrafficSpec, packet_bits: float, theta: float) -> ArrivalCurve:
-    """Arrival curve of a traffic spec at the given exponent."""
+    """Arrival curve of a traffic spec at the given exponent.
+
+    The spec's own fields were checked when it was built; theta is not
+    read for periodic traffic.
+    """
+    if packet_bits <= 0.0:
+        raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
+    if theta <= 0.0 and not isinstance(spec, PeriodicTraffic):
+        raise ValueError(f"theta must be > 0, got {theta}")
+    return ArrivalCurve(*_envelope(spec, packet_bits, theta))
+
+
+def _envelope(spec: TrafficSpec, packet_bits: float, theta: float) -> _Envelope:
+    """arrival_curve_for's fields, without its checks or the ArrivalCurve."""
     if isinstance(spec, PeriodicTraffic):
-        return periodic_arrival_curve(packet_bits, spec.t_pit)
+        return _periodic_envelope(packet_bits, spec.t_pit)
     if isinstance(spec, PoissonTraffic):
-        return poisson_arrival_curve(spec.rate, packet_bits, theta)
+        return _poisson_envelope(spec.rate, packet_bits, theta)
     if isinstance(spec, OnOffTraffic):
-        return onoff_arrival_curve(
-            spec.lam_on_off,
-            spec.mu_off_on,
-            spec.rate * packet_bits,
-            theta,
-            packet_bits,
-        )
+        return _onoff_envelope(spec.lam_on_off, spec.mu_off_on, spec.rate * packet_bits, theta, packet_bits)
     raise TypeError(f"unknown traffic spec {type(spec).__name__}")
 
 
@@ -243,10 +283,10 @@ def _curves_or_cause(
     rate = _service_rate(dist, packet_bits, theta)
     if rate is None:
         return _MGF_FLAT
-    ac = arrival_curve_for(traffic, packet_bits, theta)
-    if ac.rate > rate:
+    arrival_rate, burst, decay = _envelope(traffic, packet_bits, theta)
+    if arrival_rate > rate:
         return _ENVELOPE
-    return rate, ac.burst, ac.decay, theta / rate   # theta / rate is ServiceCurve.decay
+    return rate, burst, decay, theta / rate   # theta / rate is ServiceCurve.decay
 
 
 def _stable_curves(
@@ -407,10 +447,12 @@ def optimize_delay_ccdf(
     For each target delay the exponent is chosen by a scan over the theta
     grid followed by golden-section refinement, subject to the stability
     constraint rate(theta) <= R(theta).  Raises Overload when no grid
-    exponent is stable, and ValueError for delays or exponents that are
-    not finite.  Grid points where only the vacuous bound holds get
+    exponent is stable, and ValueError for a packet size <= 0 and for
+    delays or exponents that are not finite.  Grid points where only the vacuous bound holds get
     probability 1 and no exponent.
     """
+    if packet_bits <= 0.0:
+        raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
     delays = [float(d) for d in delay_grid]
     if not delays:
         raise ValueError("delay_grid must not be empty")

@@ -8,9 +8,9 @@ generators import it when they run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Union
+from typing import TYPE_CHECKING, Union
 
+from ._record import Frozen
 from .empirical import _check_integer
 
 if TYPE_CHECKING:
@@ -25,40 +25,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodicTraffic:
-    kind: ClassVar[str] = "periodic"  # the name a config's traffic section gives
-    t_pit: float        # packet inter-arrival time, ms
-    horizon: int = 20000
+class PeriodicTraffic(Frozen):
+    kind = "periodic"  # the name a config's traffic section gives
 
-    def __post_init__(self) -> None:
-        if self.t_pit <= 0.0:
-            raise ValueError(f"t_pit must be > 0, got {self.t_pit}")
-        _check_horizon(self.horizon)
+    __slots__ = ("t_pit", "horizon")
+
+    def __init__(
+        self,
+        t_pit: float,         # packet inter-arrival time, ms
+        horizon: int = 20000,
+    ) -> None:
+        if t_pit <= 0.0:
+            raise ValueError(f"t_pit must be > 0, got {t_pit}")
+        _check_horizon(horizon)
+        self._set_fields(t_pit, horizon)
 
     @property
     def mean_interarrival(self) -> float:
         return self.t_pit
 
 
-@dataclass(frozen=True)
-class PoissonTraffic:
-    kind: ClassVar[str] = "poisson"
-    rate: float         # packets/ms
-    horizon: int = 20000
+class PoissonTraffic(Frozen):
+    kind = "poisson"
 
-    def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-        _check_horizon(self.horizon)
+    __slots__ = ("rate", "horizon")
+
+    def __init__(
+        self,
+        rate: float,          # packets/ms
+        horizon: int = 20000,
+    ) -> None:
+        if rate <= 0.0:
+            raise ValueError(f"rate must be > 0, got {rate}")
+        _check_horizon(horizon)
+        self._set_fields(rate, horizon)
 
     @property
     def mean_interarrival(self) -> float:
         return 1.0 / self.rate
 
 
-@dataclass(frozen=True)
-class OnOffTraffic:
+class OnOffTraffic(Frozen):
     """Markov-modulated source: Off->On at mu_off_on, On->Off at lam_on_off.
 
     While On, one packet is emitted per 1/rate of accumulated On time;
@@ -67,18 +74,23 @@ class OnOffTraffic:
     The source starts in Off at t = 0.
     """
 
-    kind: ClassVar[str] = "onoff"
-    lam_on_off: float   # 1/ms, leaves On
-    mu_off_on: float    # 1/ms, leaves Off
-    rate: float         # packets/ms while On
-    horizon: int = 20000
+    kind = "onoff"
 
-    def __post_init__(self) -> None:
-        if self.lam_on_off <= 0.0 or self.mu_off_on <= 0.0:
+    __slots__ = ("lam_on_off", "mu_off_on", "rate", "horizon")
+
+    def __init__(
+        self,
+        lam_on_off: float,    # 1/ms, leaves On
+        mu_off_on: float,     # 1/ms, leaves Off
+        rate: float,          # packets/ms while On
+        horizon: int = 20000,
+    ) -> None:
+        if lam_on_off <= 0.0 or mu_off_on <= 0.0:
             raise ValueError("state transition rates must be > 0")
-        if self.rate <= 0.0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-        _check_horizon(self.horizon)
+        if rate <= 0.0:
+            raise ValueError(f"rate must be > 0, got {rate}")
+        _check_horizon(horizon)
+        self._set_fields(lam_on_off, mu_off_on, rate, horizon)
 
     @property
     def p_on(self) -> float:

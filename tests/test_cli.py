@@ -379,7 +379,8 @@ def test_default_output_is_byte_identical(capsys, golden, argv, exit_code):
 
 _NO_SCIPY_PROBE = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None   # any scipy import now raises ImportError
+sys.modules["scipy"] = None         # any scipy import now raises ImportError
+sys.modules["dataclasses"] = None   # and so does any dataclasses import
 from linkdelay import cli
 runs = {}
 for command in ("models", "mean-delay", "delay-bound", "simulate", "validate"):
@@ -404,7 +405,7 @@ def test_no_subcommand_needs_scipy():
 
 
 _NO_NUMPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 sys.modules["numpy"] = None   # any numpy import now raises ImportError
 import linkdelay
 numerics = [m for m in ("service_time", "simulator", "snc", "_clopper_pearson")
@@ -417,12 +418,16 @@ def run(*argv):
         code = cli.main(list(argv))
     runs[" ".join(argv)] = [code, out.getvalue()]
 for command in ("models", "mean-delay"):
+    run(command, "--seed", "1", "--format", "csv")
+json_loaded = "json" in sys.modules   # no config file read and no JSON written yet
+for command in ("models", "mean-delay"):
     for config in sys.argv[1:]:
         for fmt in ("csv", "json"):
             run(command, "--seed", "1", "--format", fmt, *(["--config", config] if config else []))
 for command in ("models", "mean-delay", "delay-bound", "simulate", "validate"):
     run(command, "--dump-config")
-print(json.dumps({"numerics": numerics, "runs": runs}))
+import json
+print(json.dumps({"numerics": numerics, "json_loaded": json_loaded, "runs": runs}))
 """
 
 
@@ -435,6 +440,7 @@ def test_models_and_mean_delay_need_no_numpy():
                           capture_output=True, text=True, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["numerics"] == []
+    assert report["json_loaded"] is False
     runs = report["runs"]
     assert len(runs) == 2 * len(configs) * 2 + 5
     assert {argv: code for argv, (code, _) in runs.items()} == dict.fromkeys(runs, 0)

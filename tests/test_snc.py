@@ -127,6 +127,14 @@ def test_curve_validation():
         poisson_arrival_curve(0.03, 400.0, 0.0)
     with pytest.raises(ValueError):
         onoff_arrival_curve(0.0, 0.02, 160.0, 0.01, 400.0)
+    specs = (PeriodicTraffic(t_pit=50.0, horizon=10), PoissonTraffic(rate=0.03, horizon=10),
+             OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.4, horizon=10))
+    for spec in specs:
+        with pytest.raises(ValueError, match="packet_bits"):
+            arrival_curve_for(spec, 0.0, 0.01)
+    for spec in specs[1:]:
+        with pytest.raises(ValueError, match="theta"):
+            arrival_curve_for(spec, 400.0, 0.0)
 
 
 def test_service_curve_worked_and_limit():
@@ -312,6 +320,9 @@ def test_optimizer_overload_and_validation():
         optimize_delay_ccdf(PeriodicTraffic(t_pit=9.0, horizon=10), dist, 400.0, [20.0], THETAS)
     with pytest.raises(ValueError):
         optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [], THETAS)
+    for spec in (PeriodicTraffic(t_pit=50.0, horizon=10), PoissonTraffic(rate=0.03, horizon=10)):
+        with pytest.raises(ValueError, match="packet_bits"):
+            optimize_delay_ccdf(spec, dist, 0.0, [20.0], THETAS)
     with pytest.raises(ValueError):
         optimize_delay_ccdf(PeriodicTraffic(t_pit=50.0, horizon=10), dist, 400.0, [5.0, 5.0], THETAS)
     with pytest.raises(ValueError):

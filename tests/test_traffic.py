@@ -97,5 +97,5 @@ def test_spec_validation():
         for spec in (PeriodicTraffic(t_pit=50.0), PoissonTraffic(rate=0.02),
                      OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.02)):
             with pytest.raises(TypeError, match="horizon"):
-                type(spec)(**{**vars(spec), "horizon": bad})
+                spec.replace(horizon=bad)
     assert PoissonTraffic(rate=0.02, horizon=np.int64(5)).horizon == 5
