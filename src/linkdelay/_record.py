@@ -2,14 +2,19 @@
 
 A record names its fields in ``__slots__``, in the order of its
 ``__init__`` parameters, and its ``__init__`` checks the arguments and
-then stores them with ``_set_fields``.  This base gives the record a
-repr, equality over the fields, ``replace`` and pickling; ``Frozen``
-also refuses assignment and deletion and hashes the fields.  A
+then stores each field with its own ``set_field(self, name, value)``
+call; without a loop over the fields, a record builds as fast as a
+dataclass.  This base gives the record a repr, equality over the
+fields, ``replace`` and pickling; ``Frozen`` also refuses assignment
+and deletion and hashes the fields.  A
 ``"__dict__"`` entry in ``__slots__`` is not a field: it gives a record
 room for ``functools.cached_property`` values.
 """
 
 from __future__ import annotations
+
+# stores one field, past a Frozen record's refusing __setattr__
+set_field = object.__setattr__
 
 
 class Record:
@@ -24,11 +29,6 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-
-    def _set_fields(self, *values) -> None:
-        """Store values in the fields, in ``__slots__`` order, past a frozen ``__setattr__``."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from . import gg1
 from .config import ConfigError, RunConfig, default_config, dump_config, load_config
@@ -76,7 +75,8 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from pathlib import Path
-from typing import TYPE_CHECKING
 
-from ._record import Frozen
+from ._record import Frozen, set_field
 from .empirical import LinkConfig, MomentCoefficients, PerCoefficients, TimingConstants, _check_integer
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
 if TYPE_CHECKING:
+    from os import PathLike
+
     import numpy as np
 
 __all__ = ["ConfigError", "RunConfig", "ThetaGridSpec", "load_config", "dump_config", "default_config"]
@@ -35,7 +36,9 @@ class ThetaGridSpec(Frozen):
             raise ValueError("theta grid needs 0 < min < max")
         if points < 2:
             raise ValueError("theta grid needs at least 2 points")
-        self._set_fields(min, max, points)
+        set_field(self, "min", min)
+        set_field(self, "max", max)
+        set_field(self, "points", points)
 
     def values(self) -> np.ndarray:
         import numpy as np
@@ -61,8 +64,17 @@ class RunConfig(Frozen):
         output_path: str | None,
         output_format: str,
     ) -> None:
-        self._set_fields(link, timing, per_coeffs, moment_coeffs, traffic, seed, delay_grid,
-                         theta_grid, mean_delay_tolerance, output_path, output_format)
+        set_field(self, "link", link)
+        set_field(self, "timing", timing)
+        set_field(self, "per_coeffs", per_coeffs)
+        set_field(self, "moment_coeffs", moment_coeffs)
+        set_field(self, "traffic", traffic)
+        set_field(self, "seed", seed)
+        set_field(self, "delay_grid", delay_grid)
+        set_field(self, "theta_grid", theta_grid)
+        set_field(self, "mean_delay_tolerance", mean_delay_tolerance)
+        set_field(self, "output_path", output_path)
+        set_field(self, "output_format", output_format)
 
 
 def default_config() -> RunConfig:
@@ -194,11 +206,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | PathLike[str]) -> RunConfig:
     import json
 
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(path) as f:
+            raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

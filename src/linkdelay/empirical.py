@@ -13,7 +13,7 @@ import math
 import operator
 import sys
 
-from ._record import Frozen
+from ._record import Frozen, set_field
 
 __all__ = [
     "TimingConstants",
@@ -86,7 +86,13 @@ class TimingConstants(Frozen):
             raise ValueError("frame_overhead must be >= 0")
         if phy_rate <= 0.0:
             raise ValueError("phy_rate must be > 0")
-        self._set_fields(t_spi, t_tr, t_bo, t_ack, t_wait_ack, frame_overhead, phy_rate)
+        set_field(self, "t_spi", t_spi)
+        set_field(self, "t_tr", t_tr)
+        set_field(self, "t_bo", t_bo)
+        set_field(self, "t_ack", t_ack)
+        set_field(self, "t_wait_ack", t_wait_ack)
+        set_field(self, "frame_overhead", frame_overhead)
+        set_field(self, "phy_rate", phy_rate)
 
 
 class PerCoefficients(Frozen):
@@ -99,7 +105,8 @@ class PerCoefficients(Frozen):
             raise ValueError(f"alpha must be positive, got {alpha}")
         if beta >= 0.0:
             raise ValueError(f"beta must be negative, got {beta}")
-        self._set_fields(alpha, beta)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
 
 
 class MomentCoefficients(Frozen):
@@ -131,8 +138,15 @@ class MomentCoefficients(Frozen):
                 raise ValueError(f"{name} must be negative")
         if mean_offset < 0.0:
             raise ValueError("mean_offset must be non-negative")
-        self._set_fields(mean_scale, mean_offset, mean_exponent, var_scale, var_exponent,
-                         plr_mean_scale, plr_mean_exponent, plr_var_scale, plr_var_exponent)
+        set_field(self, "mean_scale", mean_scale)
+        set_field(self, "mean_offset", mean_offset)
+        set_field(self, "mean_exponent", mean_exponent)
+        set_field(self, "var_scale", var_scale)
+        set_field(self, "var_exponent", var_exponent)
+        set_field(self, "plr_mean_scale", plr_mean_scale)
+        set_field(self, "plr_mean_exponent", plr_mean_exponent)
+        set_field(self, "plr_var_scale", plr_var_scale)
+        set_field(self, "plr_var_exponent", plr_var_exponent)
 
 
 class LinkConfig(Frozen):
@@ -162,7 +176,12 @@ class LinkConfig(Frozen):
             raise ValueError(f"q_max must be >= 1, got {q_max}")
         if t_pit <= 0.0:
             raise ValueError(f"t_pit must be > 0, got {t_pit}")
-        self._set_fields(l_d, snr, n_max_tries, d_retry, q_max, t_pit)
+        set_field(self, "l_d", l_d)
+        set_field(self, "snr", snr)
+        set_field(self, "n_max_tries", n_max_tries)
+        set_field(self, "d_retry", d_retry)
+        set_field(self, "q_max", q_max)
+        set_field(self, "t_pit", t_pit)
 
 
 class EquivalentArrival(Frozen):
@@ -175,7 +194,8 @@ class EquivalentArrival(Frozen):
         lam: float,    # packets/ms
         var_a: float,  # variance of the equivalent arrival rate
     ) -> None:
-        self._set_fields(lam, var_a)
+        set_field(self, "lam", lam)
+        set_field(self, "var_a", var_a)
 
 
 def packet_error_rate(l_d: float, snr: float, coeffs: PerCoefficients | None = None) -> float:

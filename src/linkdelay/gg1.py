@@ -8,12 +8,11 @@ from the exact discrete service-time distribution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import empirical
-from ._record import Frozen
+from ._record import Frozen, set_field
 from .empirical import LinkConfig, MomentCoefficients
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
 if TYPE_CHECKING:
     from .service_time import ServiceDistribution
 
@@ -63,7 +62,10 @@ class Gg1Inputs(Frozen):
             raise ValueError("variances must be >= 0")
         if mean_t <= 0.0:
             raise ValueError(f"mean_t must be > 0, got {mean_t}")
-        self._set_fields(lam, var_a, mean_t, var_t)
+        set_field(self, "lam", lam)
+        set_field(self, "var_a", var_a)
+        set_field(self, "mean_t", mean_t)
+        set_field(self, "var_t", var_t)
 
 
 def traffic_intensity(inputs: Gg1Inputs) -> float:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import Frozen
+from ._record import Frozen, set_field
 from .empirical import LinkConfig, TimingConstants
 
 # TimingConstants lives in the numpy-free empirical module and is re-exported here
@@ -47,7 +47,11 @@ class ServiceComponents(Frozen):
         t_fail: float,   # failed attempt: access + frame + ACK timeout
         t_retry: float,  # retry spacing + failed attempt
     ) -> None:
-        self._set_fields(t_mac, t_frame, t_succ, t_fail, t_retry)
+        set_field(self, "t_mac", t_mac)
+        set_field(self, "t_frame", t_frame)
+        set_field(self, "t_succ", t_succ)
+        set_field(self, "t_fail", t_fail)
+        set_field(self, "t_retry", t_retry)
 
 
 def service_components(cfg: LinkConfig, tc: TimingConstants) -> ServiceComponents:
@@ -115,7 +119,10 @@ class ServiceDistribution(Frozen):
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
         if np.any(durations[1:-1] <= durations[:-2]):
             raise ValueError("delivered durations must increase with attempt count")
-        self._set_fields(durations, probs, p_e, n_max_tries)
+        set_field(self, "durations", durations)
+        set_field(self, "probs", probs)
+        set_field(self, "p_e", p_e)
+        set_field(self, "n_max_tries", n_max_tries)
 
     @property
     def attempts(self) -> np.ndarray:
@@ -168,7 +175,11 @@ class ServiceDistribution(Frozen):
                 f"theta * max duration = {theta * self.max_duration:.3g} exceeds "
                 f"{_MGF_EXPONENT_LIMIT}; MGF would overflow"
             )
-        return self._expectation(lambda d: math.exp(theta * d))
+        # _expectation's left-to-right sum, without a call per atom
+        total = 0.0
+        for d, p in self._atoms:
+            total += math.exp(theta * d) * p
+        return total
 
     def draw_atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Atom index of n outcomes drawn by inverse CDF from rng.random(n).

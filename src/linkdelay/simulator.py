@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ._clopper_pearson import upper_limit
-from ._record import Frozen, Record
+from ._record import Frozen, Record, set_field
 from .empirical import LinkConfig
 from .service_time import ServiceDistribution, TimingConstants, service_distribution
 from .traffic import TrafficSpec, generate_arrivals
@@ -44,7 +44,11 @@ class SimTrace(Record):
 
     def __init__(self, arrival: np.ndarray, start: np.ndarray, attempts: np.ndarray,
                  outcome: list[str], delay: np.ndarray) -> None:
-        self._set_fields(arrival, start, attempts, outcome, delay)
+        set_field(self, "arrival", arrival)
+        set_field(self, "start", start)
+        set_field(self, "attempts", attempts)
+        set_field(self, "outcome", outcome)
+        set_field(self, "delay", delay)
 
 
 class SimResult(Record):
@@ -53,7 +57,12 @@ class SimResult(Record):
 
     def __init__(self, delivered_delays: np.ndarray, n_arrivals: int, n_delivered: int,
                  n_queue_drops: int, n_retry_drops: int, trace: SimTrace | None = None) -> None:
-        self._set_fields(delivered_delays, n_arrivals, n_delivered, n_queue_drops, n_retry_drops, trace)
+        set_field(self, "delivered_delays", delivered_delays)
+        set_field(self, "n_arrivals", n_arrivals)
+        set_field(self, "n_delivered", n_delivered)
+        set_field(self, "n_queue_drops", n_queue_drops)
+        set_field(self, "n_retry_drops", n_retry_drops)
+        set_field(self, "trace", trace)
 
     @property
     def mean_delay(self) -> float:
@@ -419,7 +428,11 @@ class EmpiricalCcdf(Record):
 
     def __init__(self, delays: np.ndarray, fractions: np.ndarray, upper: np.ndarray,
                  n_samples: int, confidence: float) -> None:
-        self._set_fields(delays, fractions, upper, n_samples, confidence)
+        set_field(self, "delays", delays)
+        set_field(self, "fractions", fractions)
+        set_field(self, "upper", upper)
+        set_field(self, "n_samples", n_samples)
+        set_field(self, "confidence", confidence)
 
 
 def empirical_ccdf(delays: np.ndarray, grid: np.ndarray, confidence: float = 0.99) -> EmpiricalCcdf:
@@ -445,7 +458,9 @@ class DominanceViolation(Frozen):
     __slots__ = ("delay", "empirical_upper", "bound_prob")
 
     def __init__(self, delay: float, empirical_upper: float, bound_prob: float) -> None:
-        self._set_fields(delay, empirical_upper, bound_prob)
+        set_field(self, "delay", delay)
+        set_field(self, "empirical_upper", empirical_upper)
+        set_field(self, "bound_prob", bound_prob)
 
 
 def dominance_report(

@@ -7,6 +7,13 @@ service-time MGF.  Combining the two yields, for each target delay, a
 tail-probability bound obtained from the Stieltjes convolution of the two
 violation bounds, optimised over the free exponent theta.
 
+optimize_delay_ccdf builds its kernel once per call: one function maps
+an exponent to its curves, or to why it is infeasible, with the traffic
+kind and the service law dispatched once, and each exponent's bound is
+a function of the delay whose exponent-only terms are worked out once.
+A numpy scan of the theta grid picks each delay's best grid exponent,
+and a golden-section search refines it between the grid neighbours.
+
 Traffic volume is measured in bits; a packet contributes packet_bits at
 its arrival instant.
 """
@@ -14,11 +21,12 @@ its arrival instant.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ._record import Frozen
+from ._record import Frozen, set_field
 from .gg1 import Overload
 from .service_time import ServiceDistribution, _MGF_EXPONENT_LIMIT
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
@@ -61,7 +69,9 @@ class ArrivalCurve(Frozen):
         burst: float,          # bits
         decay: float | None,   # 1/bits, None = deterministic
     ) -> None:
-        self._set_fields(rate, burst, decay)
+        set_field(self, "rate", rate)
+        set_field(self, "burst", burst)
+        set_field(self, "decay", decay)
 
     @property
     def deterministic(self) -> bool:
@@ -78,7 +88,8 @@ class ServiceCurve(Frozen):
         rate: float,   # bits/ms
         theta: float,  # 1/ms
     ) -> None:
-        self._set_fields(rate, theta)
+        set_field(self, "rate", rate)
+        set_field(self, "theta", theta)
 
     @property
     def decay(self) -> float:
@@ -94,7 +105,9 @@ class DelayBound(Frozen):
         prob: float,           # bound on P{delay exceeded}
         theta: float | None,   # optimal exponent, None when only the vacuous bound holds
     ) -> None:
-        self._set_fields(delay, prob, theta)
+        set_field(self, "delay", delay)
+        set_field(self, "prob", prob)
+        set_field(self, "theta", theta)
 
 
 class DelayCcdf(Frozen):
@@ -103,7 +116,7 @@ class DelayCcdf(Frozen):
     __slots__ = ("points",)
 
     def __init__(self, points: tuple[DelayBound, ...]) -> None:
-        self._set_fields(points)
+        set_field(self, "points", points)
 
     def delays(self) -> np.ndarray:
         return np.array([p.delay for p in self.points])
@@ -178,10 +191,10 @@ def onoff_arrival_curve(
         raise ValueError(f"theta must be > 0, got {theta}")
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
-    return ArrivalCurve(*_onoff_envelope(lam, mu, peak_rate, theta, packet_bits))
+    return ArrivalCurve(*_onoff_envelope(lam, mu, peak_rate, packet_bits, theta))
 
 
-def _onoff_envelope(lam: float, mu: float, peak_rate: float, theta: float, packet_bits: float) -> _Envelope:
+def _onoff_envelope(lam: float, mu: float, peak_rate: float, packet_bits: float, theta: float) -> _Envelope:
     tr = theta * peak_rate
     rate = (tr - lam - mu + math.sqrt((tr - lam + mu) ** 2 + 4.0 * lam * mu)) / (2.0 * theta)
     return rate, packet_bits, theta
@@ -197,17 +210,18 @@ def arrival_curve_for(spec: TrafficSpec, packet_bits: float, theta: float) -> Ar
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
     if theta <= 0.0 and not isinstance(spec, PeriodicTraffic):
         raise ValueError(f"theta must be > 0, got {theta}")
-    return ArrivalCurve(*_envelope(spec, packet_bits, theta))
+    return ArrivalCurve(*_envelope_at(spec, packet_bits)(theta))
 
 
-def _envelope(spec: TrafficSpec, packet_bits: float, theta: float) -> _Envelope:
-    """arrival_curve_for's fields, without its checks or the ArrivalCurve."""
+def _envelope_at(spec: TrafficSpec, packet_bits: float) -> Callable[[float], _Envelope]:
+    """arrival_curve_for's fields as a function of theta, the traffic kind dispatched once."""
     if isinstance(spec, PeriodicTraffic):
-        return _periodic_envelope(packet_bits, spec.t_pit)
+        envelope = _periodic_envelope(packet_bits, spec.t_pit)
+        return lambda theta: envelope
     if isinstance(spec, PoissonTraffic):
-        return _poisson_envelope(spec.rate, packet_bits, theta)
+        return partial(_poisson_envelope, spec.rate, packet_bits)
     if isinstance(spec, OnOffTraffic):
-        return _onoff_envelope(spec.lam_on_off, spec.mu_off_on, spec.rate * packet_bits, theta, packet_bits)
+        return partial(_onoff_envelope, spec.lam_on_off, spec.mu_off_on, spec.rate * packet_bits, packet_bits)
     raise TypeError(f"unknown traffic spec {type(spec).__name__}")
 
 
@@ -217,15 +231,15 @@ def service_curve(dist: ServiceDistribution, packet_bits: float, theta: float) -
         raise ValueError(f"theta must be > 0, got {theta}")
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
-    rate = _service_rate(dist, packet_bits, theta)
+    rate = _service_rate(dist.mgf, packet_bits, theta)
     if rate is None:
         raise ValueError("service-time MGF must exceed 1 for theta > 0")
     return ServiceCurve(rate=rate, theta=theta)
 
 
-def _service_rate(dist: ServiceDistribution, packet_bits: float, theta: float) -> float | None:
+def _service_rate(mgf: Callable[[float], float], packet_bits: float, theta: float) -> float | None:
     """The service curve's rate at theta; None where the MGF rounds to 1 (theta near 0)."""
-    log_m = math.log(dist.mgf(theta))
+    log_m = math.log(mgf(theta))
     return packet_bits * theta / log_m if log_m > 0.0 else None
 
 
@@ -239,21 +253,14 @@ def convolve_exponential_bounds(a: float, b: float, x: float) -> float:
         raise ValueError("decay rates must be > 0")
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
-    return _convolve(a, b, x)
-
-
-def _convolve(a: float, b: float, x: float) -> float:
-    """convolve_exponential_bounds without its argument checks."""
-    if abs(a - b) <= _EQUAL_RATES_REL * max(a, b):
-        c = 0.5 * (a + b)
-        val = (1.0 + c * x) * math.exp(-c * x)
-    else:
-        val = (a * math.exp(-b * x) - b * math.exp(-a * x)) / (a - b)
-    return 0.0 if val < 0.0 else 1.0 if 1.0 < val else val
+    # curves of unit rate and no burst put the slack at x itself
+    return _bound_prob((1.0, 0.0, a, b), x)
 
 
 # (service rate R, arrival burst, arrival decay or None when deterministic, service decay)
 _Curves = tuple[float, float, float | None, float]
+# the bound at one theta as a function of the delay
+_Bound = Callable[[float], float]
 
 
 # why an exponent has no curves, as the overload message states it
@@ -263,53 +270,52 @@ _MGF_FLAT = "the service-time MGF rounds to 1, so there is no service curve"
 _ENVELOPE = "the arrival envelope exceeds the service curve"
 
 
-def _curves_or_cause(
-    traffic: TrafficSpec,
-    dist: ServiceDistribution,
-    packet_bits: float,
-    theta: float,
-) -> _Curves | str:
-    """What the bound reads of the arrival and service curves at theta, or why theta is infeasible.
+def _curve_builder(traffic: TrafficSpec, dist: ServiceDistribution,
+                   packet_bits: float) -> Callable[[float], _Curves | str]:
+    """A map from theta to what the bound reads of the curves there, or to why theta is infeasible.
 
     theta is infeasible when the service-time MGF or, for Poisson traffic,
     the MGF of one packet's bits would leave exp()'s range, when theta is
     so small that the service-time MGF rounds to 1 (no service curve), or
-    when the arrival envelope outruns the service curve.
+    when the arrival envelope outruns the service curve.  The traffic kind
+    and the service law are looked up once, not on every theta.
     """
-    if theta * dist.max_duration > _MGF_EXPONENT_LIMIT:
-        return _SERVICE_OVERFLOW
-    if isinstance(traffic, PoissonTraffic) and theta * packet_bits > _MGF_EXPONENT_LIMIT:
-        return _PACKET_OVERFLOW
-    rate = _service_rate(dist, packet_bits, theta)
-    if rate is None:
-        return _MGF_FLAT
-    arrival_rate, burst, decay = _envelope(traffic, packet_bits, theta)
-    if arrival_rate > rate:
-        return _ENVELOPE
-    return rate, burst, decay, theta / rate   # theta / rate is ServiceCurve.decay
+    envelope = _envelope_at(traffic, packet_bits)
+    poisson = isinstance(traffic, PoissonTraffic)
+    max_duration, mgf = dist.max_duration, dist.mgf
+
+    def curves_at(theta: float) -> _Curves | str:
+        if theta * max_duration > _MGF_EXPONENT_LIMIT:
+            return _SERVICE_OVERFLOW
+        if poisson and theta * packet_bits > _MGF_EXPONENT_LIMIT:
+            return _PACKET_OVERFLOW
+        rate = _service_rate(mgf, packet_bits, theta)
+        if rate is None:
+            return _MGF_FLAT
+        arrival_rate, burst, decay = envelope(theta)
+        if arrival_rate > rate:
+            return _ENVELOPE
+        return rate, burst, decay, theta / rate   # theta / rate is ServiceCurve.decay
+
+    return curves_at
 
 
-def _stable_curves(
-    traffic: TrafficSpec,
-    dist: ServiceDistribution,
-    packet_bits: float,
-    theta: float,
-) -> _Curves | None:
-    """The curves at theta; None when theta is infeasible (see _curves_or_cause)."""
-    curves = _curves_or_cause(traffic, dist, packet_bits, theta)
+def _stable(curves: _Curves | str) -> _Curves | None:
+    """The curves, or None for an infeasible exponent's cause."""
     return None if isinstance(curves, str) else curves
 
 
-def _overload_message(
-    traffic: TrafficSpec,
-    dist: ServiceDistribution,
-    packet_bits: float,
-    grid: np.ndarray,
-) -> str:
+def _stable_curves(traffic: TrafficSpec, dist: ServiceDistribution, packet_bits: float,
+                   theta: float) -> _Curves | None:
+    """The curves at one theta; None when theta is infeasible (see _curve_builder)."""
+    return _stable(_curve_builder(traffic, dist, packet_bits)(theta))
+
+
+def _overload_message(curves_at: Callable[[float], _Curves | str], grid: np.ndarray) -> str:
     """Why no exponent of the grid is stable: each cause with the exponents it refused."""
     refused: dict[str, list[float]] = {}
     for t in np.sort(grid).tolist():
-        refused.setdefault(_curves_or_cause(traffic, dist, packet_bits, t), []).append(t)
+        refused.setdefault(curves_at(t), []).append(t)
     head = "no stable exponent in the theta grid; "
     if refused.keys() == {_ENVELOPE}:
         return head + "arrival envelope exceeds the service curve everywhere"
@@ -323,22 +329,45 @@ def _overload_message(
         for cause, ts in refused.items())
 
 
-def _bound_prob(curves: _Curves | None, delay: float) -> float:
-    """Bound on P{delay exceeded} from the curves at one theta; inf when theta is infeasible.
+def _bound_at(curves: _Curves | None) -> _Bound:
+    """The bound on P{delay exceeded} at one theta as a function of the delay; inf without curves.
 
     The delay is the horizontal distance (burst + x) / R between the
     envelope raised by x bits and the service curve, so x = delay * R - burst.
+    A stochastic envelope's bound convolves the violation bounds exp(-a*x)
+    and exp(-b*x) (convolve_exponential_bounds).  What depends on theta
+    alone is worked out once and bound as defaults, which read as locals.
     """
     if curves is None:
-        return math.inf
-    rate, burst, arrival_decay, service_decay = curves
-    x = delay * rate - burst
-    if x < 0.0:
-        return 1.0
-    if arrival_decay is None:
-        # x >= 0, so the exponent is <= 0 and the bound already lies in [0, 1]
-        return math.exp(-service_decay * x)
-    return _convolve(arrival_decay, service_decay, x)
+        return lambda delay: math.inf
+    rate, burst, a, b = curves
+    if a is None:
+        def bound(delay: float, rate=rate, burst=burst, nb=-b) -> float:
+            x = delay * rate - burst
+            # x >= 0, so the exponent is <= 0 and the bound already lies in [0, 1]
+            return 1.0 if x < 0.0 else math.exp(nb * x)
+    elif abs(a - b) <= _EQUAL_RATES_REL * max(a, b):
+        c = 0.5 * (a + b)
+
+        def bound(delay: float, rate=rate, burst=burst, c=c, nc=-c) -> float:
+            x = delay * rate - burst
+            if x < 0.0:
+                return 1.0
+            val = (1.0 + c * x) * math.exp(nc * x)
+            return 0.0 if val < 0.0 else 1.0 if 1.0 < val else val
+    else:
+        def bound(delay: float, rate=rate, burst=burst, a=a, b=b, na=-a, nb=-b, diff=a - b) -> float:
+            x = delay * rate - burst
+            if x < 0.0:
+                return 1.0
+            val = (a * math.exp(nb * x) - b * math.exp(na * x)) / diff
+            return 0.0 if val < 0.0 else 1.0 if 1.0 < val else val
+    return bound
+
+
+def _bound_prob(curves: _Curves | None, delay: float) -> float:
+    """The bound at one theta and delay (see _bound_at); inf when theta is infeasible."""
+    return _bound_at(curves)(delay)
 
 
 def _grid_minima(curves: Sequence[_Curves], delays: Sequence[float]) -> list[tuple[int, float]]:
@@ -395,44 +424,30 @@ def _grid_minima(curves: Sequence[_Curves], delays: Sequence[float]) -> list[tup
     return best
 
 
-class _ProbeCurves(dict):
-    """The curves of each exponent a golden-section probe visits, built on first use.
+def _golden_min(probed: dict[float, _Bound], probe: Callable[[float], _Bound], delay: float,
+                lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
+    """Golden-section minimisation of the bound at delay over theta in [lo, hi], sampled on a log scale.
 
-    One call's probes of every delay share it: adjacent delays mostly
-    refine in the same bracket.  Grid exponents are numpy scalars and
-    probes Python floats, so the grid keeps its own list and the curves'
-    types stay as built.
+    probed holds the bound of each theta visited so far, and probe(theta) adds one.
     """
-
-    def __init__(self, traffic: TrafficSpec, dist: ServiceDistribution, packet_bits: float):
-        super().__init__()
-        self.inputs = (traffic, dist, packet_bits)
-
-    def __missing__(self, theta: float) -> _Curves | None:
-        curves = self[theta] = _stable_curves(*self.inputs, theta)
-        return curves
-
-
-def _golden_min(probed: _ProbeCurves, delay: float, lo: float, hi: float,
-                iters: int = 40) -> tuple[float, float]:
-    """Golden-section minimisation of the bound at delay over theta in [lo, hi], sampled on a log scale."""
+    bound_of = probed.get   # a bound is truthy, so `or` probes only a new theta
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = _bound_prob(probed[math.exp(c)], delay)
-    fd = _bound_prob(probed[math.exp(d)], delay)
+    fc = (bound_of(t := math.exp(c)) or probe(t))(delay)
+    fd = (bound_of(t := math.exp(d)) or probe(t))(delay)
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = _bound_prob(probed[math.exp(c)], delay)
+            fc = (bound_of(t := math.exp(c)) or probe(t))(delay)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = _bound_prob(probed[math.exp(d)], delay)
+            fd = (bound_of(t := math.exp(d)) or probe(t))(delay)
     mid = math.exp(0.5 * (a + b))
-    return mid, _bound_prob(probed[mid], delay)
+    return mid, (bound_of(mid) or probe(mid))(delay)
 
 
 def optimize_delay_ccdf(
@@ -466,13 +481,21 @@ def optimize_delay_ccdf(
     if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
         raise ValueError("theta grid must contain finite, positive exponents")
 
+    curves_at = _curve_builder(traffic, dist, packet_bits)
     # the curves of each stable grid exponent, built once for every delay
-    stable = [(t, curves) for t in np.sort(grid)
-              if (curves := _stable_curves(traffic, dist, packet_bits, t)) is not None]
+    stable = [(t, curves) for t in np.sort(grid) if (curves := _stable(curves_at(t))) is not None]
     if not stable:
-        raise Overload(_overload_message(traffic, dist, packet_bits, grid))
+        raise Overload(_overload_message(curves_at, grid))
 
-    probed = _ProbeCurves(traffic, dist, packet_bits)
+    # the bound of each theta a golden-section probe visits, shared by every
+    # delay (adjacent delays mostly refine in the same bracket).  Probes are
+    # Python floats and grid exponents numpy scalars, so the grid keeps its own list.
+    probed: dict[float, _Bound] = {}
+
+    def probe(theta: float) -> _Bound:
+        bound = probed[theta] = _bound_at(_stable(curves_at(theta)))
+        return bound
+
     points: list[DelayBound] = []
     best_prob, best_theta = math.inf, None
     for d, (i, prob) in zip(delays, _grid_minima([curves for _, curves in stable], delays)):
@@ -480,7 +503,7 @@ def optimize_delay_ccdf(
         lo = stable[max(i - 1, 0)][0]
         hi = stable[min(i + 1, len(stable) - 1)][0]
         if lo < hi:
-            t_ref, p_ref = _golden_min(probed, d, lo, hi)
+            t_ref, p_ref = _golden_min(probed, probe, d, lo, hi)
             if p_ref < prob:
                 prob, theta = p_ref, t_ref
         # a bound valid at a smaller delay also bounds every larger delay

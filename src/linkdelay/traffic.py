@@ -8,11 +8,10 @@ generators import it when they run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
-
-from ._record import Frozen
+from ._record import Frozen, set_field
 from .empirical import _check_integer
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -38,7 +37,8 @@ class PeriodicTraffic(Frozen):
         if t_pit <= 0.0:
             raise ValueError(f"t_pit must be > 0, got {t_pit}")
         _check_horizon(horizon)
-        self._set_fields(t_pit, horizon)
+        set_field(self, "t_pit", t_pit)
+        set_field(self, "horizon", horizon)
 
     @property
     def mean_interarrival(self) -> float:
@@ -58,7 +58,8 @@ class PoissonTraffic(Frozen):
         if rate <= 0.0:
             raise ValueError(f"rate must be > 0, got {rate}")
         _check_horizon(horizon)
-        self._set_fields(rate, horizon)
+        set_field(self, "rate", rate)
+        set_field(self, "horizon", horizon)
 
     @property
     def mean_interarrival(self) -> float:
@@ -90,7 +91,10 @@ class OnOffTraffic(Frozen):
         if rate <= 0.0:
             raise ValueError(f"rate must be > 0, got {rate}")
         _check_horizon(horizon)
-        self._set_fields(lam_on_off, mu_off_on, rate, horizon)
+        set_field(self, "lam_on_off", lam_on_off)
+        set_field(self, "mu_off_on", mu_off_on)
+        set_field(self, "rate", rate)
+        set_field(self, "horizon", horizon)
 
     @property
     def p_on(self) -> float:
@@ -101,7 +105,7 @@ class OnOffTraffic(Frozen):
         return 1.0 / (self.rate * self.p_on)
 
 
-TrafficSpec = Union[PeriodicTraffic, PoissonTraffic, OnOffTraffic]
+TrafficSpec = PeriodicTraffic | PoissonTraffic | OnOffTraffic
 
 
 # caps on a block of on-off cycles: the cycles drawn at once, which bounds

@@ -449,6 +449,15 @@ def test_models_and_mean_delay_need_no_numpy():
         assert out == (GOLDEN / f"{command}.csv").read_text(), command
 
 
+def test_cli_import_loads_neither_pathlib_nor_typing():
+    # -S skips site, which on many hosts imports both for .pth files
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import linkdelay.cli; "
+             "print(sorted({'pathlib', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["[]"]
+
+
 # inputs whose fitted values overflow or whose interarrival time squares to 0, and
 # each subcommand's exit code and a word its message must hold
 EXTREME_INPUTS = {

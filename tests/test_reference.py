@@ -704,6 +704,8 @@ def reference_bound_prob(traffic, dist, packet_bits, theta, delay):
         return math.inf  # the service-time MGF would overflow
     if isinstance(traffic, PoissonTraffic) and theta * packet_bits > 700.0:
         return math.inf  # so would the MGF of one packet's bits
+    if math.log(dist.mgf(theta)) <= 0.0:
+        return math.inf  # the MGF rounds to 1: no service curve
     sc = service_curve(dist, packet_bits, theta)
     ac = arrival_curve_for(traffic, packet_bits, theta)
     if ac.rate > sc.rate:
@@ -867,6 +869,59 @@ def test_refined_points_are_the_reference_loop_bit_for_bit(kind, rho):
     assert_same_points(snc.optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, thetas), want)
 
 
+def traffic_at(kind, mean_t, rho):
+    if kind == "periodic":
+        return PeriodicTraffic(t_pit=mean_t / rho)
+    if kind == "poisson":
+        return PoissonTraffic(rate=rho / mean_t)
+    switch = 1.0 / (3.0 * mean_t)
+    return OnOffTraffic(lam_on_off=switch, mu_off_on=switch, rate=2.0 * rho / mean_t)
+
+
+EDGE_DIST = service_distribution(LinkConfig(l_d=100), TC, 0.2)
+
+
+def edge_case(case):
+    """A theta grid (with the packet size it is meant for) that reaches one edge of the curve builder."""
+    if case == "one stable exponent":
+        # below the MGF's resolution, stable, past the overflow guards: nothing to refine
+        return np.array([1e-30, 1e-3, 1e3]), 800.0
+    if case == "flat and overflowing MGF":
+        return np.concatenate((np.geomspace(1e-30, 1e-18, 4), ThetaGridSpec().values(),
+                               np.geomspace(10.0, 1e3, 3))), 800.0
+    if case == "packet bits past 700":
+        thetas = ThetaGridSpec(min=1e-5, max=5.0, points=60).values()
+        over = thetas * 800.0 > 700.0
+        assert over.any() and np.any(over & (thetas * EDGE_DIST.max_duration <= 700.0))
+        return thetas, 800.0
+    # the packet size that puts the service rate at 1 bit/ms at theta0, where the
+    # service decay theta0 / R meets the arrival decay theta0; the grid's
+    # neighbours lie so close that every probe between them meets it too
+    theta0 = 1e-3
+    return theta0 * np.array([1.0 - 1e-13, 1.0, 1.0 + 1e-13]), math.log(EDGE_DIST.mgf(theta0)) / theta0
+
+
+@pytest.mark.parametrize("kind", ["periodic", "poisson", "onoff"])
+@pytest.mark.parametrize("case", ["one stable exponent", "flat and overflowing MGF",
+                                  "packet bits past 700", "equal decay rates"])
+def test_curve_builder_edges_are_the_reference_loop_bit_for_bit(kind, case):
+    mean_t = EDGE_DIST.mean()
+    traffic = traffic_at(kind, mean_t, 0.5)
+    thetas, packet_bits = edge_case(case)
+    delays = [0.25 * mean_t * (k + 1) for k in range(64)]
+    want = reference_optimize_delay_ccdf(traffic, EDGE_DIST, packet_bits, delays, thetas)
+    got = snc.optimize_delay_ccdf(traffic, EDGE_DIST, packet_bits, delays, thetas)
+    assert_same_points(got, want)
+    assert any(p.theta is not None for p in got.points)
+    if case == "one stable exponent":
+        assert {p.theta for p in got.points} <= {None, 1e-3}
+    if case == "equal decay rates" and kind != "periodic":
+        for theta in thetas:
+            rate, _, a, b = snc._stable_curves(traffic, EDGE_DIST, packet_bits, theta)
+            assert rate == pytest.approx(1.0, rel=1e-12)
+            assert abs(a - b) <= snc._EQUAL_RATES_REL * max(a, b)
+
+
 @pytest.mark.parametrize("traffic", [
     PeriodicTraffic(t_pit=40.0),
     PoissonTraffic(rate=0.025),
@@ -875,13 +930,17 @@ def test_refined_points_are_the_reference_loop_bit_for_bit(kind, rho):
 def test_curves_built_once_per_theta(monkeypatch, traffic):
     # adjacent delays refine in the same bracket and probe the same exponents
     built = Counter()
-    stable_curves = snc._stable_curves
+    curve_builder = snc._curve_builder
 
-    def counting(traffic, dist, packet_bits, theta):
-        built[float(theta)] += 1
-        return stable_curves(traffic, dist, packet_bits, theta)
+    def counting_builder(traffic, dist, packet_bits):
+        curves_at = curve_builder(traffic, dist, packet_bits)
 
-    monkeypatch.setattr(snc, "_stable_curves", counting)
+        def counting(theta):
+            built[float(theta)] += 1
+            return curves_at(theta)
+        return counting
+
+    monkeypatch.setattr(snc, "_curve_builder", counting_builder)
     dist = service_distribution(LinkConfig(), TC, 0.2)
     delays = [3.0 * (k + 1) for k in range(64)]    # rho about 0.53 at a mean of 21 ms
     snc.optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, ThetaGridSpec().values())
