@@ -5,9 +5,11 @@ mean delay through an equivalent lossless G/G/1 queue, tail bounds
 through min-plus arrival/service curves, and a discrete-event simulator
 for validating both.  The package exports each module's ``__all__``.
 
-The model layer (config, empirical, gg1, traffic) needs no numpy and is
-imported here.  The numerics (service_time, simulator, snc) import numpy,
-so they load on the first access of one of their names (PEP 562).
+The model layer (config, empirical, gg1, traffic) is imported here.  The
+numerics (service_time, simulator, snc) load on the first access of one
+of their names (PEP 562).  Only the simulator imports numpy as it
+loads; service_time and snc import it inside the functions that return
+or draw arrays, so the service-time law and the tail bound run without it.
 """
 
 from . import config, empirical, gg1, traffic

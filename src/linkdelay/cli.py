@@ -8,9 +8,10 @@ simulation.  Outputs are deterministic for a fixed config and seed.
 Exit codes: 0 success, 2 configuration error or unwritable output file,
 3 overload (queue unstable or no feasible bound), 4 validation failure.
 
-models and mean-delay need no numpy: the numpy-backed modules are
-imported inside the subcommands that use them.  json, likewise, is
-imported only where a config file is read or JSON is written.
+models, mean-delay and delay-bound need no numpy: the simulator, which
+imports it, is imported inside the subcommands that use it.  json,
+likewise, is imported only where a config file is read or JSON is
+written.
 """
 
 from __future__ import annotations

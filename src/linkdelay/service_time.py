@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable
-
-import numpy as np
+from itertools import accumulate
 
 from ._record import Frozen, set_field
 from .empirical import LinkConfig, TimingConstants
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
+if TYPE_CHECKING:
+    from typing import Callable, Sequence
+
+    import numpy as np
 
 # TimingConstants lives in the numpy-free empirical module and is re-exported here
 __all__ = [
@@ -78,7 +82,7 @@ def dropped_duration(comps: ServiceComponents, t_spi: float, n_max_tries: int) -
     return t_spi + comps.t_fail + (n_max_tries - 1) * comps.t_retry
 
 
-def attempt_pmf(p_e: float, n_max_tries: int) -> tuple[np.ndarray, float]:
+def attempt_pmf(p_e: float, n_max_tries: int) -> tuple[tuple[float, ...], float]:
     """Truncated geometric attempt law.
 
     Returns (probs, drop_prob) where probs[k-1] = (1-p_e)*p_e**(k-1) is the
@@ -88,9 +92,8 @@ def attempt_pmf(p_e: float, n_max_tries: int) -> tuple[np.ndarray, float]:
         raise ValueError(f"p_e must be in [0, 1], got {p_e}")
     if n_max_tries < 1:
         raise ValueError(f"n_max_tries must be >= 1, got {n_max_tries}")
-    k = np.arange(1, n_max_tries + 1)
-    probs = (1.0 - p_e) * p_e ** (k - 1.0)
-    return probs, float(p_e**n_max_tries)
+    q = 1.0 - p_e
+    return tuple(q * p_e ** (k - 1.0) for k in range(1, n_max_tries + 1)), float(p_e**n_max_tries)
 
 
 class ServiceDistribution(Frozen):
@@ -98,8 +101,10 @@ class ServiceDistribution(Frozen):
 
     durations[k - 1] and probs[k - 1] are the server occupancy (ms) and
     the probability of delivery on attempt k; the last entry of each is
-    the drop atom, which uses all n_max_tries attempts.  Both arrays are
-    stored as read-only float copies.  Laws compare and hash by identity.
+    the drop atom, which uses all n_max_tries attempts.  Both are stored
+    as tuples of Python floats, the law's one copy; the numpy arrays the
+    simulator draws from are built from them on first use.  Laws compare
+    and hash by identity.
     """
 
     # __dict__ holds the cached properties
@@ -107,17 +112,19 @@ class ServiceDistribution(Frozen):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, durations: np.ndarray, probs: np.ndarray, p_e: float, n_max_tries: int) -> None:
-        durations, probs = np.array(durations, dtype=float), np.array(probs, dtype=float)
+    def __init__(self, durations: Sequence[float], probs: Sequence[float], p_e: float,
+                 n_max_tries: int) -> None:
+        durations, probs = tuple(map(float, durations)), tuple(map(float, probs))
         for name, values in (("durations", durations), ("probs", probs)):
-            if values.shape != (n_max_tries + 1,):
+            if len(values) != n_max_tries + 1:
                 raise ValueError(f"{name} must hold n_max_tries + 1 = {n_max_tries + 1} "
-                                 f"atoms, got shape {values.shape}")
-            values.flags.writeable = False
-        total = float(np.cumsum(probs)[-1])
+                                 f"atoms, got {len(values)}")
+        total = 0.0
+        for p in probs:  # left to right, as np.cumsum adds
+            total += p
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
-        if np.any(durations[1:-1] <= durations[:-2]):
+        if any(b <= a for a, b in zip(durations, durations[1:-1])):
             raise ValueError("delivered durations must increase with attempt count")
         set_field(self, "durations", durations)
         set_field(self, "probs", probs)
@@ -125,27 +132,12 @@ class ServiceDistribution(Frozen):
         set_field(self, "n_max_tries", n_max_tries)
 
     @property
-    def attempts(self) -> np.ndarray:
-        """Attempts each atom uses: 1..n_max_tries, then n_max_tries for the drop."""
-        return np.append(np.arange(1, self.n_max_tries + 1), self.n_max_tries)
-
-    @property
-    def delivered(self) -> np.ndarray:
-        """True for the delivery atoms, False for the drop atom."""
-        return np.arange(self.n_max_tries + 1) < self.n_max_tries
-
-    @property
     def drop_probability(self) -> float:
-        return float(self.probs[-1])
+        return self.probs[-1]
 
     @cached_property
     def max_duration(self) -> float:
-        return float(self.durations.max())
-
-    @cached_property
-    def _atoms(self) -> list[tuple[float, float]]:
-        """(duration, probability) of each atom as Python floats, for the scalar loops below."""
-        return list(zip(self.durations.tolist(), self.probs.tolist()))
+        return max(self.durations)
 
     def _expectation(self, f: Callable[[float], float]) -> float:
         """E[f(T)] over all atoms.
@@ -155,7 +147,7 @@ class ServiceDistribution(Frozen):
         interpreter's sum() would add them in.
         """
         total = 0.0
-        for d, p in self._atoms:
+        for d, p in zip(self.durations, self.probs):
             total += f(d) * p
         return total
 
@@ -177,9 +169,26 @@ class ServiceDistribution(Frozen):
             )
         # _expectation's left-to-right sum, without a call per atom
         total = 0.0
-        for d, p in self._atoms:
+        for d, p in zip(self.durations, self.probs):
             total += math.exp(theta * d) * p
         return total
+
+    # numpy views of the atoms, for the simulator: built on first use, read-only
+
+    @cached_property
+    def duration_array(self) -> np.ndarray:
+        """durations as a numpy array."""
+        return _read_only(self.durations)
+
+    @cached_property
+    def attempts(self) -> np.ndarray:
+        """Attempts each atom uses: 1..n_max_tries, then n_max_tries for the drop."""
+        return _read_only((*range(1, self.n_max_tries + 1), self.n_max_tries))
+
+    @cached_property
+    def delivered(self) -> np.ndarray:
+        """True for the delivery atoms, False for the drop atom."""
+        return _read_only((True,) * self.n_max_tries + (False,))
 
     def draw_atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Atom index of n outcomes drawn by inverse CDF from rng.random(n).
@@ -187,24 +196,36 @@ class ServiceDistribution(Frozen):
         A draw u in [0, 1) takes atom j, the number of partial sums
         probs[0] + ... + probs[i], i < K - 1, that are <= u.  The full sum
         is 1 > u and never counts, even where rounding lifts an earlier
-        partial sum above 1.  The count is kept in the narrowest unsigned
-        type that holds n_max_tries, a byte for any practical law.
+        partial sum above 1.  The partial sums are added left to right,
+        as np.cumsum adds them.  The count is kept in the narrowest
+        unsigned type that holds n_max_tries, a byte for any practical law.
         Calls one after another draw what one call for all of them would.
         """
-        cum = np.cumsum(self.probs)
+        import numpy as np
+
         u = rng.random(n)
         idx = np.zeros(n, dtype=np.min_scalar_type(self.n_max_tries))
         hit = np.empty(n, dtype=bool)
-        for c in cum[:-1].tolist():
+        for c in accumulate(self.probs[:-1]):
             np.greater_equal(u, c, out=hit)
             idx += hit.view(np.uint8)
         return idx
 
     def sample_many(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised draw of n outcomes: (attempts, durations, delivered), by draw_atoms."""
+        import numpy as np
+
         idx = self.draw_atoms(rng, n)
         atom = idx.astype(np.intp)  # take would widen a narrow index on each call
-        return self.attempts.take(atom), self.durations.take(atom), idx < self.n_max_tries
+        return self.attempts.take(atom), self.duration_array.take(atom), idx < self.n_max_tries
+
+
+def _read_only(values: tuple) -> np.ndarray:
+    import numpy as np
+
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
 
 
 def service_distribution(cfg: LinkConfig, tc: TimingConstants, p_e: float) -> ServiceDistribution:
@@ -213,5 +234,5 @@ def service_distribution(cfg: LinkConfig, tc: TimingConstants, p_e: float) -> Se
     probs, drop_prob = attempt_pmf(p_e, cfg.n_max_tries)
     durations = [delivered_duration(k, comps, tc.t_spi) for k in range(1, cfg.n_max_tries + 1)]
     durations.append(dropped_duration(comps, tc.t_spi, cfg.n_max_tries))
-    return ServiceDistribution(durations=durations, probs=np.append(probs, drop_prob),
+    return ServiceDistribution(durations=durations, probs=(*probs, drop_prob),
                                p_e=p_e, n_max_tries=cfg.n_max_tries)

@@ -150,7 +150,7 @@ def simulate(
         atoms = draws.rewind(stop)
         attempts = dist.attempts.take(atoms) if collect_trace else None
         tail, n_queue_drops, _ = _serve_from(stop, arrivals, cfg.q_max, attempts,
-                                             dist.durations.take(atoms), atoms < dist.n_max_tries, trace)
+                                             dist.duration_array.take(atoms), atoms < dist.n_max_tries, trace)
         draws.write(tail)
     delivered_delays = draws.delays[:draws.written]
     return SimResult(
@@ -187,7 +187,7 @@ class _ChunkDraws:
     def draw(self, lo: int, hi: int) -> np.ndarray:
         self.marks.append((lo, self.written, self.rng.bit_generator.state))
         self.atoms = self.dist.draw_atoms(self.rng, hi - lo)
-        self.durations = self.dist.durations.take(self.atoms)
+        self.durations = self.dist.duration_array.take(self.atoms)
         return self.durations
 
     def sink(self, lo: int, waits: np.ndarray) -> None:

@@ -11,8 +11,9 @@ optimize_delay_ccdf builds its kernel once per call: one function maps
 an exponent to its curves, or to why it is infeasible, with the traffic
 kind and the service law dispatched once, and each exponent's bound is
 a function of the delay whose exponent-only terms are worked out once.
-A numpy scan of the theta grid picks each delay's best grid exponent,
-and a golden-section search refines it between the grid neighbours.
+A scan of the theta grid picks each delay's best grid exponent, and a
+golden-section search refines it between the grid neighbours.  The
+module is pure Python: numpy loads only for DelayCcdf's arrays.
 
 Traffic volume is measured in bits; a packet contributes packet_bits at
 its arrival instant.
@@ -21,15 +22,17 @@ its arrival instant.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from functools import partial
-from typing import Callable, Sequence
-
-import numpy as np
 
 from ._record import Frozen, set_field
 from .gg1 import Overload
 from .service_time import ServiceDistribution, _MGF_EXPONENT_LIMIT
 from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ArrivalCurve",
@@ -49,10 +52,6 @@ __all__ = [
 
 # decay rates this close are convolved with the equal-rates closed form
 _EQUAL_RATES_REL = 1e-12
-# np.exp against math.exp: |np.exp(y) - math.exp(y)| <= _EXP_REL * math.exp(y) + _EXP_ABS,
-# four ulps of the result in the normal range and four of the smallest subnormal below it
-_EXP_REL = 2.0**-50
-_EXP_ABS = 2.0**-1072
 
 
 class ArrivalCurve(Frozen):
@@ -119,9 +118,13 @@ class DelayCcdf(Frozen):
         set_field(self, "points", points)
 
     def delays(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.delay for p in self.points])
 
     def probs(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.prob for p in self.points])
 
 
@@ -231,16 +234,10 @@ def service_curve(dist: ServiceDistribution, packet_bits: float, theta: float) -
         raise ValueError(f"theta must be > 0, got {theta}")
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
-    rate = _service_rate(dist.mgf, packet_bits, theta)
-    if rate is None:
+    log_m = math.log(dist.mgf(theta))
+    if not log_m > 0.0:  # the MGF rounds to 1 (theta near 0)
         raise ValueError("service-time MGF must exceed 1 for theta > 0")
-    return ServiceCurve(rate=rate, theta=theta)
-
-
-def _service_rate(mgf: Callable[[float], float], packet_bits: float, theta: float) -> float | None:
-    """The service curve's rate at theta; None where the MGF rounds to 1 (theta near 0)."""
-    log_m = math.log(mgf(theta))
-    return packet_bits * theta / log_m if log_m > 0.0 else None
+    return ServiceCurve(rate=packet_bits * theta / log_m, theta=theta)
 
 
 def convolve_exponential_bounds(a: float, b: float, x: float) -> float:
@@ -278,20 +275,26 @@ def _curve_builder(traffic: TrafficSpec, dist: ServiceDistribution,
     the MGF of one packet's bits would leave exp()'s range, when theta is
     so small that the service-time MGF rounds to 1 (no service curve), or
     when the arrival envelope outruns the service curve.  The traffic kind
-    and the service law are looked up once, not on every theta.
+    and the service law are looked up once, not on every theta, and the
+    service rate is service_curve's, with the MGF summed inline as
+    ServiceDistribution.mgf sums it.
     """
     envelope = _envelope_at(traffic, packet_bits)
     poisson = isinstance(traffic, PoissonTraffic)
-    max_duration, mgf = dist.max_duration, dist.mgf
+    max_duration, atoms = dist.max_duration, tuple(zip(dist.durations, dist.probs))
 
     def curves_at(theta: float) -> _Curves | str:
         if theta * max_duration > _MGF_EXPONENT_LIMIT:
             return _SERVICE_OVERFLOW
         if poisson and theta * packet_bits > _MGF_EXPONENT_LIMIT:
             return _PACKET_OVERFLOW
-        rate = _service_rate(mgf, packet_bits, theta)
-        if rate is None:
+        mgf = 0.0
+        for d, p in atoms:
+            mgf += math.exp(theta * d) * p
+        log_m = math.log(mgf)
+        if not log_m > 0.0:
             return _MGF_FLAT
+        rate = packet_bits * theta / log_m
         arrival_rate, burst, decay = envelope(theta)
         if arrival_rate > rate:
             return _ENVELOPE
@@ -311,10 +314,10 @@ def _stable_curves(traffic: TrafficSpec, dist: ServiceDistribution, packet_bits:
     return _stable(_curve_builder(traffic, dist, packet_bits)(theta))
 
 
-def _overload_message(curves_at: Callable[[float], _Curves | str], grid: np.ndarray) -> str:
-    """Why no exponent of the grid is stable: each cause with the exponents it refused."""
+def _overload_message(curves_at: Callable[[float], _Curves | str], grid: list[float]) -> str:
+    """Why no exponent of the sorted grid is stable: each cause with the exponents it refused."""
     refused: dict[str, list[float]] = {}
-    for t in np.sort(grid).tolist():
+    for t in grid:
         refused.setdefault(curves_at(t), []).append(t)
     head = "no stable exponent in the theta grid; "
     if refused.keys() == {_ENVELOPE}:
@@ -322,7 +325,7 @@ def _overload_message(curves_at: Callable[[float], _Curves | str], grid: np.ndar
     if refused.keys() == {_MGF_FLAT}:
         # the MGF never decreases in theta, so it is 1 all the way up
         return head + (f"the service-time MGF rounds to 1 up to its largest exponent "
-                       f"{grid.max():.3g}, so no exponent has a service curve")
+                       f"{grid[-1]:.3g}, so no exponent has a service curve")
     return head + "; ".join(
         (f"at exponent {ts[0]:.3g}" if len(ts) == 1
          else f"at {len(ts)} exponents from {ts[0]:.3g} to {ts[-1]:.3g}") + f", {cause}"
@@ -336,31 +339,33 @@ def _bound_at(curves: _Curves | None) -> _Bound:
     envelope raised by x bits and the service curve, so x = delay * R - burst.
     A stochastic envelope's bound convolves the violation bounds exp(-a*x)
     and exp(-b*x) (convolve_exponential_bounds).  What depends on theta
-    alone is worked out once and bound as defaults, which read as locals.
+    alone is worked out once and bound as defaults, which read as locals,
+    as does math.exp.
     """
     if curves is None:
         return lambda delay: math.inf
     rate, burst, a, b = curves
     if a is None:
-        def bound(delay: float, rate=rate, burst=burst, nb=-b) -> float:
+        def bound(delay: float, rate=rate, burst=burst, nb=-b, exp=math.exp) -> float:
             x = delay * rate - burst
             # x >= 0, so the exponent is <= 0 and the bound already lies in [0, 1]
-            return 1.0 if x < 0.0 else math.exp(nb * x)
+            return 1.0 if x < 0.0 else exp(nb * x)
     elif abs(a - b) <= _EQUAL_RATES_REL * max(a, b):
         c = 0.5 * (a + b)
 
-        def bound(delay: float, rate=rate, burst=burst, c=c, nc=-c) -> float:
+        def bound(delay: float, rate=rate, burst=burst, c=c, nc=-c, exp=math.exp) -> float:
             x = delay * rate - burst
             if x < 0.0:
                 return 1.0
-            val = (1.0 + c * x) * math.exp(nc * x)
+            val = (1.0 + c * x) * exp(nc * x)
             return 0.0 if val < 0.0 else 1.0 if 1.0 < val else val
     else:
-        def bound(delay: float, rate=rate, burst=burst, a=a, b=b, na=-a, nb=-b, diff=a - b) -> float:
+        def bound(delay: float, rate=rate, burst=burst, a=a, b=b, na=-a, nb=-b, diff=a - b,
+                  exp=math.exp) -> float:
             x = delay * rate - burst
             if x < 0.0:
                 return 1.0
-            val = (a * math.exp(nb * x) - b * math.exp(na * x)) / diff
+            val = (a * exp(nb * x) - b * exp(na * x)) / diff
             return 0.0 if val < 0.0 else 1.0 if 1.0 < val else val
     return bound
 
@@ -373,55 +378,13 @@ def _bound_prob(curves: _Curves | None, delay: float) -> float:
 def _grid_minima(curves: Sequence[_Curves], delays: Sequence[float]) -> list[tuple[int, float]]:
     """For each delay, the index and value of the first smallest _bound_prob over curves.
 
-    The same pair, value type included, as np.argmin over the full list of
-    _bound_prob values, which is never built.  numpy fills the delays x
-    curves matrix of bounds with _bound_prob's operations in its order,
-    together with a bound on each cell's distance from the scalar value:
-    np.exp and math.exp may differ in the last bits, and each side rounds
-    its products and quotient on its own.  _bound_prob runs only on the
-    cells whose lower end reaches the smallest upper end of their row, so
-    every value returned is its own.
+    Each curve's bound function is built once; a delay's row holds every
+    curve's bound there, and row.index(min(row)) finds its first minimum,
+    as np.argmin over the row would.
     """
-    rate, burst, arrival_decay, service_decay = (np.array(v, dtype=float) for v in zip(*curves))
-    x = np.array(delays, dtype=float)[:, None] * rate - burst
-    xs = np.maximum(x, 0.0)  # cells with x < 0 are 1 exactly; this keeps their exponents <= 0
-    det = np.isnan(arrival_decay)  # a deterministic envelope; its a below is a placeholder
-    a = np.where(det, service_decay, arrival_decay)
-    b = service_decay
-    diff = a - b
-    equal = np.abs(diff) <= _EQUAL_RATES_REL * np.maximum(a, b)
-    denom = np.where(equal, 1.0, diff)
-    gap = np.abs(denom)
-    c = 0.5 * (a + b)
-    e_b = np.exp(-b * xs)
-    p_a, p_b = a * e_b, b * np.exp(-a * xs)
-    rise = 1.0 + c * xs
-    tied = rise * np.exp(-c * xs)
-    value = np.where(det, e_b, np.where(equal, tied, (p_a - p_b) / denom))
-    # |numpy - scalar| <= 2 * _EXP_REL * scale + _EXP_ABS * k.  scale is the
-    # value, or for unequal rates the cancellation factor
-    # (a e^{-bx} + b e^{-ax}) / |a - b|; 2 * _EXP_REL covers the exp slack
-    # and both sides' rounding.  k weighs the absolute errors: exp's, and
-    # those of a product or quotient that underflows.  The slack doubles
-    # that, for the rounding of these terms themselves.
-    scale = np.where(det | equal, value, (p_a + p_b) / gap)
-    k = np.where(det, 1.0, np.where(equal, rise + 1.0, (a + b + 1.0) / gap + 1.0))
-    slack = 4.0 * _EXP_REL * scale + 2.0 * _EXP_ABS * k
-    # clamping to [0, 1] is monotone, so it keeps the scalar value inside the clamped ends
-    neg = x < 0.0
-    lower = np.where(neg, 1.0, np.clip(value - slack, 0.0, 1.0))
-    upper = np.where(neg, 1.0, np.clip(value + slack, 0.0, 1.0))
-    rows, cols = np.nonzero(lower <= upper.min(axis=1, keepdims=True))
-    # in column order, a cell can only replace the row's first minimum so far
-    # when its lower end lies strictly below that minimum
-    best: list[tuple[int, float] | None] = [None] * len(delays)
-    for r, j, low in zip(rows.tolist(), cols.tolist(), lower[rows, cols].tolist()):
-        found = best[r]
-        if found is None or low < found[1]:
-            prob = _bound_prob(curves[j], delays[r])
-            if found is None or prob < found[1]:
-                best[r] = (j, prob)
-    return best
+    bounds = [_bound_at(c) for c in curves]
+    rows = ([bound(d) for bound in bounds] for d in delays)
+    return [(row.index(m := min(row)), m) for row in rows]
 
 
 def _golden_min(probed: dict[float, _Bound], probe: Callable[[float], _Bound], delay: float,
@@ -477,19 +440,18 @@ def optimize_delay_ccdf(
         raise ValueError("delays must be > 0")
     if any(b <= a for a, b in zip(delays, delays[1:])):
         raise ValueError("delay_grid must be strictly increasing")
-    grid = np.asarray(list(thetas), dtype=float)
-    if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
+    grid = sorted(float(t) for t in thetas)
+    if not grid or not all(0.0 < t < math.inf for t in grid):
         raise ValueError("theta grid must contain finite, positive exponents")
 
     curves_at = _curve_builder(traffic, dist, packet_bits)
     # the curves of each stable grid exponent, built once for every delay
-    stable = [(t, curves) for t in np.sort(grid) if (curves := _stable(curves_at(t))) is not None]
+    stable = [(t, curves) for t in grid if (curves := _stable(curves_at(t))) is not None]
     if not stable:
         raise Overload(_overload_message(curves_at, grid))
 
     # the bound of each theta a golden-section probe visits, shared by every
-    # delay (adjacent delays mostly refine in the same bracket).  Probes are
-    # Python floats and grid exponents numpy scalars, so the grid keeps its own list.
+    # delay (adjacent delays mostly refine in the same bracket)
     probed: dict[float, _Bound] = {}
 
     def probe(theta: float) -> _Bound:

@@ -420,18 +420,22 @@ def run(*argv):
 for command in ("models", "mean-delay"):
     run(command, "--seed", "1", "--format", "csv")
 json_loaded = "json" in sys.modules   # no config file read and no JSON written yet
-for command in ("models", "mean-delay"):
-    for config in sys.argv[1:]:
+configs = sys.argv[1:]
+for command in ("models", "mean-delay", "delay-bound"):
+    # delay-bound's golden configs are the default, poisson.json and onoff.json
+    for config in configs if command != "delay-bound" else configs[:3]:
         for fmt in ("csv", "json"):
             run(command, "--seed", "1", "--format", fmt, *(["--config", config] if config else []))
 for command in ("models", "mean-delay", "delay-bound", "simulate", "validate"):
     run(command, "--dump-config")
+simulation = [m for m in ("simulator", "_clopper_pearson") if "linkdelay." + m in sys.modules]
 import json
-print(json.dumps({"numerics": numerics, "json_loaded": json_loaded, "runs": runs}))
+print(json.dumps({"numerics": numerics, "json_loaded": json_loaded, "simulation": simulation,
+                  "runs": runs}))
 """
 
 
-def test_models_and_mean_delay_need_no_numpy():
+def test_models_mean_delay_and_delay_bound_need_no_numpy():
     # the suite itself imports numpy, so only a fresh interpreter can tell
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -441,12 +445,16 @@ def test_models_and_mean_delay_need_no_numpy():
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["numerics"] == []
     assert report["json_loaded"] is False
+    assert report["simulation"] == []
     runs = report["runs"]
-    assert len(runs) == 2 * len(configs) * 2 + 5
+    assert len(runs) == 2 * len(configs) * 2 + 3 * 2 + 5
     assert {argv: code for argv, (code, _) in runs.items()} == dict.fromkeys(runs, 0)
     for command in ("models", "mean-delay"):
         out = runs[f"{command} --seed 1 --format csv"][1]
         assert out == (GOLDEN / f"{command}.csv").read_text(), command
+    for suffix, config in (("", []), ("-poisson", ["--config", configs[1]]), ("-onoff", ["--config", configs[2]])):
+        argv = " ".join(["delay-bound", "--seed", "1", "--format", "csv", *config])
+        assert runs[argv][1] == (GOLDEN / f"delay-bound{suffix}.csv").read_text(), suffix
 
 
 def test_cli_import_loads_neither_pathlib_nor_typing():

@@ -197,7 +197,7 @@ def scenarios(draw):
         spec = PeriodicTraffic(t_pit=mean_t / rho, horizon=n)
     elif kind == "tie":
         # arrivals spaced by one service atom exactly: departures land on arrival instants
-        atom = draw(st.sampled_from(dist.durations.tolist()))
+        atom = draw(st.sampled_from(dist.durations))
         spec = PeriodicTraffic(t_pit=atom, horizon=n)
     elif kind == "poisson":
         spec = PoissonTraffic(rate=rho / mean_t, horizon=n)
@@ -445,7 +445,7 @@ def reference_sample_many(dist, rng, n):
     idx = np.zeros(n, dtype=np.intp)
     for c in cum[:-1].tolist():
         idx += u >= c
-    return dist.attempts[idx], dist.durations[idx], dist.delivered[idx]
+    return dist.attempts[idx], dist.duration_array[idx], dist.delivered[idx]
 
 
 # the Lindley pass's chunks hold 1024, 2048, 4096, ... packets, so the first
@@ -777,8 +777,7 @@ def reference_optimize_delay_ccdf(traffic, dist, packet_bits, delay_grid, thetas
         return reference_bound_prob(traffic, dist, packet_bits, theta, delay)
 
     delays = [float(d) for d in delay_grid]
-    stable = [t for t in np.sort(np.asarray(list(thetas), dtype=float))
-              if bound(t, delays[0]) != math.inf]
+    stable = [t for t in sorted(float(t) for t in thetas) if bound(t, delays[0]) != math.inf]
     if not stable:
         raise snc.Overload("no stable exponent in the theta grid")
     points = []
@@ -854,7 +853,7 @@ def test_optimiser_is_the_reference_loop_bit_for_bit(inputs):
 def test_refined_points_are_the_reference_loop_bit_for_bit(kind, rho):
     # the optimum mostly sits on the stability edge, where the grid point
     # wins; at a few mean service times of delay with bursty traffic the
-    # golden-section probes beat the grid, and their thetas are Python floats
+    # golden-section probes beat the grid, and their thetas lie off it
     dist = service_distribution(LinkConfig(), TC, 0.3)
     mean_t = dist.mean()
     if kind == "periodic":
@@ -865,7 +864,7 @@ def test_refined_points_are_the_reference_loop_bit_for_bit(kind, rho):
     delays = [0.25 * mean_t * (k + 1) for k in range(64)]
     thetas = ThetaGridSpec().values()
     want = reference_optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, thetas)
-    assert any(type(p.theta) is float for p in want.points)
+    assert any(p.theta not in (None, *thetas) for p in want.points)
     assert_same_points(snc.optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, thetas), want)
 
 
@@ -890,7 +889,7 @@ def edge_case(case):
         return np.concatenate((np.geomspace(1e-30, 1e-18, 4), ThetaGridSpec().values(),
                                np.geomspace(10.0, 1e3, 3))), 800.0
     if case == "packet bits past 700":
-        thetas = ThetaGridSpec(min=1e-5, max=5.0, points=60).values()
+        thetas = np.array(ThetaGridSpec(min=1e-5, max=5.0, points=60).values())
         over = thetas * 800.0 > 700.0
         assert over.any() and np.any(over & (thetas * EDGE_DIST.max_duration <= 700.0))
         return thetas, 800.0

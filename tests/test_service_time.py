@@ -97,9 +97,9 @@ def test_attempt_pmf_worked():
 
 def test_attempt_pmf_degenerate():
     probs, drop = attempt_pmf(0.0, 4)
-    assert probs[0] == 1.0 and np.all(probs[1:] == 0.0) and drop == 0.0
+    assert probs == (1.0, 0.0, 0.0, 0.0) and drop == 0.0
     probs, drop = attempt_pmf(1.0, 4)
-    assert np.all(probs == 0.0) and drop == 1.0
+    assert probs == (0.0, 0.0, 0.0, 0.0) and drop == 1.0
     with pytest.raises(ValueError):
         attempt_pmf(-0.1, 3)
     with pytest.raises(ValueError):
@@ -112,8 +112,8 @@ def test_attempt_pmf_sums_to_one():
         p = float(rng.uniform(0.0, 1.0))
         n = int(rng.integers(1, 12))
         probs, drop = attempt_pmf(p, n)
-        assert np.all(probs >= 0.0)
-        assert probs.sum() + drop == pytest.approx(1.0, abs=1e-15)
+        assert all(type(q) is float and q >= 0.0 for q in probs)
+        assert math.fsum(probs) + drop == pytest.approx(1.0, abs=1e-15)
         for k in range(1, n + 1):
             assert probs[k - 1] == pytest.approx((1 - p) * p ** (k - 1), rel=1e-12)
         assert drop == pytest.approx(p**n, rel=1e-12)
@@ -148,9 +148,10 @@ def test_distribution_lossless_is_single_atom():
 def test_distribution_invariants_reject_bad_atoms():
     good = service_distribution(FORCED_CFG, FORCED_TC, 0.1)
     with pytest.raises(ValueError):
-        ServiceDistribution(durations=good.durations, probs=good.probs * 0.5, p_e=0.1, n_max_tries=3)
+        ServiceDistribution(durations=good.durations, probs=[p * 0.5 for p in good.probs], p_e=0.1,
+                            n_max_tries=3)
     # durations must increase with the attempt index
-    shuffled = good.durations[[1, 0, 2, 3]]
+    shuffled = [good.durations[i] for i in (1, 0, 2, 3)]
     with pytest.raises(ValueError):
         ServiceDistribution(durations=shuffled, probs=good.probs, p_e=0.1, n_max_tries=3)
     # n_max_tries delivery atoms and one drop atom, in both arrays
@@ -160,17 +161,18 @@ def test_distribution_invariants_reject_bad_atoms():
         ServiceDistribution(durations=good.durations, probs=good.probs, p_e=0.1, n_max_tries=2)
 
 
-def test_distribution_arrays_are_read_only_copies():
+def test_distribution_atoms_are_float_tuples_with_read_only_arrays():
     durations = np.array([DUR_K1, DUR_K2, DUR_K3, DUR_DROP])
     dist = ServiceDistribution(durations=durations, probs=[0.9, 0.09, 0.009, 0.001],
                                p_e=0.1, n_max_tries=3)
     durations[0] = 0.0
     assert dist.durations[0] == DUR_K1
-    assert dist.probs.dtype == float
-    with pytest.raises(ValueError):
-        dist.durations[0] = 1.0
-    with pytest.raises(ValueError):
-        dist.probs[0] = 1.0
+    for atoms in (dist.durations, dist.probs):
+        assert type(atoms) is tuple and all(type(v) is float for v in atoms)
+    assert dist.duration_array.tolist() == list(dist.durations)
+    for array in (dist.duration_array, dist.attempts, dist.delivered):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_moments_add_left_to_right():
@@ -180,7 +182,7 @@ def test_moments_add_left_to_right():
     assert dist.mean() == 11.615375918760776
     wide = service_distribution(LinkConfig(n_max_tries=8), TimingConstants(), 0.45)
     mean = mgf = 0.0
-    for d, p in zip(wide.durations.tolist(), wide.probs.tolist()):
+    for d, p in zip(wide.durations, wide.probs):
         mean += d * p
         mgf += p * math.exp(0.02 * d)
     assert wide.mean() == mean and wide.mgf(0.02) == mgf
@@ -271,7 +273,7 @@ def test_sampling_counts_the_same_atoms_as_a_binary_search(weights, tiny_last, s
     dist = law_of(probs)
     attempts, durations, delivered = dist.sample_many(np.random.default_rng(seed), 2000)
     idx = searchsorted_atoms(dist, np.random.default_rng(seed), 2000)
-    assert np.array_equal(durations, dist.durations[idx])
+    assert np.array_equal(durations, dist.duration_array[idx])
     assert np.array_equal(attempts, dist.attempts[idx])
     assert np.array_equal(delivered, dist.delivered[idx])
 
@@ -281,7 +283,7 @@ def test_sampling_where_a_partial_sum_rounds_above_one():
     assert np.cumsum(dist.probs)[-2] > 1.0
     _, durations, _ = dist.sample_many(np.random.default_rng(3), 100_000)
     idx = searchsorted_atoms(dist, np.random.default_rng(3), 100_000)
-    assert np.array_equal(durations, dist.durations[idx])
+    assert np.array_equal(durations, dist.duration_array[idx])
     assert set(durations.tolist()) == {1.0, 2.0, 3.0, 4.0}
 
 
@@ -291,7 +293,7 @@ def test_sampled_moments_match_exact():
     n = 1_000_000
     _, durations, _ = dist.sample_many(rng, n)
     mean, var = dist.mean(), dist.variance()
-    durs, probs = dist.durations, dist.probs
+    durs, probs = dist.duration_array, np.array(dist.probs)
     mu4 = float(probs @ (durs - mean) ** 4)
     se_mean = math.sqrt(var / n)
     se_var = math.sqrt(max(mu4 - var**2, 0.0) / n)

@@ -91,7 +91,7 @@ def test_delay_decomposition_in_trace():
     )
     tr = result.trace
     dist = service_distribution(LINK, TC, 0.2)
-    delivered_durs = dict(enumerate(dist.durations[:-1].tolist(), start=1))
+    delivered_durs = dict(enumerate(dist.durations[:-1], start=1))
     for i, out in enumerate(tr.outcome):
         if out != "delivered":
             continue

@@ -7,10 +7,11 @@ horizontal distance of the test reference in ``test_reference``.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -338,19 +339,8 @@ def test_optimizer_overload_and_validation():
             optimize_delay_ccdf(periodic, dist, 400.0, [20.0, 40.0], thetas)
 
 
-def test_numpy_exp_within_the_slack_of_the_grid_scan():
-    # the grid scan trusts np.exp to within _EXP_REL * exp + _EXP_ABS of
-    # math.exp, down to subnormal results and exp's underflow to 0
-    rng = np.random.default_rng(909)
-    y = np.concatenate((rng.uniform(-745.2, 0.0, 200_000), rng.uniform(-745.2, -708.3, 100_000),
-                        rng.uniform(-1e-6, 0.0, 10_000), [0.0, -708.39, -745.13, -745.14, -800.0]))
-    want = np.array([math.exp(v) for v in y.tolist()])
-    assert np.sum(want < np.finfo(float).tiny) > 100_000
-    assert np.all(np.abs(np.exp(y) - want) <= snc._EXP_REL * want + snc._EXP_ABS)
-
-
 def scalar_minima(curves, delays):
-    """np.argmin over the full list of scalar bounds, as the grid scan was before the matrix."""
+    """For each delay, np.argmin over the scalar bound of every curve, and the bound it picks."""
     out = []
     for d in delays:
         probs = [snc._bound_prob(c, d) for c in curves]
@@ -363,40 +353,50 @@ def typed(minima):
     return [(i, type(v), float.hex(v)) for i, v in minima]
 
 
-def shifted_exp(monkeypatch, shift):
-    """Replace np.exp by one that adds shift(y, e) to it, checked to stay within the scan's exp slack."""
-    exp = np.exp
+@st.composite
+def grid_columns(draw):
+    """Curves whose bounds nearly or exactly tie, and delays from a burst's reach to the tail.
 
-    def shifted(y):
-        e = exp(y)
-        e = np.maximum(e + shift(np.asarray(y), e), 0.0)
-        want = np.array([math.exp(v) for v in np.ravel(y).tolist()]).reshape(np.shape(y))
-        assert np.all(np.abs(e - want) <= snc._EXP_REL * want + snc._EXP_ABS)
-        return e
+    The rates and decays differ by about 1e-12 relative, so that the
+    columns' bounds agree to a few digits; unequal decay rates sit 5e-13
+    to 1e-9 apart, where the convolution cancels; repeated curves tie
+    exactly; and a burst of 400 bits makes the bound 1 at the delays
+    too short to absorb it.
+    """
+    decay = 10.0 ** draw(st.floats(-6.0, 0.0))
+    rate = draw(st.sampled_from([1.0, 50.0, 400.0]))
+    near = st.floats(-1e-12, 1e-12).map(lambda e: 1.0 + e)
+    curves = []
+    for kind in draw(st.lists(st.sampled_from(["unequal", "equal", "deterministic", "repeat"]),
+                              min_size=1, max_size=24)):
+        if kind == "repeat" and curves:
+            curves.append(draw(st.sampled_from(curves)))
+            continue
+        r, a = rate * draw(near), decay * draw(near)
+        burst = draw(st.sampled_from([0.0, 400.0]))
+        if kind == "deterministic":
+            curves.append((r, burst, None, a))
+        elif kind == "equal":
+            curves.append((r, burst, a, a))
+        else:
+            gap = draw(st.sampled_from([5e-13, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9]))
+            curves.append((r, burst, a, a * (1.0 + gap)))
+    scale = 1.0 / (decay * rate)
+    delays = sorted(set(draw(st.lists(st.floats(-6.0, 2.5).map(lambda e: 10.0 ** e * scale),
+                                      min_size=1, max_size=40))))
+    return curves, delays
 
-    monkeypatch.setattr(np, "exp", shifted)
+
+@settings(max_examples=300, deadline=None)
+@given(grid_columns())
+def test_grid_minima_is_the_argmin_of_the_scalar_bounds(columns):
+    curves, delays = columns
+    assert typed(snc._grid_minima(curves, delays)) == typed(scalar_minima(curves, delays))
 
 
-def two_ulps(mode):
-    """A shift of about two ulps up, down or either way at random, subnormal results included."""
-    rng = np.random.default_rng(17)
-
-    def shift(y, e):
-        sign = {"up": 1.0, "down": -1.0}.get(mode)
-        if sign is None:
-            sign = rng.choice([-1.0, 1.0], size=np.shape(e))
-        return sign * (e * 2.0**-51 + 2.0**-1073)
-
-    return shift
-
-
-@pytest.mark.parametrize("exp_shift", [None, "up", "down", "mixed"])
 @pytest.mark.parametrize("gap", [5e-13, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9])
-def test_grid_minima_with_nearly_equal_decay_rates(monkeypatch, exp_shift, gap):
-    # the convolution cancels to a few digits; the columns' exact bounds lie
-    # so close that the numpy cells cannot order them
-    if exp_shift is not None:
-        shifted_exp(monkeypatch, two_ulps(exp_shift))
+def test_grid_minima_with_nearly_equal_decay_rates(gap):
+    # the convolution cancels to a few digits, and the columns' bounds lie close together
     rng = np.random.default_rng(31)
     for decay in (1e-6, 1e-3, 0.3):
         rate = 400.0 * (1.0 + rng.uniform(-1e-12, 1e-12, 24))
@@ -406,27 +406,9 @@ def test_grid_minima_with_nearly_equal_decay_rates(monkeypatch, exp_shift, gap):
         assert typed(snc._grid_minima(curves, delays)) == typed(scalar_minima(curves, delays))
 
 
-@pytest.mark.parametrize("tie", ["subnormal", "normal"])
-def test_grid_minima_on_exact_ties_that_numpy_splits(monkeypatch, tie):
-    # two deterministic columns whose scalar bounds are equal; numpy puts
-    # the first one ulp above the second, so its own argmin would pick the second
-    y_first = -740.0 if tie == "subnormal" else -1e-3
-    y_second = float(np.nextafter(y_first, 0.0))
-    assert math.exp(y_first) == math.exp(y_second)
-    shifted_exp(monkeypatch, lambda y, e: np.where(y == y_first, np.spacing(e), 0.0))
-    curves = [(1.0, 0.0, None, -y_first), (1.0, 0.0, None, -y_second), (1.0, 0.0, None, -0.5 * y_first)]
-    assert np.argmin(np.exp([-c[3] for c in curves])) == 1
-    got = snc._grid_minima(curves, [1.0])
-    assert typed(got) == typed(scalar_minima(curves, [1.0]))
-    assert got[0][0] == 0
-
-
-@pytest.mark.parametrize("exp_shift", [None, "mixed"])
-def test_grid_minima_with_negative_and_clamped_cells(monkeypatch, exp_shift):
+def test_grid_minima_with_negative_and_clamped_cells():
     # bursts that the smaller delays cannot absorb (x < 0, a bound of 1
     # exactly) and tiny x, where the unequal-rates form rounds above 1
-    if exp_shift is not None:
-        shifted_exp(monkeypatch, two_ulps(exp_shift))
     rng = np.random.default_rng(77)
     decay = 10.0 ** rng.uniform(-6.0, 0.0, 30)
     gap = 10.0 ** rng.uniform(-11.0, -9.0, 30) * rng.choice([-1.0, 1.0], 30)
@@ -441,33 +423,10 @@ def test_grid_minima_with_negative_and_clamped_cells(monkeypatch, exp_shift):
     assert typed(snc._grid_minima(curves, delays)) == typed(scalar_minima(curves, delays))
 
 
-@pytest.mark.parametrize("traffic", [
-    PeriodicTraffic(t_pit=40.0),
-    PoissonTraffic(rate=0.025),
-    OnOffTraffic(lam_on_off=0.05, mu_off_on=0.05, rate=0.05),
-])
-def test_grid_scan_evaluates_few_cells_per_delay(monkeypatch, traffic):
-    # the scalar bound runs on the cells numpy cannot rule out, not on every
-    # stable grid exponent; the golden-section probes are not counted
-    scan_calls, refining = Counter(), []
-    bound_prob, golden_min = snc._bound_prob, snc._golden_min
-
-    def counting(curves, delay):
-        if not refining:
-            scan_calls[delay] += 1
-        return bound_prob(curves, delay)
-
-    def refine(*args):
-        refining.append(True)
-        try:
-            return golden_min(*args)
-        finally:
-            refining.pop()
-
-    monkeypatch.setattr(snc, "_bound_prob", counting)
-    monkeypatch.setattr(snc, "_golden_min", refine)
-    dist = service_distribution(LinkConfig(), TimingConstants(), 0.2)
-    delays = [3.0 * (k + 1) for k in range(64)]
-    optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, THETAS)
-    assert sorted(scan_calls) == delays
-    assert max(scan_calls.values()) <= 3
+def test_grid_minima_takes_the_first_of_equal_bounds():
+    # two deterministic columns whose scalar bounds are equal, subnormal ones included
+    for y_first in (-740.0, -1e-3):
+        y_second = math.nextafter(y_first, 0.0)
+        assert math.exp(y_first) == math.exp(y_second)
+        curves = [(1.0, 0.0, None, -y_first), (1.0, 0.0, None, -y_second), (1.0, 0.0, None, -0.5 * y_first)]
+        assert snc._grid_minima(curves, [1.0]) == [(0, math.exp(y_first))]
