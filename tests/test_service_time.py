@@ -161,7 +161,8 @@ def test_distribution_invariants_reject_bad_atoms():
         ServiceDistribution(durations=good.durations, probs=good.probs, p_e=0.1, n_max_tries=2)
 
 
-def test_distribution_atoms_are_float_tuples_with_read_only_arrays():
+def test_distribution_arrays_are_read_only_copies():
+    # the atoms are float tuples, copied from the input; the simulator's numpy views are read-only
     durations = np.array([DUR_K1, DUR_K2, DUR_K3, DUR_DROP])
     dist = ServiceDistribution(durations=durations, probs=[0.9, 0.09, 0.009, 0.001],
                                p_e=0.1, n_max_tries=3)

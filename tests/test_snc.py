@@ -394,26 +394,46 @@ def test_grid_minima_is_the_argmin_of_the_scalar_bounds(columns):
     assert typed(snc._grid_minima(curves, delays)) == typed(scalar_minima(curves, delays))
 
 
+def nudge(mode):
+    """A function moving a float two ulps up, down or either way at random; the identity for None."""
+    rng = np.random.default_rng(17)
+
+    def nudged(v):
+        if mode is None:
+            return v
+        up = {"up": True, "down": False}.get(mode)
+        toward = math.inf if (rng.random() < 0.5 if up is None else up) else -math.inf
+        return math.nextafter(math.nextafter(v, toward), toward)
+
+    return nudged
+
+
+@pytest.mark.parametrize("ulp_shift", [None, "up", "down", "mixed"])
 @pytest.mark.parametrize("gap", [5e-13, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9])
-def test_grid_minima_with_nearly_equal_decay_rates(gap):
-    # the convolution cancels to a few digits, and the columns' bounds lie close together
+def test_grid_minima_with_nearly_equal_decay_rates(ulp_shift, gap):
+    # the convolution cancels to a few digits, and the columns' bounds lie
+    # close together; moving each column's second decay rate by two ulps
+    # reorders bounds that differ in their last digits
+    shift = nudge(ulp_shift)
     rng = np.random.default_rng(31)
     for decay in (1e-6, 1e-3, 0.3):
         rate = 400.0 * (1.0 + rng.uniform(-1e-12, 1e-12, 24))
         a = decay * (1.0 + rng.uniform(-1e-12, 1e-12, 24))
-        curves = [(float(r), 0.0, float(ai), float(ai * (1.0 + gap))) for r, ai in zip(rate, a)]
+        curves = [(float(r), 0.0, float(ai), shift(float(ai * (1.0 + gap)))) for r, ai in zip(rate, a)]
         delays = (np.logspace(-6.0, 2.5, 40) / (decay * 400.0)).tolist()
         assert typed(snc._grid_minima(curves, delays)) == typed(scalar_minima(curves, delays))
 
 
-def test_grid_minima_with_negative_and_clamped_cells():
+@pytest.mark.parametrize("ulp_shift", [None, "mixed"])
+def test_grid_minima_with_negative_and_clamped_cells(ulp_shift):
     # bursts that the smaller delays cannot absorb (x < 0, a bound of 1
     # exactly) and tiny x, where the unequal-rates form rounds above 1
+    shift = nudge(ulp_shift)
     rng = np.random.default_rng(77)
     decay = 10.0 ** rng.uniform(-6.0, 0.0, 30)
     gap = 10.0 ** rng.uniform(-11.0, -9.0, 30) * rng.choice([-1.0, 1.0], 30)
     burst = rng.choice([0.0, 400.0], 30)
-    curves = [(50.0, float(bu), float(a), float(a * (1.0 + g))) for a, g, bu in zip(decay, gap, burst)]
+    curves = [(50.0, float(bu), float(a), shift(float(a * (1.0 + g)))) for a, g, bu in zip(decay, gap, burst)]
     curves += [(50.0, 400.0, None, float(a)) for a in decay[:5]]
     delays = sorted({8.0 + f for f in 10.0 ** rng.uniform(-14.0, -3.0, 30)} | {1.0, 7.9, 8.0})
     clamped = sum(1 for rate, bu, a, b in curves[:30] for d in delays
@@ -423,10 +443,43 @@ def test_grid_minima_with_negative_and_clamped_cells():
     assert typed(snc._grid_minima(curves, delays)) == typed(scalar_minima(curves, delays))
 
 
-def test_grid_minima_takes_the_first_of_equal_bounds():
-    # two deterministic columns whose scalar bounds are equal, subnormal ones included
-    for y_first in (-740.0, -1e-3):
-        y_second = math.nextafter(y_first, 0.0)
-        assert math.exp(y_first) == math.exp(y_second)
-        curves = [(1.0, 0.0, None, -y_first), (1.0, 0.0, None, -y_second), (1.0, 0.0, None, -0.5 * y_first)]
-        assert snc._grid_minima(curves, [1.0]) == [(0, math.exp(y_first))]
+@pytest.mark.parametrize("tie", ["subnormal", "normal"])
+def test_grid_minima_takes_the_first_of_equal_bounds(tie):
+    # two deterministic columns whose scalar bounds are equal
+    y_first = -740.0 if tie == "subnormal" else -1e-3
+    y_second = math.nextafter(y_first, 0.0)
+    assert math.exp(y_first) == math.exp(y_second)
+    curves = [(1.0, 0.0, None, -y_first), (1.0, 0.0, None, -y_second), (1.0, 0.0, None, -0.5 * y_first)]
+    assert snc._grid_minima(curves, [1.0]) == [(0, math.exp(y_first))]
+
+
+@pytest.mark.parametrize("traffic", [
+    PeriodicTraffic(t_pit=40.0),
+    PoissonTraffic(rate=0.025),
+    OnOffTraffic(lam_on_off=0.05, mu_off_on=0.05, rate=0.05),
+])
+def test_grid_scan_builds_each_bound_once(monkeypatch, traffic):
+    # the optimiser's scan builds one bound function per stable grid
+    # exponent, however many delays it covers, and picks the scalar argmin
+    built, scans = [], []
+    bound_at, grid_minima = snc._bound_at, snc._grid_minima
+
+    def counting(curves):
+        built.append(curves)
+        return bound_at(curves)
+
+    def recording(curves, delays):
+        before = len(built)
+        minima = grid_minima(curves, delays)
+        scans.append((len(built) - before, curves, delays, minima))
+        return minima
+
+    monkeypatch.setattr(snc, "_bound_at", counting)
+    monkeypatch.setattr(snc, "_grid_minima", recording)
+    dist = service_distribution(LinkConfig(), TimingConstants(), 0.2)
+    delays = [3.0 * (k + 1) for k in range(64)]
+    optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, THETAS)
+    [(n_built, curves, scanned, minima)] = scans
+    assert scanned == delays and 1 < len(curves) <= len(THETAS)
+    assert n_built == len(curves)
+    assert typed(minima) == typed(scalar_minima(curves, delays))
