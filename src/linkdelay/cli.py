@@ -124,6 +124,21 @@ def _service_inputs(cfg: RunConfig):
     return p_e, dist, packet_bits
 
 
+def _bound_inputs(cfg: RunConfig, command: str):
+    """PER, exact service distribution, and cfg's delay-tail bound as a call to make.
+
+    The bound needs l_d >= 1, which is checked here, before the command
+    does any work; models and mean-delay accept l_d = 0.
+    """
+    from . import snc
+
+    p_e, dist, packet_bits = _service_inputs(cfg)
+    if packet_bits <= 0.0:
+        raise ConfigError(f"{command} needs l_d >= 1 (packet size in bits must be positive)")
+    return p_e, dist, lambda: snc.optimize_delay_ccdf(
+        cfg.traffic, dist, packet_bits, cfg.delay_grid, thetas=cfg.theta_grid.values())
+
+
 def _fitted_moments(cfg: RunConfig) -> dict:
     """The fitted service-time and loss-rate moments, by models' column names."""
     link, coeffs = cfg.link, cfg.moment_coeffs
@@ -180,18 +195,8 @@ def cmd_mean_delay(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_delay_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from . import snc
-
-    _, dist, packet_bits = _service_inputs(cfg)
-    if packet_bits <= 0.0:
-        raise ConfigError("delay-bound needs l_d >= 1 (packet size in bits must be positive)")
-    ccdf = snc.optimize_delay_ccdf(
-        cfg.traffic,
-        dist,
-        packet_bits,
-        cfg.delay_grid,
-        thetas=cfg.theta_grid.values(),
-    )
+    _, _, delay_ccdf = _bound_inputs(cfg, "delay-bound")
+    ccdf = delay_ccdf()
     columns = ["delay_ms", "bound_prob", "theta"]
     rows = [(p.delay, p.prob, p.theta) for p in ccdf.points]
     _emit(cfg, {}, columns, rows)
@@ -256,12 +261,9 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from . import snc
     from .simulator import dominance_report, empirical_ccdf, run_simulation
 
-    p_e, dist, packet_bits = _service_inputs(cfg)
-    if packet_bits <= 0.0:
-        raise ConfigError("validate needs l_d >= 1 (packet size in bits must be positive)")
+    p_e, dist, delay_ccdf = _bound_inputs(cfg, "validate")
 
     result = run_simulation(cfg.link, cfg.timing, cfg.traffic, p_e, cfg.seed)
     if result.n_delivered == 0:
@@ -282,9 +284,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     rel_error = abs(sim_mean - analytic) / analytic
     mean_ok = rel_error <= cfg.mean_delay_tolerance
 
-    ccdf = snc.optimize_delay_ccdf(
-        cfg.traffic, dist, packet_bits, cfg.delay_grid, thetas=cfg.theta_grid.values()
-    )
+    ccdf = delay_ccdf()
     emp = empirical_ccdf(result.delivered_delays, cfg.delay_grid)
     violations = dominance_report(
         emp, ccdf.delays(), ccdf.probs(), min_bound_prob=MIN_BOUND_PROB

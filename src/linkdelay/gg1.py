@@ -40,7 +40,7 @@ class Overload(Exception):
     """No exponent in the tail bound's search grid satisfies the stability constraint.
 
     Raised by snc, which re-exports it; it lives here so that the CLI can
-    catch it without importing snc's numpy.
+    catch it without importing snc, which models and mean-delay never load.
     """
 
 

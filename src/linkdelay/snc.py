@@ -7,10 +7,12 @@ service-time MGF.  Combining the two yields, for each target delay, a
 tail-probability bound obtained from the Stieltjes convolution of the two
 violation bounds, optimised over the free exponent theta.
 
-optimize_delay_ccdf builds its kernel once per call: one function maps
-an exponent to its curves, or to why it is infeasible, with the traffic
-kind and the service law dispatched once, and each exponent's bound is
-a function of the delay whose exponent-only terms are worked out once.
+Each traffic spec gives its own arrival envelope (traffic.py), so this
+module tells no traffic kinds apart.  optimize_delay_ccdf builds its
+kernel once per call: one function maps an exponent to its curves, or to
+why it is infeasible, with the spec's envelope and the service law's
+atoms bound once, and each exponent's bound is a function of the delay
+whose exponent-only terms are worked out once.
 A scan of the theta grid picks each delay's best grid exponent, and a
 golden-section search refines it between the grid neighbours.  The
 module is pure Python: numpy loads only for DelayCcdf's arrays.
@@ -23,12 +25,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from functools import partial
 
 from ._record import Frozen, set_field
 from .gg1 import Overload
 from .service_time import ServiceDistribution, _MGF_EXPONENT_LIMIT
-from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
+from .traffic import TrafficSpec
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
 if TYPE_CHECKING:
@@ -40,9 +41,6 @@ __all__ = [
     "DelayBound",
     "DelayCcdf",
     "Overload",
-    "periodic_arrival_curve",
-    "poisson_arrival_curve",
-    "onoff_arrival_curve",
     "arrival_curve_for",
     "service_curve",
     "convolve_exponential_bounds",
@@ -128,104 +126,16 @@ class DelayCcdf(Frozen):
         return np.array([p.prob for p in self.points])
 
 
-# (rate in bits/ms, burst in bits, decay in 1/bits or None): an ArrivalCurve's fields
-_Envelope = tuple[float, float, float | None]
-
-
-def periodic_arrival_curve(packet_bits: float, period: float) -> ArrivalCurve:
-    """Deterministic envelope of a periodic source: one packet burst plus mean rate."""
-    if packet_bits <= 0.0:
-        raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
-    if period <= 0.0:
-        raise ValueError(f"period must be > 0, got {period}")
-    return ArrivalCurve(*_periodic_envelope(packet_bits, period))
-
-
-def _periodic_envelope(packet_bits: float, period: float) -> _Envelope:
-    return packet_bits / period, packet_bits, None
-
-
-def poisson_arrival_curve(rate: float, packet_bits: float, theta: float) -> ArrivalCurve:
-    """Chernoff envelope of Poisson packet arrivals at the given exponent.
-
-    The envelope rate (rate/theta) * (exp(theta*packet_bits) - 1) already
-    accounts for whole packets arriving at single instants, so no burst
-    term is needed.
-    """
-    if rate <= 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if packet_bits <= 0.0:
-        raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
-    if theta <= 0.0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    return ArrivalCurve(*_poisson_envelope(rate, packet_bits, theta))
-
-
-def _poisson_envelope(rate: float, packet_bits: float, theta: float) -> _Envelope:
-    return rate * math.expm1(theta * packet_bits) / theta, 0.0, theta
-
-
-def onoff_arrival_curve(
-    lam: float,
-    mu: float,
-    peak_rate: float,
-    theta: float,
-    packet_bits: float,
-) -> ArrivalCurve:
-    """Effective-bandwidth envelope of a two-state On-Off fluid source.
-
-    lam is the On->Off transition rate, mu the Off->On rate, peak_rate r
-    the emission rate while On (bits/ms).  The envelope rate is the
-    Perron root of the exponentially tilted generator,
-
-        rate(theta) = (theta*r - lam - mu
-                       + sqrt((theta*r - lam + mu)^2 + 4*lam*mu)) / (2*theta),
-
-    which runs from the mean rate r*mu/(lam+mu) at theta -> 0 up to the
-    peak rate.  The fluid envelope holds for the emitted packet stream
-    only after adding one packet of burst allowance, because a whole
-    packet arrives the moment its fluid equivalent completes.
-    """
-    if lam <= 0.0 or mu <= 0.0:
-        raise ValueError("lam and mu must be > 0")
-    if peak_rate <= 0.0:
-        raise ValueError(f"peak_rate must be > 0, got {peak_rate}")
-    if theta <= 0.0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    if packet_bits <= 0.0:
-        raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
-    return ArrivalCurve(*_onoff_envelope(lam, mu, peak_rate, packet_bits, theta))
-
-
-def _onoff_envelope(lam: float, mu: float, peak_rate: float, packet_bits: float, theta: float) -> _Envelope:
-    tr = theta * peak_rate
-    rate = (tr - lam - mu + math.sqrt((tr - lam + mu) ** 2 + 4.0 * lam * mu)) / (2.0 * theta)
-    return rate, packet_bits, theta
-
-
 def arrival_curve_for(spec: TrafficSpec, packet_bits: float, theta: float) -> ArrivalCurve:
-    """Arrival curve of a traffic spec at the given exponent.
+    """Arrival curve of a traffic spec at the given exponent (the spec's envelope).
 
-    The spec's own fields were checked when it was built; theta is not
-    read for periodic traffic.
+    The spec's own fields were checked when it was built.
     """
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
-    if theta <= 0.0 and not isinstance(spec, PeriodicTraffic):
+    if theta <= 0.0:
         raise ValueError(f"theta must be > 0, got {theta}")
-    return ArrivalCurve(*_envelope_at(spec, packet_bits)(theta))
-
-
-def _envelope_at(spec: TrafficSpec, packet_bits: float) -> Callable[[float], _Envelope]:
-    """arrival_curve_for's fields as a function of theta, the traffic kind dispatched once."""
-    if isinstance(spec, PeriodicTraffic):
-        envelope = _periodic_envelope(packet_bits, spec.t_pit)
-        return lambda theta: envelope
-    if isinstance(spec, PoissonTraffic):
-        return partial(_poisson_envelope, spec.rate, packet_bits)
-    if isinstance(spec, OnOffTraffic):
-        return partial(_onoff_envelope, spec.lam_on_off, spec.mu_off_on, spec.rate * packet_bits, packet_bits)
-    raise TypeError(f"unknown traffic spec {type(spec).__name__}")
+    return ArrivalCurve(*spec.envelope(packet_bits)(theta))
 
 
 def service_curve(dist: ServiceDistribution, packet_bits: float, theta: float) -> ServiceCurve:
@@ -271,22 +181,22 @@ def _curve_builder(traffic: TrafficSpec, dist: ServiceDistribution,
                    packet_bits: float) -> Callable[[float], _Curves | str]:
     """A map from theta to what the bound reads of the curves there, or to why theta is infeasible.
 
-    theta is infeasible when the service-time MGF or, for Poisson traffic,
-    the MGF of one packet's bits would leave exp()'s range, when theta is
-    so small that the service-time MGF rounds to 1 (no service curve), or
-    when the arrival envelope outruns the service curve.  The traffic kind
-    and the service law are looked up once, not on every theta, and the
-    service rate is service_curve's, with the MGF summed inline as
-    ServiceDistribution.mgf sums it.
+    theta is infeasible when the service-time MGF or, for traffic whose
+    envelope takes it (packet_mgf), the MGF of one packet's bits would
+    leave exp()'s range, when theta is so small that the service-time MGF
+    rounds to 1 (no service curve), or when the arrival envelope outruns
+    the service curve.  The spec's envelope and the service law are looked
+    up once, not on every theta, and the service rate is service_curve's,
+    with the MGF summed inline as ServiceDistribution.mgf sums it.
     """
-    envelope = _envelope_at(traffic, packet_bits)
-    poisson = isinstance(traffic, PoissonTraffic)
+    envelope = traffic.envelope(packet_bits)
+    packet_mgf = traffic.packet_mgf
     max_duration, atoms = dist.max_duration, tuple(zip(dist.durations, dist.probs))
 
     def curves_at(theta: float) -> _Curves | str:
         if theta * max_duration > _MGF_EXPONENT_LIMIT:
             return _SERVICE_OVERFLOW
-        if poisson and theta * packet_bits > _MGF_EXPONENT_LIMIT:
+        if packet_mgf and theta * packet_bits > _MGF_EXPONENT_LIMIT:
             return _PACKET_OVERFLOW
         mgf = 0.0
         for d, p in atoms:
@@ -306,12 +216,6 @@ def _curve_builder(traffic: TrafficSpec, dist: ServiceDistribution,
 def _stable(curves: _Curves | str) -> _Curves | None:
     """The curves, or None for an infeasible exponent's cause."""
     return None if isinstance(curves, str) else curves
-
-
-def _stable_curves(traffic: TrafficSpec, dist: ServiceDistribution, packet_bits: float,
-                   theta: float) -> _Curves | None:
-    """The curves at one theta; None when theta is infeasible (see _curve_builder)."""
-    return _stable(_curve_builder(traffic, dist, packet_bits)(theta))
 
 
 def _overload_message(curves_at: Callable[[float], _Curves | str], grid: list[float]) -> str:

@@ -1,19 +1,28 @@
-"""Arrival-process generators for the simulator and bound validation.
+"""Traffic specs: each kind's arrival instants and arrival envelope.
 
 Three traffic shapes: strictly periodic, Poisson, and a two-state
 Markov On-Off source that emits packets at a constant rate while On.
-All rates are packets/ms, times are ms.  The specs need no numpy; the
-generators import it when they run.
+All rates are packets/ms, times are ms.  Each spec draws its arrivals
+for the simulator and gives its envelope for the tail bound, so no other
+module tells the kinds apart.  Only arrivals needs numpy, and imports it
+when it runs.
 """
 
 from __future__ import annotations
+
+import math
 
 from ._record import Frozen, set_field
 from .empirical import _check_integer
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
+
+    # (rate in bits/ms, burst in bits, decay in 1/bits or None): an arrival curve's fields
+    Envelope = Callable[[float], tuple[float, float, float | None]]
 
 __all__ = [
     "PeriodicTraffic",
@@ -26,6 +35,8 @@ __all__ = [
 
 class PeriodicTraffic(Frozen):
     kind = "periodic"  # the name a config's traffic section gives
+    # whether envelope takes the MGF of one packet's bits, exp(theta * packet_bits)
+    packet_mgf = False
 
     __slots__ = ("t_pit", "horizon")
 
@@ -44,9 +55,20 @@ class PeriodicTraffic(Frozen):
     def mean_interarrival(self) -> float:
         return self.t_pit
 
+    def arrivals(self, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
+        return np.arange(self.horizon, dtype=float) * self.t_pit
+
+    def envelope(self, packet_bits: float) -> Envelope:
+        """Deterministic envelope: one packet of burst on the mean bit rate; theta is not read."""
+        fields = packet_bits / self.t_pit, packet_bits, None
+        return lambda theta: fields
+
 
 class PoissonTraffic(Frozen):
     kind = "poisson"
+    packet_mgf = True
 
     __slots__ = ("rate", "horizon")
 
@@ -65,6 +87,22 @@ class PoissonTraffic(Frozen):
     def mean_interarrival(self) -> float:
         return 1.0 / self.rate
 
+    def arrivals(self, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
+        gaps = rng.exponential(1.0 / self.rate, self.horizon)
+        return np.cumsum(gaps, out=gaps)
+
+    def envelope(self, packet_bits: float) -> Envelope:
+        """Chernoff envelope of the packet arrivals at each exponent theta.
+
+        The envelope rate (rate/theta) * (exp(theta*packet_bits) - 1)
+        already accounts for whole packets arriving at single instants,
+        so no burst term is needed.
+        """
+        rate = self.rate
+        return lambda theta: (rate * math.expm1(theta * packet_bits) / theta, 0.0, theta)
+
 
 class OnOffTraffic(Frozen):
     """Markov-modulated source: Off->On at mu_off_on, On->Off at lam_on_off.
@@ -76,6 +114,7 @@ class OnOffTraffic(Frozen):
     """
 
     kind = "onoff"
+    packet_mgf = False
 
     __slots__ = ("lam_on_off", "mu_off_on", "rate", "horizon")
 
@@ -104,6 +143,33 @@ class OnOffTraffic(Frozen):
     def mean_interarrival(self) -> float:
         return 1.0 / (self.rate * self.p_on)
 
+    def arrivals(self, rng: np.random.Generator) -> np.ndarray:
+        return _onoff_arrivals(self, rng, self.horizon)
+
+    def envelope(self, packet_bits: float) -> Envelope:
+        """Effective-bandwidth envelope of the source as a fluid of peak rate r = rate * packet_bits.
+
+        The envelope rate is the Perron root of the exponentially tilted
+        generator,
+
+            rate(theta) = (theta*r - lam - mu
+                           + sqrt((theta*r - lam + mu)^2 + 4*lam*mu)) / (2*theta),
+
+        with lam = lam_on_off and mu = mu_off_on, which runs from the mean
+        rate r*mu/(lam+mu) at theta -> 0 up to the peak rate.  The fluid
+        envelope holds for the emitted packet stream only after adding one
+        packet of burst allowance, because a whole packet arrives the
+        moment its fluid equivalent completes.
+        """
+        lam, mu, peak = self.lam_on_off, self.mu_off_on, self.rate * packet_bits
+
+        def envelope(theta: float) -> tuple[float, float, float]:
+            tr = theta * peak
+            rate = (tr - lam - mu + math.sqrt((tr - lam + mu) ** 2 + 4.0 * lam * mu)) / (2.0 * theta)
+            return rate, packet_bits, theta
+
+        return envelope
+
 
 TrafficSpec = PeriodicTraffic | PoissonTraffic | OnOffTraffic
 
@@ -122,17 +188,7 @@ def _check_horizon(horizon: int) -> None:
 
 def generate_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray:
     """Arrival instants (ms, non-decreasing) for spec.horizon packets."""
-    import numpy as np
-
-    n = spec.horizon
-    if isinstance(spec, PeriodicTraffic):
-        return np.arange(n, dtype=float) * spec.t_pit
-    if isinstance(spec, PoissonTraffic):
-        gaps = rng.exponential(1.0 / spec.rate, n)
-        return np.cumsum(gaps, out=gaps)
-    if isinstance(spec, OnOffTraffic):
-        return _onoff_arrivals(spec, rng, n)
-    raise TypeError(f"unknown traffic spec {type(spec).__name__}")
+    return spec.arrivals(rng)
 
 
 def _emitted_by(on_time: np.ndarray, period: float) -> np.ndarray:

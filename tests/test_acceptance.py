@@ -31,13 +31,10 @@ from linkdelay import (
     inputs_from_distribution,
     inputs_from_fitted_models,
     mean_delay,
-    onoff_arrival_curve,
     optimize_delay_ccdf,
     packet_error_rate,
-    periodic_arrival_curve,
     plr_mean,
     plr_var,
-    poisson_arrival_curve,
     run_simulation,
     service_components,
     service_curve,
@@ -114,11 +111,12 @@ def test_criterion_1_formula_fidelity():
     add("wq(worked)", waiting_time(fitted), 1.9342682443968746)
     add("delay(worked)", mean_delay(fitted), 19.65580684307925)
 
-    ac = periodic_arrival_curve(400.0, 50.0)
+    ac = arrival_curve_for(PeriodicTraffic(t_pit=50.0), 400.0, 0.01)
     add("periodic rate", ac.rate, 8.0)
     add("periodic burst", ac.burst, 400.0)
-    add("poisson rate", poisson_arrival_curve(0.03, 400.0, 0.001).rate, 14.75474092923811)
-    add("onoff rate", onoff_arrival_curve(0.03, 0.02, 160.0, 0.01, 400.0).rate,
+    add("poisson rate", arrival_curve_for(PoissonTraffic(rate=0.03), 400.0, 0.001).rate,
+        14.75474092923811)
+    add("onoff rate", arrival_curve_for(OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 0.01).rate,
         157.03772689736613)
     add("service R", service_curve(dist, 400.0, 0.01).rate, 21.815615469765888)
     add("conv(1,1,1)", convolve_exponential_bounds(1.0, 1.0, 1.0), 0.7357588823428847)

@@ -22,9 +22,9 @@ ROOT_ALL = [
     "arrival_curve_for", "attempt_pmf", "convolve_exponential_bounds", "default_config",
     "delivered_duration", "dominance_report", "dropped_duration", "dump_config",
     "empirical_ccdf", "equivalent_arrival", "generate_arrivals", "inputs_from_distribution",
-    "inputs_from_fitted_models", "load_config", "mean_delay", "onoff_arrival_curve",
-    "optimize_delay_ccdf", "packet_error_rate", "periodic_arrival_curve", "plr_mean",
-    "plr_var", "poisson_arrival_curve", "run_simulation", "service_components",
+    "inputs_from_fitted_models", "load_config", "mean_delay",
+    "optimize_delay_ccdf", "packet_error_rate", "plr_mean",
+    "plr_var", "run_simulation", "service_components",
     "service_curve", "service_distribution", "service_time_mean", "service_time_var",
     "simulate", "traffic_intensity", "waiting_time",
 ]

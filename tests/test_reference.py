@@ -747,7 +747,7 @@ def bound_points(draw):
 def test_bound_prob_is_the_reference_composition_bit_for_bit(point):
     traffic, dist, packet_bits, theta, delay = point
     want = reference_bound_prob(traffic, dist, packet_bits, theta, delay)
-    got = snc._bound_prob(snc._stable_curves(traffic, dist, packet_bits, theta), delay)
+    got = snc._bound_prob(snc._stable(snc._curve_builder(traffic, dist, packet_bits)(theta)), delay)
     assert got == want and type(got) is type(want)
 
 
@@ -916,7 +916,7 @@ def test_curve_builder_edges_are_the_reference_loop_bit_for_bit(kind, case):
         assert {p.theta for p in got.points} <= {None, 1e-3}
     if case == "equal decay rates" and kind != "periodic":
         for theta in thetas:
-            rate, _, a, b = snc._stable_curves(traffic, EDGE_DIST, packet_bits, theta)
+            rate, _, a, b = snc._stable(snc._curve_builder(traffic, EDGE_DIST, packet_bits)(theta))
             assert rate == pytest.approx(1.0, rel=1e-12)
             assert abs(a - b) <= snc._EQUAL_RATES_REL * max(a, b)
 

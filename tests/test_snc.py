@@ -25,10 +25,7 @@ from linkdelay import (
     TimingConstants,
     arrival_curve_for,
     convolve_exponential_bounds,
-    onoff_arrival_curve,
     optimize_delay_ccdf,
-    periodic_arrival_curve,
-    poisson_arrival_curve,
     service_curve,
     service_distribution,
 )
@@ -49,14 +46,14 @@ R_FORCED_400_001 = 21.815615469765888     # 400*0.01 / ln(mgf)
 
 
 def test_periodic_curve_worked():
-    ac = periodic_arrival_curve(400.0, 50.0)
+    ac = arrival_curve_for(PeriodicTraffic(t_pit=50.0), 400.0, 0.01)
     assert ac.rate == pytest.approx(8.0, rel=REL)
     assert ac.burst == pytest.approx(400.0, rel=REL)
     assert ac.deterministic and ac.decay is None
 
 
 def test_poisson_curve_worked():
-    ac = poisson_arrival_curve(0.03, 400.0, 0.001)
+    ac = arrival_curve_for(PoissonTraffic(rate=0.03), 400.0, 0.001)
     assert ac.rate == pytest.approx(POISSON_RATE_WORKED, rel=REL)
     assert ac.burst == 0.0
     assert ac.decay == 0.001
@@ -65,7 +62,7 @@ def test_poisson_curve_worked():
 
 
 def test_onoff_curve_worked():
-    ac = onoff_arrival_curve(0.03, 0.02, 160.0, 0.01, 400.0)
+    ac = arrival_curve_for(OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 0.01)
     assert ac.rate == pytest.approx(ONOFF_RATE_WORKED, rel=REL)
     assert ac.burst == 400.0
     assert ac.decay == 0.01
@@ -77,7 +74,7 @@ def test_onoff_rate_matches_tilted_generator_spectrum():
         lam, mu = rng.uniform(0.001, 0.2, 2)
         r = float(rng.uniform(1.0, 500.0))
         theta = float(10 ** rng.uniform(-4, 0))
-        ac = onoff_arrival_curve(lam, mu, r, theta, 400.0)
+        ac = arrival_curve_for(OnOffTraffic(lam, mu, rate=r / 400.0), 400.0, theta)
         gen = np.array([[-mu, mu], [lam, -lam]]) + theta * np.diag([0.0, r])
         perron = float(max(np.linalg.eigvals(gen).real)) / theta
         assert ac.rate == pytest.approx(perron, rel=1e-9)
@@ -100,10 +97,11 @@ def test_onoff_rate_limits():
     # theta -> 0 recovers the mean rate, theta -> infinity the peak rate
     lam, mu, r = 0.03, 0.02, 160.0
     mean_rate = r * mu / (lam + mu)
-    assert onoff_arrival_curve(lam, mu, r, 1e-9, 400.0).rate == pytest.approx(mean_rate, rel=1e-4)
-    assert onoff_arrival_curve(lam, mu, r, 1e4, 400.0).rate == pytest.approx(r, rel=1e-4)
+    spec = OnOffTraffic(lam, mu, rate=r / 400.0)  # peak r bits/ms at 400 bits a packet
+    assert arrival_curve_for(spec, 400.0, 1e-9).rate == pytest.approx(mean_rate, rel=1e-4)
+    assert arrival_curve_for(spec, 400.0, 1e4).rate == pytest.approx(r, rel=1e-4)
     thetas = np.logspace(-4, 1, 30)
-    rates = [onoff_arrival_curve(lam, mu, r, t, 400.0).rate for t in thetas]
+    rates = [arrival_curve_for(spec, 400.0, t).rate for t in thetas]
     assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
     assert all(mean_rate - 1e-9 <= v <= r + 1e-9 for v in rates)
 
@@ -121,13 +119,13 @@ def test_arrival_curve_dispatch():
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        periodic_arrival_curve(0.0, 50.0)
+        arrival_curve_for(PeriodicTraffic(t_pit=50.0), 0.0, 0.01)
     with pytest.raises(ValueError):
-        periodic_arrival_curve(400.0, 0.0)
+        arrival_curve_for(PeriodicTraffic(t_pit=0.0), 400.0, 0.01)
     with pytest.raises(ValueError):
-        poisson_arrival_curve(0.03, 400.0, 0.0)
+        arrival_curve_for(PoissonTraffic(rate=0.03), 400.0, 0.0)
     with pytest.raises(ValueError):
-        onoff_arrival_curve(0.0, 0.02, 160.0, 0.01, 400.0)
+        arrival_curve_for(OnOffTraffic(0.0, 0.02, rate=0.4), 400.0, 0.01)
     specs = (PeriodicTraffic(t_pit=50.0, horizon=10), PoissonTraffic(rate=0.03, horizon=10),
              OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=0.4, horizon=10))
     for spec in specs:
@@ -136,6 +134,51 @@ def test_curve_validation():
     for spec in specs[1:]:
         with pytest.raises(ValueError, match="theta"):
             arrival_curve_for(spec, 400.0, 0.0)
+
+
+# (spec, packet_bits, theta) -> float.hex of the curve's rate, burst and decay (None when
+# deterministic).  The reference optimiser in test_reference builds its curves through the
+# same envelopes, so only fixed values show a change to one of them.
+ENVELOPE_PINS = [
+    (PeriodicTraffic(t_pit=50.0), 400.0, 0.01,
+     ("0x1.0000000000000p+3", "0x1.9000000000000p+8", None)),
+    (PeriodicTraffic(t_pit=3.7), 912.0, 1.0,
+     ("0x1.ecf914c1bacf9p+7", "0x1.c800000000000p+9", None)),
+    (PeriodicTraffic(t_pit=28.68), 912.0, 1.0,
+     ("0x1.fcc95f549e86fp+4", "0x1.c800000000000p+9", None)),
+    (PoissonTraffic(rate=0.03), 400.0, 0.001,
+     ("0x1.d826d67300f88p+3", "0x0.0p+0", "0x1.0624dd2f1a9fcp-10")),
+    (PoissonTraffic(rate=0.0137), 88.0, 0.38,
+     ("0x1.5db2fc92ecb9ap+43", "0x0.0p+0", "0x1.851eb851eb852p-2")),
+    # theta * packet_bits past the optimiser's limit of 700, where the public curve still exists
+    (PoissonTraffic(rate=0.0137), 912.0, 0.772,
+     ("0x1.e8dd15cc3676cp+1009", "0x0.0p+0", "0x1.8b4395810624ep-1")),
+    (PoissonTraffic(rate=0.0137), 400.0, 1.7725,
+     ("0x1.cf24f3552bc88p+1015", "0x0.0p+0", "0x1.c5c28f5c28f5cp+0")),
+    (OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 1e-9,
+     ("0x1.00002035ff695p+6", "0x1.9000000000000p+8", "0x1.12e0be826d695p-30")),
+    (OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 0.01,
+     ("0x1.3a1350f09cbbfp+7", "0x1.9000000000000p+8", "0x1.47ae147ae147bp-7")),
+    (OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 1e4,
+     ("0x1.3fffff9b56324p+7", "0x1.9000000000000p+8", "0x1.3880000000000p+13")),
+    (OnOffTraffic(0.011, 0.07, rate=0.123), 912.0, 0.3,
+     ("0x1.c08ec15b15a89p+6", "0x1.c800000000000p+9", "0x1.3333333333333p-2")),
+    (OnOffTraffic(0.17, 0.0016, rate=0.3), 88.0, 0.0079,
+     ("0x1.68387b304b587p+2", "0x1.6000000000000p+6", "0x1.02de00d1b7176p-7")),
+]
+
+
+@pytest.mark.parametrize("spec, packet_bits, theta, want", ENVELOPE_PINS)
+def test_arrival_curves_are_pinned_bit_for_bit(spec, packet_bits, theta, want):
+    ac = arrival_curve_for(spec, packet_bits, theta)
+    assert (ac.rate.hex(), ac.burst.hex(), None if ac.decay is None else ac.decay.hex()) == want
+    # the optimiser's kernel reads the same envelope
+    assert spec.envelope(packet_bits)(theta) == (ac.rate, ac.burst, ac.decay)
+
+
+def test_periodic_curve_needs_a_positive_theta_too():
+    with pytest.raises(ValueError, match="theta"):
+        arrival_curve_for(PeriodicTraffic(t_pit=50.0), 400.0, 0.0)
 
 
 def test_service_curve_worked_and_limit():
@@ -161,7 +204,7 @@ def test_service_curve_monotone_and_jensen_bounded():
 
 
 def test_horizontal_distance_closed_form_vs_scan():
-    ac = poisson_arrival_curve(0.03, 400.0, 0.001)
+    ac = arrival_curve_for(PoissonTraffic(rate=0.03), 400.0, 0.001)
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.03)
     sc = service_curve(dist, 400.0, 0.001)
     for x in (0.0, 100.0, 3000.0):
@@ -217,13 +260,13 @@ def test_convolution_validation():
 def test_delay_bound_at_deterministic_and_stochastic():
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.03)
     sc = service_curve(dist, 400.0, 0.01)
-    ac = periodic_arrival_curve(400.0, 50.0)
+    ac = arrival_curve_for(PeriodicTraffic(t_pit=50.0), 400.0, 0.01)
     delay, prob = delay_bound_at(ac, sc, 500.0)
     assert delay == pytest.approx(900.0 / sc.rate, rel=REL)
     assert prob == pytest.approx(math.exp(-sc.decay * 500.0), rel=REL)
 
     scp = service_curve(dist, 400.0, 0.001)
-    acp = poisson_arrival_curve(0.03, 400.0, 0.001)
+    acp = arrival_curve_for(PoissonTraffic(rate=0.03), 400.0, 0.001)
     delay, prob = delay_bound_at(acp, scp, 500.0)
     assert delay == pytest.approx(500.0 / scp.rate, rel=REL)
     assert prob == pytest.approx(

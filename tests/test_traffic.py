@@ -1,10 +1,13 @@
-"""Arrival-instant generators: exactness, long-run rates, determinism."""
+"""Arrival-instant generators: exactness, long-run rates, determinism; the kinds' one home."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linkdelay
 from linkdelay import OnOffTraffic, PeriodicTraffic, PoissonTraffic, generate_arrivals
 
 
@@ -99,3 +102,25 @@ def test_spec_validation():
             with pytest.raises(TypeError, match="horizon"):
                 spec.replace(horizon=bad)
     assert PoissonTraffic(rate=0.02, horizon=np.int64(5)).horizon == 5
+
+
+TRAFFIC_CLASSES = {"PeriodicTraffic", "PoissonTraffic", "OnOffTraffic", "TrafficSpec"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_module_but_traffic_tells_the_traffic_kinds_apart():
+    # each kind's laws are methods of its spec, so no other module tests a spec's class
+    offenders = []
+    for path in sorted(Path(linkdelay.__file__).parent.glob("*.py")):
+        if path.name == "traffic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2
+                    and _names(node.args[1]) & TRAFFIC_CLASSES):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
