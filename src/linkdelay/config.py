@@ -132,7 +132,7 @@ def _build_traffic(data: dict) -> TrafficSpec:
         raise ConfigError(f"traffic section needs to be an object with a 'kind' key "
                           f"({'|'.join(_TRAFFIC_CLASSES)})")
     kind = data["kind"]
-    cls = _TRAFFIC_CLASSES.get(kind)
+    cls = _TRAFFIC_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown traffic kind '{kind}' (allowed: {sorted(_TRAFFIC_CLASSES)})")
     return _build_section(cls, {k: v for k, v in data.items() if k != "kind"}, "traffic")
@@ -192,6 +192,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in section 'output'")
     output_path = output.get("path", base.output_path)
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError(f"output path must be a string or null, got {output_path!r}")
     output_format = output.get("format", base.output_format)
     if output_format not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {output_format!r}")

@@ -4,7 +4,8 @@ Closed-form expressions for packet error rate, per-packet service-time
 moments and packet-loss-rate moments of a retransmitting low-rate wireless
 link, plus the transformation that folds losses into an equivalent
 lossless arrival process.  All times are milliseconds, payload sizes are
-bytes, SNR is dB.
+bytes, SNR is dB.  The exp() limits that service_time, snc and traffic
+share live here.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ __all__ = [
 ]
 
 
-# the largest x whose exp(x) is a finite float
+# the largest x whose exp(x) is a finite float, and the largest exponent an MGF may take
 _EXP_MAX = math.log(sys.float_info.max)
+_MGF_EXPONENT_LIMIT = 700.0
 
 
 def _clamp01(x: float) -> float:

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from ._record import Frozen, set_field
-from .empirical import LinkConfig, TimingConstants
+from .empirical import _MGF_EXPONENT_LIMIT, LinkConfig, TimingConstants
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
 if TYPE_CHECKING:
@@ -33,9 +33,6 @@ __all__ = [
     "attempt_pmf",
     "service_distribution",
 ]
-
-# exp() overflow guard for MGF evaluation; float64 overflows near exp(709)
-_MGF_EXPONENT_LIMIT = 700.0
 
 
 class ServiceComponents(Frozen):

@@ -5,15 +5,16 @@ an exponential or deterministic violation bound f); the retransmitting
 server gets a latency-free rate service curve derived from the
 service-time MGF.  Combining the two yields, for each target delay, a
 tail-probability bound obtained from the Stieltjes convolution of the two
-violation bounds, optimised over the free exponent theta.
+violation bounds (one closed form for any two decay rates), optimised
+over the free exponent theta.
 
-Each traffic spec gives its own arrival envelope (traffic.py), so this
-module tells no traffic kinds apart.  optimize_delay_ccdf builds its
-kernel once per call: one function maps an exponent to its curves, or to
-why it is infeasible, with the spec's envelope and the service law's
-atoms bound once, and each exponent's bound is a function of the delay
-whose exponent-only terms are worked out once.
-A scan of the theta grid picks each delay's best grid exponent, and a
+Each traffic spec gives its own arrival envelope (traffic.py), which
+refuses the exponents it cannot take, so this module tells no traffic
+kinds apart.  optimize_delay_ccdf builds its kernel once per call: one
+function maps an exponent to its curves, or to why it is infeasible,
+with the spec's envelope and the service law's atoms bound once, and
+each exponent's bound is a function of the delay whose exponent-only
+terms are worked out once.  A scan of the theta grid picks each delay's best grid exponent, and a
 golden-section search refines it between the grid neighbours.  The
 module is pure Python: numpy loads only for DelayCcdf's arrays.
 
@@ -27,8 +28,9 @@ import math
 from collections.abc import Callable, Sequence
 
 from ._record import Frozen, set_field
+from .empirical import _MGF_EXPONENT_LIMIT
 from .gg1 import Overload
-from .service_time import ServiceDistribution, _MGF_EXPONENT_LIMIT
+from .service_time import ServiceDistribution
 from .traffic import TrafficSpec
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
@@ -46,10 +48,6 @@ __all__ = [
     "convolve_exponential_bounds",
     "optimize_delay_ccdf",
 ]
-
-
-# decay rates this close are convolved with the equal-rates closed form
-_EQUAL_RATES_REL = 1e-12
 
 
 class ArrivalCurve(Frozen):
@@ -129,13 +127,16 @@ class DelayCcdf(Frozen):
 def arrival_curve_for(spec: TrafficSpec, packet_bits: float, theta: float) -> ArrivalCurve:
     """Arrival curve of a traffic spec at the given exponent (the spec's envelope).
 
-    The spec's own fields were checked when it was built.
+    The spec's own fields were checked when it was built; ValueError
+    where its envelope refuses theta.
     """
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
     if theta <= 0.0:
         raise ValueError(f"theta must be > 0, got {theta}")
-    return ArrivalCurve(*spec.envelope(packet_bits)(theta))
+    if (fields := spec.envelope(packet_bits)(theta)) is None:
+        raise ValueError(f"no arrival curve at theta {theta}: {_PACKET_OVERFLOW}")
+    return ArrivalCurve(*fields)
 
 
 def service_curve(dist: ServiceDistribution, packet_bits: float, theta: float) -> ServiceCurve:
@@ -153,15 +154,16 @@ def service_curve(dist: ServiceDistribution, packet_bits: float, theta: float) -
 def convolve_exponential_bounds(a: float, b: float, x: float) -> float:
     """Tail 1 - conv(fbar, gbar)(x) for bounds exp(-a*x) and exp(-b*x).
 
-    Closed form (a*exp(-b*x) - b*exp(-a*x)) / (a - b) for a != b,
-    (1 + a*x)*exp(-a*x) for a == b, clamped to [0, 1].
+    exp(-s*x) * (1 + s*g) with s = min(a, b), d = |a - b| and g = -expm1(-d*x) / d
+    (g = x at d = 0), capped at 1: one form for equal and unequal rates, exact near
+    a = b, where (a*exp(-b*x) - b*exp(-a*x)) / (a - b) cancels, and symmetric bit for bit.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("decay rates must be > 0")
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
     # curves of unit rate and no burst put the slack at x itself
-    return _bound_prob((1.0, 0.0, a, b), x)
+    return _bound_at((1.0, 0.0, a, b))(x)
 
 
 # (service rate R, arrival burst, arrival decay or None when deterministic, service decay)
@@ -181,22 +183,22 @@ def _curve_builder(traffic: TrafficSpec, dist: ServiceDistribution,
                    packet_bits: float) -> Callable[[float], _Curves | str]:
     """A map from theta to what the bound reads of the curves there, or to why theta is infeasible.
 
-    theta is infeasible when the service-time MGF or, for traffic whose
-    envelope takes it (packet_mgf), the MGF of one packet's bits would
-    leave exp()'s range, when theta is so small that the service-time MGF
+    theta is infeasible when the service-time MGF would leave exp()'s
+    range, when the spec's envelope refuses it (None: so would the MGF of
+    one packet's bits), when theta is so small that the service-time MGF
     rounds to 1 (no service curve), or when the arrival envelope outruns
     the service curve.  The spec's envelope and the service law are looked
     up once, not on every theta, and the service rate is service_curve's,
     with the MGF summed inline as ServiceDistribution.mgf sums it.
     """
     envelope = traffic.envelope(packet_bits)
-    packet_mgf = traffic.packet_mgf
     max_duration, atoms = dist.max_duration, tuple(zip(dist.durations, dist.probs))
 
     def curves_at(theta: float) -> _Curves | str:
         if theta * max_duration > _MGF_EXPONENT_LIMIT:
             return _SERVICE_OVERFLOW
-        if packet_mgf and theta * packet_bits > _MGF_EXPONENT_LIMIT:
+        fields = envelope(theta)
+        if fields is None:
             return _PACKET_OVERFLOW
         mgf = 0.0
         for d, p in atoms:
@@ -205,17 +207,12 @@ def _curve_builder(traffic: TrafficSpec, dist: ServiceDistribution,
         if not log_m > 0.0:
             return _MGF_FLAT
         rate = packet_bits * theta / log_m
-        arrival_rate, burst, decay = envelope(theta)
+        arrival_rate, burst, decay = fields
         if arrival_rate > rate:
             return _ENVELOPE
         return rate, burst, decay, theta / rate   # theta / rate is ServiceCurve.decay
 
     return curves_at
-
-
-def _stable(curves: _Curves | str) -> _Curves | None:
-    """The curves, or None for an infeasible exponent's cause."""
-    return None if isinstance(curves, str) else curves
 
 
 def _overload_message(curves_at: Callable[[float], _Curves | str], grid: list[float]) -> str:
@@ -236,17 +233,18 @@ def _overload_message(curves_at: Callable[[float], _Curves | str], grid: list[fl
         for cause, ts in refused.items())
 
 
-def _bound_at(curves: _Curves | None) -> _Bound:
-    """The bound on P{delay exceeded} at one theta as a function of the delay; inf without curves.
+def _bound_at(curves: _Curves | str) -> _Bound:
+    """The bound on P{delay exceeded} at one theta as a function of the delay.
 
-    The delay is the horizontal distance (burst + x) / R between the
-    envelope raised by x bits and the service curve, so x = delay * R - burst.
-    A stochastic envelope's bound convolves the violation bounds exp(-a*x)
-    and exp(-b*x) (convolve_exponential_bounds).  What depends on theta
-    alone is worked out once and bound as defaults, which read as locals,
-    as does math.exp.
+    curves is what curves_at gives: the bound is inf for an infeasible
+    theta's cause.  The delay is the horizontal distance (burst + x) / R
+    between the envelope raised by x bits and the service curve, so
+    x = delay * R - burst.  A stochastic envelope's bound convolves the
+    violation bounds exp(-a*x) and exp(-b*x) (convolve_exponential_bounds).
+    What depends on theta alone is worked out once and bound as defaults,
+    which read as locals, as do math.exp and math.expm1.
     """
-    if curves is None:
+    if isinstance(curves, str):
         return lambda delay: math.inf
     rate, burst, a, b = curves
     if a is None:
@@ -254,33 +252,23 @@ def _bound_at(curves: _Curves | None) -> _Bound:
             x = delay * rate - burst
             # x >= 0, so the exponent is <= 0 and the bound already lies in [0, 1]
             return 1.0 if x < 0.0 else exp(nb * x)
-    elif abs(a - b) <= _EQUAL_RATES_REL * max(a, b):
-        c = 0.5 * (a + b)
-
-        def bound(delay: float, rate=rate, burst=burst, c=c, nc=-c, exp=math.exp) -> float:
-            x = delay * rate - burst
-            if x < 0.0:
-                return 1.0
-            val = (1.0 + c * x) * exp(nc * x)
-            return 0.0 if val < 0.0 else 1.0 if 1.0 < val else val
     else:
-        def bound(delay: float, rate=rate, burst=burst, a=a, b=b, na=-a, nb=-b, diff=a - b,
-                  exp=math.exp) -> float:
+        # exp(-s*x) * (1 + s*g) with g = (1 - exp(-d*x)) / d, which is x at d = 0;
+        # s*g = c * expm1(-d*x) with c = s / -d
+        s, d = min(a, b), abs(a - b)
+
+        def bound(delay: float, rate=rate, burst=burst, s=s, ns=-s, nd=-d, c=s / -d if d else 0.0,
+                  exp=math.exp, expm1=math.expm1) -> float:
             x = delay * rate - burst
             if x < 0.0:
                 return 1.0
-            val = (a * exp(nb * x) - b * exp(na * x)) / diff
-            return 0.0 if val < 0.0 else 1.0 if 1.0 < val else val
+            val = exp(ns * x) * (1.0 + (c * expm1(nd * x) if nd else s * x))
+            return 1.0 if val > 1.0 else val
     return bound
 
 
-def _bound_prob(curves: _Curves | None, delay: float) -> float:
-    """The bound at one theta and delay (see _bound_at); inf when theta is infeasible."""
-    return _bound_at(curves)(delay)
-
-
 def _grid_minima(curves: Sequence[_Curves], delays: Sequence[float]) -> list[tuple[int, float]]:
-    """For each delay, the index and value of the first smallest _bound_prob over curves.
+    """For each delay, the index and value of the first smallest bound over curves.
 
     Each curve's bound function is built once; a delay's row holds every
     curve's bound there, and row.index(min(row)) finds its first minimum,
@@ -350,7 +338,7 @@ def optimize_delay_ccdf(
 
     curves_at = _curve_builder(traffic, dist, packet_bits)
     # the curves of each stable grid exponent, built once for every delay
-    stable = [(t, curves) for t in grid if (curves := _stable(curves_at(t))) is not None]
+    stable = [(t, curves) for t in grid if not isinstance(curves := curves_at(t), str)]
     if not stable:
         raise Overload(_overload_message(curves_at, grid))
 
@@ -359,7 +347,7 @@ def optimize_delay_ccdf(
     probed: dict[float, _Bound] = {}
 
     def probe(theta: float) -> _Bound:
-        bound = probed[theta] = _bound_at(_stable(curves_at(theta)))
+        bound = probed[theta] = _bound_at(curves_at(theta))
         return bound
 
     points: list[DelayBound] = []

@@ -4,8 +4,8 @@ Three traffic shapes: strictly periodic, Poisson, and a two-state
 Markov On-Off source that emits packets at a constant rate while On.
 All rates are packets/ms, times are ms.  Each spec draws its arrivals
 for the simulator and gives its envelope for the tail bound, so no other
-module tells the kinds apart.  Only arrivals needs numpy, and imports it
-when it runs.
+module tells the kinds apart or keeps a kind's exp() range rule.  Only
+arrivals needs numpy, and imports it when it runs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._record import Frozen, set_field
-from .empirical import _check_integer
+from .empirical import _MGF_EXPONENT_LIMIT, _check_integer
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
 if TYPE_CHECKING:
@@ -21,8 +21,8 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-    # (rate in bits/ms, burst in bits, decay in 1/bits or None): an arrival curve's fields
-    Envelope = Callable[[float], tuple[float, float, float | None]]
+    # an arrival curve's (rate bits/ms, burst bits, decay 1/bits or None); None past exp()'s range
+    Envelope = Callable[[float], tuple[float, float, float | None] | None]
 
 __all__ = [
     "PeriodicTraffic",
@@ -35,8 +35,6 @@ __all__ = [
 
 class PeriodicTraffic(Frozen):
     kind = "periodic"  # the name a config's traffic section gives
-    # whether envelope takes the MGF of one packet's bits, exp(theta * packet_bits)
-    packet_mgf = False
 
     __slots__ = ("t_pit", "horizon")
 
@@ -68,7 +66,6 @@ class PeriodicTraffic(Frozen):
 
 class PoissonTraffic(Frozen):
     kind = "poisson"
-    packet_mgf = True
 
     __slots__ = ("rate", "horizon")
 
@@ -98,10 +95,12 @@ class PoissonTraffic(Frozen):
 
         The envelope rate (rate/theta) * (exp(theta*packet_bits) - 1)
         already accounts for whole packets arriving at single instants,
-        so no burst term is needed.
+        so no burst term is needed.  None where theta * packet_bits
+        passes _MGF_EXPONENT_LIMIT, so that exp() stays in its range.
         """
         rate = self.rate
-        return lambda theta: (rate * math.expm1(theta * packet_bits) / theta, 0.0, theta)
+        return lambda theta: (None if theta * packet_bits > _MGF_EXPONENT_LIMIT
+                              else (rate * math.expm1(theta * packet_bits) / theta, 0.0, theta))
 
 
 class OnOffTraffic(Frozen):
@@ -114,7 +113,6 @@ class OnOffTraffic(Frozen):
     """
 
     kind = "onoff"
-    packet_mgf = False
 
     __slots__ = ("lam_on_off", "mu_off_on", "rate", "horizon")
 

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkdelay import LinkConfig, PerCoefficients, TimingConstants, packet_error_rate
 from linkdelay.cli import main
+from linkdelay.service_time import service_distribution
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -117,6 +119,15 @@ def test_non_integer_count_is_a_config_error(tmp_path, capsys, raw, key):
     ({"traffic": {"kind": "onoff", "lam_on_off": 0.03, "mu_off_on": True, "rate": 0.02}}, "mu_off_on"),
     ({"link": 5}, "link"),
     ({"traffic": ["poisson"]}, "traffic"),
+    # a kind that is not a string was looked up as a dict key, an output path that
+    # is not one was opened: ["a"] raised TypeError, and 1 or true wrote to and closed fd 1
+    ({"traffic": {"kind": ["poisson"]}}, "kind"),
+    ({"traffic": {"kind": {"poisson": 1}}}, "kind"),
+    ({"traffic": {"kind": 1}}, "kind"),
+    ({"output": {"path": ["a"]}}, "path"),
+    ({"output": {"path": 1}}, "path"),
+    ({"output": {"path": True}}, "path"),
+    ({"output": {"path": {"a": 1}}}, "path"),
     ({"delay_grid": [15, 20, float("inf")]}, "delay_grid"),
     ({"delay_grid": [float("-inf"), 15, 20]}, "delay_grid"),
 ])
@@ -568,3 +579,49 @@ def test_fitted_subcommands_exit_cleanly_on_any_finite_input(sweep_config, raw):
         if code == 0:
             header, row = out.getvalue().splitlines()
             assert all(math.isfinite(float(value)) for value in row.split(",")), (header, row)
+
+
+@st.composite
+def operating_points(draw):
+    """A link of any payload, channel and retry limits, traffic of any kind at a load of 0.05-1.5."""
+    link = {
+        "l_d": draw(st.integers(0, 114)),
+        "snr": draw(st.floats(-10.0, 40.0)),
+        "n_max_tries": draw(st.integers(1, 8)),
+        "d_retry": draw(st.sampled_from([0.0, draw(st.floats(0.0, 100.0))])),
+        "q_max": draw(st.sampled_from([1, 2, draw(st.integers(1, 1000))])),
+    }
+    p_e = packet_error_rate(link["l_d"], link["snr"], PerCoefficients())
+    mean_t = service_distribution(LinkConfig(**link), TimingConstants(), p_e).mean()
+    rho = draw(st.floats(0.05, 1.5))
+    link["t_pit"] = mean_t / rho
+    horizon = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["periodic", "poisson", "onoff"]))
+    if kind == "periodic":
+        traffic = {"t_pit": mean_t / rho}
+    elif kind == "poisson":
+        traffic = {"rate": rho / mean_t}
+    else:
+        switch = 1.0 / (draw(st.floats(1.0, 10.0)) * mean_t)
+        traffic = {"lam_on_off": switch, "mu_off_on": switch, "rate": 2.0 * rho / mean_t}
+    return {"link": link, "traffic": {"kind": kind, "horizon": horizon, **traffic}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(operating_points())
+def test_every_subcommand_exits_cleanly_at_any_operating_point(sweep_config, raw):
+    sweep_config.write_text(json.dumps(raw))
+    for command in ("models", "mean-delay", "delay-bound", "simulate", "validate"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(sweep_config)])
+        err = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4), (command, err)
+        # an error is one stderr line (an exception would have ended the call);
+        # a validation that fails prints its rows and no error
+        assert len(err) == (code != 0) or (code == 4 and not err), (command, err)
+        if command == "simulate" and code == 0:
+            counts = dict(line[2:].split("=") for line in out.getvalue().splitlines() if line.startswith("# n_"))
+            assert int(counts["n_arrivals"]) == raw["traffic"]["horizon"]
+            assert int(counts["n_arrivals"]) == sum(int(counts[k]) for k in (
+                "n_delivered", "n_queue_drops", "n_retry_drops"))

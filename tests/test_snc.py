@@ -150,11 +150,11 @@ ENVELOPE_PINS = [
      ("0x1.d826d67300f88p+3", "0x0.0p+0", "0x1.0624dd2f1a9fcp-10")),
     (PoissonTraffic(rate=0.0137), 88.0, 0.38,
      ("0x1.5db2fc92ecb9ap+43", "0x0.0p+0", "0x1.851eb851eb852p-2")),
-    # theta * packet_bits past the optimiser's limit of 700, where the public curve still exists
-    (PoissonTraffic(rate=0.0137), 912.0, 0.772,
-     ("0x1.e8dd15cc3676cp+1009", "0x0.0p+0", "0x1.8b4395810624ep-1")),
-    (PoissonTraffic(rate=0.0137), 400.0, 1.7725,
-     ("0x1.cf24f3552bc88p+1015", "0x0.0p+0", "0x1.c5c28f5c28f5cp+0")),
+    # theta * packet_bits just below and at the limit of 700, past which the envelope refuses theta
+    (PoissonTraffic(rate=0.0137), 912.0, 0.7675,
+     ("0x1.03bc66d699ebcp+1004", "0x0.0p+0", "0x1.88f5c28f5c28fp-1")),
+    (PoissonTraffic(rate=0.0137), 400.0, 1.75,
+     ("0x1.da3f1c820b2ffp+1002", "0x0.0p+0", "0x1.c000000000000p+0")),
     (OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 1e-9,
      ("0x1.00002035ff695p+6", "0x1.9000000000000p+8", "0x1.12e0be826d695p-30")),
     (OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 0.01,
@@ -174,6 +174,19 @@ def test_arrival_curves_are_pinned_bit_for_bit(spec, packet_bits, theta, want):
     assert (ac.rate.hex(), ac.burst.hex(), None if ac.decay is None else ac.decay.hex()) == want
     # the optimiser's kernel reads the same envelope
     assert spec.envelope(packet_bits)(theta) == (ac.rate, ac.burst, ac.decay)
+
+
+@pytest.mark.parametrize("packet_bits, theta", [
+    (400.0, math.nextafter(1.75, math.inf)),   # just above theta * packet_bits = 700
+    (912.0, 0.772),                            # 704, where exp() is still finite
+    (400.0, 1.7725),                           # 709
+    (400.0, 1.8),                              # 720, where exp() overflows
+])
+def test_poisson_curve_past_the_mgf_limit_is_refused(packet_bits, theta):
+    spec = PoissonTraffic(rate=0.0137)
+    assert spec.envelope(packet_bits)(theta) is None
+    with pytest.raises(ValueError, match=r"exp\(\)'s range"):
+        arrival_curve_for(spec, packet_bits, theta)
 
 
 def test_periodic_curve_needs_a_positive_theta_too():
@@ -255,6 +268,69 @@ def test_convolution_validation():
         convolve_exponential_bounds(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         convolve_exponential_bounds(1.0, 1.0, -1.0)
+
+
+# (a, b, x, tail): 1 - conv(fbar, gbar)(x) for the bounds exp(-a*x) and exp(-b*x), to 25 digits;
+# see test_convolution_against_mpmath for the script that made them
+CONVOLUTION_REFERENCE = [
+    (0.01, 0.01, 300.0, "0.1991482734714557625897557"),
+    (0.01, 0.010000000000001, 300.0, "0.1991482734714333763161553"),
+    (0.01, 0.0100000000001, 300.0, "0.1991482734692153474370558"),
+    (0.01, 0.010000000010000001, 300.0, "0.1991482732474139366211075"),
+    (0.01, 0.01000001, 300.0, "0.1991480494298721501721837"),
+    (0.01, 0.01001, 300.0, "0.1989244555376774520378918"),
+    (0.5, 0.5, 3.0, "0.5578254003710745723332012"),
+    (0.5, 0.50000000000005, 3.0, "0.5578254003710494902537711"),
+    (0.5, 0.500000000005, 3.0, "0.5578254003685643578238478"),
+    (0.5, 0.5000000005, 3.0, "0.5578254001200531215221221"),
+    (0.5, 0.5000005, 3.0, "0.5578251493497699366683291"),
+    (0.5, 0.5005, 3.0, "0.5575745044045702981557298"),
+    (1e-05, 1e-05, 250000.0, "0.2872974951836457411258281"),
+    (1e-05, 1.0000000000001e-05, 250000.0, "0.2872974951836201024183263"),
+    (1e-05, 1.0000000000100002e-05, 250000.0, "0.2872974951810805667125835"),
+    (1e-05, 1.0000000010000002e-05, 250000.0, "0.2872974949271300816858917"),
+    (1e-05, 1.000001e-05, 250000.0, "0.2872972386682388298365272"),
+    (1e-05, 1.0009999999999999e-05, 250000.0, "0.2870411931924282403318003"),
+]
+
+
+@pytest.mark.parametrize("a, b, x, want", CONVOLUTION_REFERENCE)
+def test_convolution_against_mpmath(a, b, x, want):
+    """Equal rates, and relative gaps of 1e-13 to 1e-3, where a difference of exponentials loses digits.
+
+    The values were computed with mpmath at 50 digits from the exact
+    floats by this script (mpmath 1.3):
+
+        import mpmath
+
+        mpmath.mp.dps = 50
+
+
+        def tail(a, b, x):
+            a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+            if a == b:
+                return (1 + a * x) * mpmath.exp(-a * x)
+            return (a * mpmath.exp(-b * x) - b * mpmath.exp(-a * x)) / (a - b)
+
+
+        for a, x in ((0.01, 300.0), (0.5, 3.0), (1e-05, 250000.0)):
+            for gap in (0.0, 1e-13, 1e-11, 1e-09, 1e-06, 0.001):
+                b = a * (1.0 + gap)
+                print(f"    ({a!r}, {b!r}, {x!r}, \"{mpmath.nstr(tail(a, b, x), 25)}\"),")
+    """
+    for got in (convolve_exponential_bounds(a, b, x), convolve_exponential_bounds(b, a, x)):
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-9, 1e3), st.floats(-1e-6, 1e-6) | st.floats(-0.9, 10.0) | st.just(0.0),
+       st.floats(0.0, 50.0))
+def test_convolution_is_symmetric_bit_for_bit(a, gap, ax):
+    b = a * (1.0 + gap)
+    x = ax / a
+    got = convolve_exponential_bounds(a, b, x)
+    assert got == convolve_exponential_bounds(b, a, x)
+    assert 0.0 <= got <= 1.0
 
 
 def test_delay_bound_at_deterministic_and_stochastic():
@@ -386,7 +462,7 @@ def scalar_minima(curves, delays):
     """For each delay, np.argmin over the scalar bound of every curve, and the bound it picks."""
     out = []
     for d in delays:
-        probs = [snc._bound_prob(c, d) for c in curves]
+        probs = [snc._bound_at(c)(d) for c in curves]
         i = int(np.argmin(probs))
         out.append((i, probs[i]))
     return out
@@ -402,7 +478,7 @@ def grid_columns(draw):
 
     The rates and decays differ by about 1e-12 relative, so that the
     columns' bounds agree to a few digits; unequal decay rates sit 5e-13
-    to 1e-9 apart, where the convolution cancels; repeated curves tie
+    to 1e-9 apart, where they nearly meet; repeated curves tie
     exactly; and a burst of 400 bits makes the bound 1 at the delays
     too short to absorb it.
     """
@@ -454,7 +530,7 @@ def nudge(mode):
 @pytest.mark.parametrize("ulp_shift", [None, "up", "down", "mixed"])
 @pytest.mark.parametrize("gap", [5e-13, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9])
 def test_grid_minima_with_nearly_equal_decay_rates(ulp_shift, gap):
-    # the convolution cancels to a few digits, and the columns' bounds lie
+    # the two decay rates nearly meet, and the columns' bounds lie
     # close together; moving each column's second decay rate by two ulps
     # reorders bounds that differ in their last digits
     shift = nudge(ulp_shift)
@@ -470,7 +546,7 @@ def test_grid_minima_with_nearly_equal_decay_rates(ulp_shift, gap):
 @pytest.mark.parametrize("ulp_shift", [None, "mixed"])
 def test_grid_minima_with_negative_and_clamped_cells(ulp_shift):
     # bursts that the smaller delays cannot absorb (x < 0, a bound of 1
-    # exactly) and tiny x, where the unequal-rates form rounds above 1
+    # exactly) and tiny x, where the bound lies within an ulp or so of 1
     shift = nudge(ulp_shift)
     rng = np.random.default_rng(77)
     decay = 10.0 ** rng.uniform(-6.0, 0.0, 30)
@@ -479,10 +555,7 @@ def test_grid_minima_with_negative_and_clamped_cells(ulp_shift):
     curves = [(50.0, float(bu), float(a), shift(float(a * (1.0 + g)))) for a, g, bu in zip(decay, gap, burst)]
     curves += [(50.0, 400.0, None, float(a)) for a in decay[:5]]
     delays = sorted({8.0 + f for f in 10.0 ** rng.uniform(-14.0, -3.0, 30)} | {1.0, 7.9, 8.0})
-    clamped = sum(1 for rate, bu, a, b in curves[:30] for d in delays
-                  if (x := d * rate - bu) >= 0.0 and a is not None
-                  and (a * math.exp(-b * x) - b * math.exp(-a * x)) / (a - b) > 1.0)
-    assert clamped > 0
+    assert any(1.0 - 1e-15 < snc._bound_at(c)(d) < 1.0 for c in curves[:30] for d in delays)
     assert typed(snc._grid_minima(curves, delays)) == typed(scalar_minima(curves, delays))
 
 
