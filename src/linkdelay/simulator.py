@@ -11,6 +11,7 @@ plus own service time.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -89,16 +90,19 @@ def simulate(
     would leave it.
 
     Outcomes are drawn a chunk at a time inside the Lindley pass, and
-    each chunk's delays are written to the output as the chunk ends.  So
-    beyond its input and the delays it returns (the first n_delivered
-    slots of an array of n, 8 bytes a packet) simulate holds arrays of
-    one chunk, and the last q_max + 1 departures when the arrivals could
-    fill the waiting room: 12 bytes a packet at 1e6 drop-free packets
-    (tracemalloc peak), where drawing all outcomes up front held 33.
+    each chunk's delays are written to the output as the chunk ends.
     When the pass finds a possible overflow, the rng goes back to its
-    state at the draw of the chunk holding stop and draws from there to
-    the end again; the delays written past stop are taken back, and the
-    recurrence below serves the rest with the outcomes drawn again.
+    state at the draw of the chunk holding stop and draws that chunk's
+    outcomes before stop again; the delays written past stop are taken
+    back, and the recurrence below serves the rest in blocks of
+    _MAX_CHUNK arrivals, drawing on from there as each block needs.  So
+    whether or not the queue overflows, beyond its input and the delays
+    it returns (the first n_delivered slots of an array of n, 8 bytes a
+    packet) simulate holds arrays of one chunk or block, and the last
+    q_max + 1 departures when the arrivals could fill the waiting room:
+    12-15 bytes a packet at 1e6 packets (tracemalloc peak), where
+    drawing all outcomes up front held 33 and serving the whole tail at
+    once held up to 58.
 
     Waiting times come from the Lindley recursion, evaluated with numpy
     over the arrivals that cannot meet a full queue: with FIFO service and
@@ -108,10 +112,10 @@ def simulate(
     first arrival that might, an exact FIFO departure recurrence takes
     over (``_serve_from``): it does the float operations of a per-packet
     event loop in its order, so from there on every start and delay is
-    the event loop's bit for bit.  It keeps only a list of departures and
-    the accepted count at each queue drop; the starts, the accepted mask
-    and the trace rows are rebuilt from them with numpy.  A strided
-    arrivals array gives the result of its contiguous copy.
+    the event loop's bit for bit.  For each block it keeps only a list of
+    departures and the accepted count at each queue drop; the starts, the
+    accepted mask and the trace rows are rebuilt from them with numpy.  A
+    strided arrivals array gives the result of its contiguous copy.
     Counts and outcomes are those of the event loop run over the whole
     input, and a packet that meets an idle server has a delay of exactly
     its service time.  In the Lindley prefix only, the delay of a packet
@@ -147,11 +151,8 @@ def simulate(
     stop = _drop_free_waits(arrivals, cfg.q_max, draws.draw, draws.sink)
     n_queue_drops = 0
     if stop < n:
-        atoms = draws.rewind(stop)
-        attempts = dist.attempts.take(atoms) if collect_trace else None
-        tail, n_queue_drops, _ = _serve_from(stop, arrivals, cfg.q_max, attempts,
-                                             dist.duration_array.take(atoms), atoms < dist.n_max_tries, trace)
-        draws.write(tail)
+        draws.rewind(stop)
+        n_queue_drops, _ = _serve_from(stop, cfg.q_max, draws)
     delivered_delays = draws.delays[:draws.written]
     return SimResult(
         delivered_delays=delivered_delays,
@@ -173,7 +174,8 @@ class _ChunkDraws:
     trace rows.  Only
     the chunk drawn last is kept, and, at each chunk's draw, the rng state
     and the number of delays written: rewind(stop) takes back what was
-    written for packets stop on and redraws their outcomes.
+    written for packets stop on and sets the rng to packet stop's draw,
+    from which ``_serve_from`` draws their outcomes and writes their delays.
     """
 
     def __init__(self, dist: ServiceDistribution, rng: np.random.Generator, arrivals: np.ndarray,
@@ -209,22 +211,25 @@ class _ChunkDraws:
         self.delays[self.written:self.written + delays.size] = delays
         self.written += delays.size
 
-    def rewind(self, stop: int) -> np.ndarray:
-        """The atoms of packets [stop, n), drawn again; what was written for them is taken back.
+    def rewind(self, stop: int) -> None:
+        """Take back what was written for packets stop on, and set the rng to packet stop's draw.
 
         The rng goes back to its state at the draw of the chunk holding
-        packet stop and draws from there to the end of the input, which
-        gives the same draws for that chunk and the stream's next ones
-        after it.  The delays written are cut back to those of packets
-        before stop.  The trace rows written past stop are left: those
-        packets passed the overflow test, so the departure recurrence
-        accepts each of them and writes its row again.
+        packet stop and draws that chunk's outcomes before stop again, the
+        same draws, to count the delays written for those packets: the
+        delays written are cut back to those of packets before stop.  The
+        rng then stands where one draw of all n outcomes would reach
+        packet stop, and ``_serve_from`` draws on from there a block at a
+        time, so no array of the packets from stop on is drawn here.  The
+        trace rows written past stop are left: those packets passed the
+        overflow test, so the departure recurrence accepts each of them
+        and writes its row again.
         """
+        self.atoms = self.durations = np.empty(0)   # the last chunk's draws are not read again
         lo, written, state = next(mark for mark in reversed(self.marks) if mark[0] <= stop)
         self.rng.bit_generator.state = state
-        atoms = self.dist.draw_atoms(self.rng, self.arrivals.size - lo)
-        self.written = written + int(np.count_nonzero(atoms[:stop - lo] < self.dist.n_max_tries))
-        return atoms[stop - lo:]
+        atoms = self.dist.draw_atoms(self.rng, stop - lo)
+        self.written = written + int(np.count_nonzero(atoms < self.dist.n_max_tries))
 
 
 # The Lindley pass works in chunks that start small, so that a queue
@@ -345,66 +350,82 @@ def _opened(j: np.ndarray, opens: np.ndarray) -> np.ndarray:
     return opens[np.searchsorted(opens, j, side="right") - 1]
 
 
-def _serve_from(
-    first: int,
-    arrivals: np.ndarray,
-    q_max: int,
-    draw_attempts: np.ndarray | None,
-    draw_durations: np.ndarray,
-    draw_delivered: np.ndarray,
-    trace: SimTrace | None,
-) -> tuple[np.ndarray, int, int]:
-    """FIFO departure recurrence over packets [first, n).
+def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> tuple[int, int]:
+    """FIFO departure recurrence over packets [first, n), in blocks of _MAX_CHUNK arrivals.
 
-    Packet first must meet an idle server and an empty queue.  The draws
-    given start at packet first's, and the k-th packet accepted from here
-    takes draw k; draw_attempts is read only for the trace and may be
-    None without one.  Service is FIFO, so departures never decrease, and an
-    arrival at t meets q_max + 1 packets in the system exactly when the
-    packet accepted q_max + 1 places before it departs after t (a
-    departure at t frees its place first).  One list holds the
-    departures, after m = min(q_max, n - first) + 1 leading -inf, so
-    that its entry k is the departure that the k-th accepted packet is
-    tested against.  A queue drop records only the accepted count at
-    that moment; the dropped arrival's index is that count plus the
-    drops before it.  An accepted packet starts at the later of its
-    arrival and the previous departure, which numpy takes again after
-    the loop with the same comparison.  These are the float operations
-    of a per-packet event loop, in its order, so starts and delays are
-    the loop's bit for bit.  Returns (delivered delays in service order,
-    queue drops, retry drops) and fills the trace rows of these packets.
+    Packet first must meet an idle server and an empty queue, and the rng
+    of draws must stand at packet first's draw: the k-th packet accepted
+    from here takes the k-th outcome drawn from there.  Service is FIFO,
+    so departures never decrease, and an arrival at t meets q_max + 1
+    packets in the system exactly when the packet accepted q_max + 1
+    places before it departs after t (a departure at t frees its place
+    first).  One list holds the last m = min(q_max, n - first) + 1
+    departures (-inf before the first), and then those of the block, so
+    that its entry k is the departure that the block's k-th accepted
+    packet is tested against.  A queue drop records only the block's
+    accepted count at that moment; the dropped arrival's index is that
+    count plus the block's drops before it.  An accepted packet starts at
+    the later of its arrival and the previous departure, which numpy
+    takes again after the block's loop with the same comparison.  These
+    are the float operations of a per-packet event loop, in its order,
+    so starts and delays are the loop's bit for bit.
+
+    A block of b arrivals takes at most b outcomes, so only those are
+    drawn that, with the ones left over from the blocks before, make b;
+    the rest of the n - first outcomes are drawn at the end, so the rng
+    ends as one draw of them would leave it.  Each block writes its
+    delivered delays through draws.write and fills its trace rows, so
+    beyond the delays memory holds arrays of one block and the last m
+    departures.  Returns (queue drops, retry drops) of these packets.
     """
-    arr = arrivals[first:]
-    durations = memoryview(draw_durations)  # indexes to Python floats, no list built
-    m = min(q_max, arr.size) + 1    # never more slots than packets, whatever q_max
-    deps = [-math.inf] * m          # deps[m + i]: departure of the i-th accepted packet
+    arrivals, dist, rng, trace = draws.arrivals, draws.dist, draws.rng, draws.trace
+    n = arrivals.size
+    m = min(q_max, n - first) + 1   # never more slots than packets, whatever q_max
+    deps = [-math.inf] * m          # the last m departures, then the block's
     dep = -math.inf                 # departure of the last accepted packet
-    k = 0                           # packets accepted so far
-    drops: list[int] = []           # the accepted count at each queue drop
-    for t in memoryview(arr):       # a strided view iterates in order too
-        if deps[k] > t:
-            drops.append(k)
-            continue
-        dep = (dep if dep > t else t) + durations[k]
-        deps.append(dep)
-        k += 1
-    prev = np.array(deps)[m - 1:-1]  # the departure before each accepted packet: -inf, D_0, ...
-    del deps
-    accepted = np.ones(arr.size, dtype=bool)
-    accepted[np.array(drops, dtype=np.intp) + np.arange(len(drops))] = False
-    arr = arr[accepted]
-    start = np.where(prev > arr, prev, arr)  # the loop's max: the arrival unless strictly later
-    ok = draw_delivered[:k]
-    delay = (start - arr) + draw_durations[:k]
-    if trace is not None:
-        trace.start[first:][accepted] = start
-        trace.attempts[first:][accepted] = draw_attempts[:k]
-        trace.delay[first:][accepted] = np.where(ok, delay, np.nan)
-        outcome = np.full(accepted.size, OUTCOME_QUEUE_DROP, dtype=object)
-        outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
-        trace.outcome[first:] = outcome.tolist()
-    delays = delay[ok]
-    return delays, len(drops), k - delays.size
+    atoms = np.empty(0, dtype=np.uint8)   # outcomes drawn and not yet taken
+    n_queue_drops = n_retry_drops = 0
+    for lo in range(first, n, _MAX_CHUNK):
+        hi = min(lo + _MAX_CHUNK, n)
+        if atoms.size < hi - lo:        # the block takes at most hi - lo outcomes
+            atoms = np.concatenate((atoms, dist.draw_atoms(rng, hi - lo - atoms.size)))
+        service = dist.duration_array.take(atoms)
+        durations = memoryview(service)     # indexes to Python floats, no list built
+        k = 0                           # packets of the block accepted so far
+        drops: list[int] = []           # the block's accepted count at each queue drop
+        for t in memoryview(arrivals[lo:hi]):   # a strided view iterates in order too
+            if deps[k] > t:
+                drops.append(k)
+                continue
+            dep = (dep if dep > t else t) + durations[k]
+            deps.append(dep)
+            k += 1
+        # the departure before each accepted packet: the last one before the block, then the block's
+        prev = np.fromiter(islice(deps, m - 1, m - 1 + k), float, k)
+        del deps[:-m]                   # the next block needs only the last m
+        accepted = np.ones(hi - lo, dtype=bool)
+        accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops))] = False
+        arr = arrivals[lo:hi][accepted]
+        start = np.where(prev > arr, prev, arr)  # the loop's max: the arrival unless strictly later
+        used = atoms[:k]
+        ok = used < dist.n_max_tries
+        delay = (start - arr) + service[:k]
+        if trace is not None:
+            trace.start[lo:hi][accepted] = start
+            trace.attempts[lo:hi][accepted] = dist.attempts.take(used)
+            trace.delay[lo:hi][accepted] = np.where(ok, delay, np.nan)
+            outcome = np.full(hi - lo, OUTCOME_QUEUE_DROP, dtype=object)
+            outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
+            trace.outcome[lo:hi] = outcome.tolist()
+        delivered = delay[ok]
+        draws.write(delivered)
+        n_queue_drops += len(drops)
+        n_retry_drops += k - delivered.size
+        atoms = atoms[k:]
+    # each queue drop leaves one of the n - first outcomes untaken: draw those not drawn yet
+    for left in range(n_queue_drops - atoms.size, 0, -_MAX_CHUNK):
+        dist.draw_atoms(rng, min(left, _MAX_CHUNK))
+    return n_queue_drops, n_retry_drops
 
 
 def run_simulation(

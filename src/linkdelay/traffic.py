@@ -157,13 +157,21 @@ class OnOffTraffic(Frozen):
         rate r*mu/(lam+mu) at theta -> 0 up to the peak rate.  The fluid
         envelope holds for the emitted packet stream only after adding one
         packet of burst allowance, because a whole packet arrives the
-        moment its fluid equivalent completes.
+        moment its fluid equivalent completes.  Where the square passes
+        the float range (theta * r above about 1.3e154), the root is taken
+        as |g| * sqrt(1 + 4 * (lam/g) * (mu/g)), g = theta*r - lam + mu,
+        which stays in range; everywhere else the square is taken as it is.
         """
         lam, mu, peak = self.lam_on_off, self.mu_off_on, self.rate * packet_bits
 
         def envelope(theta: float) -> tuple[float, float, float]:
             tr = theta * peak
-            rate = (tr - lam - mu + math.sqrt((tr - lam + mu) ** 2 + 4.0 * lam * mu)) / (2.0 * theta)
+            gap = tr - lam + mu
+            try:
+                root = math.sqrt(gap ** 2 + 4.0 * lam * mu)
+            except OverflowError:   # gap ** 2 is past the float range
+                root = abs(gap) * math.sqrt(1.0 + 4.0 * (lam / gap) * (mu / gap))
+            rate = (tr - lam - mu + root) / (2.0 * theta)
             return rate, packet_bits, theta
 
         return envelope
@@ -190,7 +198,7 @@ def generate_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray
 
 
 def _emitted_by(on_time: np.ndarray, period: float) -> np.ndarray:
-    """Largest k with k * period <= on_time in float arithmetic, per element.
+    """Largest k with k * period <= on_time in float arithmetic, per element, as floats.
 
     The quotient's floor can miss by one near a multiple of period, so it
     is corrected with the comparison itself.
@@ -200,7 +208,7 @@ def _emitted_by(on_time: np.ndarray, period: float) -> np.ndarray:
     total = np.floor(on_time / period)
     total += (total + 1.0) * period <= on_time
     total -= total * period > on_time
-    return total.astype(np.int64)
+    return total
 
 
 def _onoff_arrivals(spec: OnOffTraffic, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -235,7 +243,9 @@ def _onoff_arrivals(spec: OnOffTraffic, rng: np.random.Generator, n: int) -> np.
         clock = np.cumsum(np.concatenate(([t], sojourns)))[1:]
         on_end = np.cumsum(np.concatenate(([on_time], sojourns[1::2])))
         on_start, on_end = on_end[:-1], on_end[1:]
-        total = _emitted_by(on_end, period)
+        # past n the counts are not used, and a peak rate near 1e17 would
+        # take them past int64
+        total = np.minimum(_emitted_by(on_end, period), n).astype(np.int64)
         counts = np.diff(total, prepend=emitted)
         used = cycles
         if total[-1] - emitted >= left:

@@ -251,6 +251,27 @@ def test_overload_names_each_cause_of_a_mixed_grid(tmp_path, capsys, command):
     assert "envelope" not in err
 
 
+@pytest.mark.parametrize("rate", [1e15, 1e17, 1e19, 1e200])
+def test_huge_onoff_peak_rate_exits_cleanly(tmp_path, capsys, rate):
+    # from a peak rate near 1e17 the on-off emission counts passed int64,
+    # and at 1e200 the square in the on-off envelope passed the float range
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"traffic": {"kind": "onoff", "lam_on_off": 0.03, "mu_off_on": 0.02,
+                                           "rate": rate, "horizon": 2000}}))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg), "--seed", "1")
+    assert code == 0 and err == ""
+    counts = dict(line[2:].split("=") for line in out.splitlines() if line.startswith("# n_"))
+    assert int(counts["n_arrivals"]) == 2000 and int(counts["n_queue_drops"]) > 1900
+    code, out, err = run(capsys, "delay-bound", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert err == ("overload: no stable exponent in the theta grid; "
+                   "arrival envelope exceeds the service curve everywhere\n")
+    code, out, err = run(capsys, "validate", "--config", str(cfg), "--seed", "1")
+    # at 1e200 the mean interarrival time is too small for the G/G/1 inputs
+    assert (code, out) == ((2, "") if rate > 1e100 else (3, ""))
+    assert err.startswith("config error: " if rate > 1e100 else "overloaded: ") and err.count("\n") == 1
+
+
 def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
     # snr=5000 underflows the error-rate expression to exactly zero, so the
     # service law is one atom at t1 = 10.108 ms and the optimized bound is
@@ -376,6 +397,8 @@ GOLDEN_RUNS = [
     ("validate-onoff.csv", ["validate", "--config", ONOFF], 4),
     # three waiting slots at rho 0.96: 3684 queue drops and 573 retry drops
     ("simulate-overflow.csv", ["simulate", "--config", str(GOLDEN / "overflow.json")], 0),
+    # the same link and load over 2e5 packets: the overflow tail spans several of its serving blocks
+    ("simulate-overflow-long.csv", ["simulate", "--config", str(GOLDEN / "overflow-long.json")], 0),
 ]
 
 

@@ -216,24 +216,36 @@ def test_simulate_matches_reference_loop(scenario, collect_trace):
     assert_matches_reference(arrivals, link, p_e, seed, collect_trace)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios(), st.booleans())
-def test_departure_recurrence_is_the_reference_loop_bit_for_bit(scenario, collect_trace):
-    # the recurrence alone, from packet 0: no rounding tolerance applies
-    arrivals, link, p_e, seed = scenario
-    ref = reference_simulate(arrivals, link, TC, p_e, np.random.default_rng(seed))
-    ref_delays, ref_q, ref_r, ref_start, ref_attempts, ref_outcome, ref_delay = ref
-    draws = service_distribution(link, TC, p_e).sample_many(np.random.default_rng(seed), arrivals.size)
+def serve(arrivals, link, p_e, seed, collect_trace):
+    """The departure recurrence alone, from packet 0 and a fresh seeded rng.
+
+    Returns (delays, queue drops, retry drops, trace or None, the rng after it).
+    """
     n = arrivals.size
     trace = None
     if collect_trace:
         trace = SimTrace(arrival=arrivals.copy(), start=np.full(n, np.nan),
                          attempts=np.zeros(n, dtype=np.int64), outcome=["queue_drop"] * n,
                          delay=np.full(n, np.nan))
-    delays, n_queue_drops, n_retry_drops = simulator._serve_from(0, arrivals, link.q_max, *draws, trace)
+    rng = np.random.default_rng(seed)
+    draws = simulator._ChunkDraws(service_distribution(link, TC, p_e), rng, arrivals, trace)
+    n_queue_drops, n_retry_drops = simulator._serve_from(0, link.q_max, draws)
+    return draws.delays[:draws.written], n_queue_drops, n_retry_drops, trace, rng
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.booleans())
+def test_departure_recurrence_is_the_reference_loop_bit_for_bit(scenario, collect_trace):
+    # the recurrence alone, from packet 0: no rounding tolerance applies
+    arrivals, link, p_e, seed = scenario
+    ref_rng = np.random.default_rng(seed)
+    ref = reference_simulate(arrivals, link, TC, p_e, ref_rng)
+    ref_delays, ref_q, ref_r, ref_start, ref_attempts, ref_outcome, ref_delay = ref
+    delays, n_queue_drops, n_retry_drops, trace, rng = serve(arrivals, link, p_e, seed, collect_trace)
 
     assert delays.tobytes() == ref_delays.astype(float).tobytes()
     assert (n_queue_drops, n_retry_drops) == (ref_q, ref_r)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     if collect_trace:
         assert np.array_equal(trace.start, ref_start, equal_nan=True)
         assert np.array_equal(trace.attempts, ref_attempts)
@@ -298,15 +310,8 @@ def run_bytes(arrivals, link, p_e, seed, collect_trace):
 
 def serve_bytes(arrivals, link, p_e, seed, collect_trace):
     """Every output of the departure recurrence from packet 0, as comparable values."""
-    n = arrivals.size
-    draws = service_distribution(link, TC, p_e).sample_many(np.random.default_rng(seed), n)
-    trace = None
-    if collect_trace:
-        trace = SimTrace(arrival=arrivals.copy(), start=np.full(n, np.nan),
-                         attempts=np.zeros(n, dtype=np.int64), outcome=["queue_drop"] * n,
-                         delay=np.full(n, np.nan))
-    delays, n_queue_drops, n_retry_drops = simulator._serve_from(0, arrivals, link.q_max, *draws, trace)
-    out = [delays.tobytes(), n_queue_drops, n_retry_drops]
+    delays, n_queue_drops, n_retry_drops, trace, rng = serve(arrivals, link, p_e, seed, collect_trace)
+    out = [delays.tobytes(), n_queue_drops, n_retry_drops, rng.bit_generator.state]
     if collect_trace:
         out += [trace.start.tobytes(), trace.attempts.tobytes(), trace.outcome, trace.delay.tobytes()]
     return out
@@ -348,6 +353,10 @@ ONOFF_SOURCES = (
 )
 # ~500 cycles per packet, most of them silent: 300 packets already span two blocks
 SPARSE_SOURCE = OnOffTraffic(lam_on_off=5.0, mu_off_on=0.3, rate=0.01)
+# one On sojourn emits every packet; past a peak rate near 1e17 the emission
+# counts of a cycle no longer fit int64, and at 1e200 not even a float's square
+HUGE_PEAK_SOURCES = tuple(OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=rate)
+                          for rate in (1e15, 1e17, 1e19, 1e200))
 
 
 def test_emission_count_exact_near_multiples_of_the_period():
@@ -365,7 +374,8 @@ def test_emission_count_exact_near_multiples_of_the_period():
 
 
 @pytest.mark.parametrize("spec, n", [(spec, n) for spec in ONOFF_SOURCES for n in (1, 2, 100_000)]
-                         + [(SPARSE_SOURCE, n) for n in (1, 2, 300)])
+                         + [(SPARSE_SOURCE, n) for n in (1, 2, 300)]
+                         + [(spec, 2000) for spec in HUGE_PEAK_SOURCES])
 def test_onoff_arrivals_bit_identical_to_scalar_loop(spec, n):
     for seed in (0, 7):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -629,10 +639,19 @@ def test_handover_redraws_the_event_loops_draws_bit_for_bit(case, bit_generator)
     durations = service_distribution(link, TC, p_e).sample_many(make_rng(), n)[1]
     assert lindley_pass(arrivals, durations, q_max, drawn)[1] == stop
     assert drawn[-1][0] == found_at
+    ref_outcome = assert_loop_bit_for_bit(arrivals, link, p_e, make_rng)
+    assert ("queue_drop" in ref_outcome) == (stop < n)
+
+
+def assert_loop_bit_for_bit(arrivals, link, p_e, make_rng):
+    """simulate against the event loop, with and without a trace: every output and the rng state.
+
+    make_rng gives a fresh generator in the same state on each call.
+    Returns the loop's outcomes.
+    """
     ref_rng = make_rng()
     ref_delays, ref_q, ref_r, ref_start, ref_attempts, ref_outcome, ref_delay = reference_simulate(
         arrivals, link, TC, p_e, ref_rng)
-    assert (ref_q > 0) == (stop < n)
     for collect_trace in (False, True):
         rng = make_rng()
         got = simulate(arrivals, link, TC, p_e, rng, collect_trace=collect_trace)
@@ -645,6 +664,62 @@ def test_handover_redraws_the_event_loops_draws_bit_for_bit(case, bit_generator)
             assert tr.attempts.tobytes() == ref_attempts.tobytes()
             assert tr.delay.tobytes() == ref_delay.tobytes()
             assert tr.outcome == ref_outcome
+    return ref_outcome
+
+
+def wide_then_rush(link, p_e, n_wide, n_rush, n_calm):
+    """n_wide arrivals that never wait, n_rush at one instant, then n_calm wide again.
+
+    Packet n_wide opens a busy period, so with more than q_max + 1 in the
+    rush the Lindley pass hands over there, and every arrival of the rush
+    after the first q_max + 1 is dropped.
+    """
+    wide = 3.0 * service_distribution(link, TC, p_e).max_duration
+    head = np.arange(n_wide) * wide
+    calm = (n_wide + 1.0 + np.arange(n_calm)) * wide
+    return np.concatenate((head, np.full(n_rush, n_wide * wide), calm))
+
+
+# (block size, arrivals before the rush, in the rush, after it), two waiting slots
+BLOCK_EDGE_CASES = {
+    # the drops fill at least one of the tail's blocks whole, and straddle the ends of blocks
+    **{f"drops across block ends, stop in the first chunk, blocks of {b}": (b, 300, 2 * b + 4, 300)
+       for b in (1, 7, 64)},
+    **{f"drops across block ends, stop in a later chunk, blocks of {b}": (b, 1500, 2 * b + 4, 300)
+       for b in (1, 7, 64)},
+    "a tail shorter than one block of 7": (7, 1500, 4, 2),
+    "a tail shorter than one block of 64": (64, 1500, 10, 20),
+}
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("case", list(BLOCK_EDGE_CASES))
+def test_tail_blocks_serve_the_event_loops_run_bit_for_bit(monkeypatch, case, bit_generator):
+    # the recurrence serves the tail in blocks of _MAX_CHUNK arrivals and
+    # draws only what a block can take; with small blocks, runs of drops
+    # cross block ends and whole blocks are dropped.  No packet waits
+    # before stop, so everything must be the event loop's bit for bit
+    block, n_wide, n_rush, n_calm = BLOCK_EDGE_CASES[case]
+    monkeypatch.setattr(simulator, "_MAX_CHUNK", block)
+    link, p_e = LinkConfig(q_max=2), 0.3
+    arrivals = wide_then_rush(link, p_e, n_wide, n_rush, n_calm)
+    n = arrivals.size
+
+    def make_rng():
+        return np.random.Generator(bit_generator(13))
+
+    durations = service_distribution(link, TC, p_e).sample_many(make_rng(), n)[1]
+    assert lindley_pass(arrivals, durations, link.q_max)[1] == n_wide
+    dropped = np.array(assert_loop_bit_for_bit(arrivals, link, p_e, make_rng)) == "queue_drop"
+    tail = dropped[n_wide:]
+    assert np.array_equal(np.flatnonzero(tail), np.arange(3, n_rush))   # the rush beyond 3 packets
+    if n_rush > 2 * block:
+        ends = np.arange(block, tail.size, block)    # block ends within the tail
+        assert np.any(tail[ends - 1] & tail[ends])   # a drop on each side of one
+        whole = tail[:tail.size // block * block].reshape(-1, block)
+        assert whole.all(axis=1).any()               # a block of drops only
+    else:
+        assert tail.size < block
 
 
 def assert_same_draws(dist, n, seed):

@@ -1,6 +1,7 @@
 """Arrival-instant generators: exactness, long-run rates, determinism; the kinds' one home."""
 
 import ast
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -81,6 +82,25 @@ def test_generators_hold_little_beyond_their_output(spec):
         tracemalloc.stop()
     assert arr.size == spec.horizon
     assert peak <= 8 * spec.horizon + 6_000_000
+
+
+@pytest.mark.parametrize("lam, mu, peak_bits, theta", [
+    (0.03, 0.02, 4e202, 1e-5),      # theta * peak 4e197: the square passes the float range
+    (0.03, 0.02, 4e202, 1e-50),     # 4e152: it does not
+    (0.03, 0.02, 1.0, 2e154),       # just past it, with the peak of one packet
+    (1e154, 1e154, 4e160, 1e-5),    # lam * mu near the float range as well
+])
+def test_onoff_envelope_rate_past_the_range_of_the_square(lam, mu, peak_bits, theta):
+    # the Perron root in 60-digit decimal arithmetic; the float rate must
+    # be finite and agree with it to rounding
+    from decimal import Decimal, getcontext
+
+    getcontext().prec = 60
+    rate, burst, decay = OnOffTraffic(lam, mu, rate=peak_bits / 400.0).envelope(400.0)(theta)
+    tr, lam_d, mu_d, theta_d = Decimal(theta) * Decimal(peak_bits), Decimal(lam), Decimal(mu), Decimal(theta)
+    want = (tr - lam_d - mu_d + ((tr - lam_d + mu_d) ** 2 + 4 * lam_d * mu_d).sqrt()) / (2 * theta_d)
+    assert math.isfinite(rate) and (burst, decay) == (400.0, theta)
+    assert abs(Decimal(rate) - want) <= Decimal("1e-14") * want
 
 
 def test_spec_validation():
