@@ -98,11 +98,13 @@ def simulate(
     _MAX_CHUNK arrivals, drawing on from there as each block needs.  So
     whether or not the queue overflows, beyond its input and the delays
     it returns (the first n_delivered slots of an array of n, 8 bytes a
-    packet) simulate holds arrays of one chunk or block, and the last
-    q_max + 1 departures when the arrivals could fill the waiting room:
-    12-15 bytes a packet at 1e6 packets (tracemalloc peak), where
-    drawing all outcomes up front held 33 and serving the whole tail at
-    once held up to 58.
+    packet) simulate holds arrays of one chunk or block, one intp index
+    buffer of the largest chunk or block (512 KiB past 65,536 packets),
+    through which outcomes become service times, and the last q_max + 1
+    departures when the arrivals could fill the waiting room: 12-15
+    bytes a packet at 1e6 packets (tracemalloc peak), where drawing all
+    outcomes up front held 33 and serving the whole tail at once held up
+    to 58.
 
     Waiting times come from the Lindley recursion, evaluated with numpy
     over the arrivals that cannot meet a full queue: with FIFO service and
@@ -185,11 +187,23 @@ class _ChunkDraws:
         self.written = 0
         self.marks: list[tuple[int, int, dict]] = []  # (lo, written, rng state) at each draw
         self.atoms = self.durations = np.empty(0)
+        # room for the largest chunk or block: the first chunk may exceed _MAX_CHUNK
+        self.index = np.empty(min(arrivals.size, max(_FIRST_CHUNK, _MAX_CHUNK)), dtype=np.intp)
+
+    def indexed(self, atoms: np.ndarray) -> np.ndarray:
+        """atoms cast into the index buffer, valid until the next call.
+
+        take widens a narrow index itself, several times slower than a
+        cast and a take on intp.
+        """
+        index = self.index[:atoms.size]
+        index[...] = atoms
+        return index
 
     def draw(self, lo: int, hi: int) -> np.ndarray:
         self.marks.append((lo, self.written, self.rng.bit_generator.state))
         self.atoms = self.dist.draw_atoms(self.rng, hi - lo)
-        self.durations = self.dist.duration_array.take(self.atoms)
+        self.durations = self.dist.duration_array.take(self.indexed(self.atoms))
         return self.durations
 
     def sink(self, lo: int, waits: np.ndarray) -> None:
@@ -199,7 +213,8 @@ class _ChunkDraws:
         trace = self.trace
         if trace is not None:
             trace.start[lo:hi] = self.arrivals[lo:hi] + waits
-            trace.attempts[lo:hi] = self.dist.attempts.take(atoms)
+            # the index still holds this chunk's atoms, cast by draw
+            trace.attempts[lo:hi] = self.dist.attempts.take(self.index[:waits.size])
             trace.outcome[lo:hi] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP).tolist()
         waits += self.durations[:waits.size]    # in place: the delays of these packets
         if trace is not None:
@@ -283,8 +298,10 @@ def _drop_free_waits(
     busy-period start carried into the chunk, so the chunk is screened
     with err_max and each packet's own err is computed only where the
     screen leaves a doubt: waits in (0, 2 * err_max] and arrivals that
-    fail the overflow test at err_max.  The waits, stop and margins are
-    those of a pass that computes err for every packet.
+    fail the overflow test at err_max.  Only such a chunk lists the busy
+    periods that open in it; any other takes the last one from its end.
+    The waits, stop and margins are those of a pass that computes err for
+    every packet.
     """
     n = arrivals.size
     slots = q_max + 1       # arrival j meets a full queue when packet j - slots has not departed
@@ -305,19 +322,17 @@ def _drop_free_waits(
         xs[0] = x_min
         x = xs[1:]
         np.subtract(c[:-1], a, out=x)
-        ms = np.minimum.accumulate(xs)  # ms[k] = M_{lo-1+k}
+        # ms[k] = M_{lo-1+k}: finite arrivals and service times >= 0 leave
+        # no NaN in xs, so fmin takes the minimum, faster than np.minimum
+        ms = np.fmin.accumulate(xs)
         m = ms[1:]
         ulp = float(np.spacing(2.0 * (c[-1] + max(abs(arrivals[0]), abs(a[-1])))))
-        # idle time before each arrival: A_j - D_{j-1} = M_{j-1} - X_j
-        gap = ms[:-1] - x
-        # the busy period carried in, then those that open in this chunk
-        opens = np.concatenate(([start], lo + np.flatnonzero(gap > 5.0 * (hi + 8) * ulp)))
+        idle = 5.0 * (hi + 8) * ulp       # an idle time above this opens a busy period
         err_max = (hi + 8 - start) * ulp  # no packet of this chunk has a larger err
-        w = np.subtract(x, m, out=gap)    # the waits, over the idle times
+        w = np.subtract(x, m, out=x)      # the waits
         # err is needed only where a wait is nonzero but might fall below 2 * err
         i = np.flatnonzero((w > 0.0) & (w <= 2.0 * err_max))   # positions in the chunk
-        err = (lo + i - _opened(lo + i, opens) + 9) * ulp
-        w[i[w[i] <= 2.0 * err]] = 0.0
+        j = np.empty(0, dtype=np.intp)    # arrivals that might meet a full queue
         if check:
             departures = c[1:] - m
             # departures never decrease, so more than q_max packets are
@@ -329,6 +344,13 @@ def _drop_free_waits(
                 held = ring.take(np.arange(first - slots, min(lo, hi - slots)), mode="wrap")
                 ahead = np.concatenate((held, departures[:max(hi - slots - lo, 0)]))
                 j = first + np.flatnonzero(ahead > arrivals[first:hi] - 5.0 * err_max)
+        if i.size or j.size:
+            # the busy period carried in, then those that open in this chunk
+            opened_here = np.flatnonzero(_idle_times(ms, 0, hi - lo) > idle)
+            opens = np.concatenate(([start], lo + opened_here))
+            err = (lo + i - _opened(lo + i, opens) + 9) * ulp
+            w[i[w[i] <= 2.0 * err]] = 0.0
+            if j.size:
                 opened = _opened(j, opens)
                 err = (j - opened + 9) * ulp
                 full = np.flatnonzero(ahead[j - first] > arrivals[j] - 5.0 * err)
@@ -337,12 +359,44 @@ def _drop_free_waits(
                     if stop > lo:
                         sink(lo, w[:stop - lo])
                     return stop
+            start = int(opens[-1])
+        else:
+            start = _last_opened(ms, idle, lo, start)
+        if check:
             keep = min(slots, hi - lo)
             ring.put(np.arange(hi - keep, hi), departures[-keep:], mode="wrap")
         sink(lo, w)
-        c_last, x_min, start = float(c[-1]), float(m[-1]), int(opens[-1])
+        c_last, x_min = float(c[-1]), float(m[-1])
         lo, size = hi, min(2 * size, _MAX_CHUNK)
     return n
+
+
+def _idle_times(ms: np.ndarray, begin: int, end: int) -> np.ndarray:
+    """Idle time before each arrival [lo + begin, lo + end) of a chunk where positive, else 0.
+
+    ms[k] is M_{lo-1+k}.  The idle time is A_j - D_{j-1} = M_{j-1} - X_j,
+    and where it is positive M_j = X_j, so M_{j-1} - M_j is that same
+    difference, bit for bit; where it is not, M_j = M_{j-1} and the
+    difference is 0.
+    """
+    return ms[begin:end] - ms[begin + 1:end + 1]
+
+
+def _last_opened(ms: np.ndarray, idle: float, lo: int, start: int) -> int:
+    """The latest busy-period start up to the end of a chunk: start when none opens in it.
+
+    Idle times are taken back from the chunk's end over windows that
+    double, so that a chunk whose last busy period is short looks at a
+    few dozen packets, and one with no idle time looks at each packet once.
+    """
+    end, width = ms.size - 1, 64
+    while end > 0:
+        begin = max(end - width, 0)
+        found = np.flatnonzero(_idle_times(ms, begin, end) > idle)
+        if found.size:
+            return lo + begin + int(found[-1])
+        end, width = begin, 2 * width
+    return start
 
 
 def _opened(j: np.ndarray, opens: np.ndarray) -> np.ndarray:
@@ -389,7 +443,8 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> tuple[int, int]:
         hi = min(lo + _MAX_CHUNK, n)
         if atoms.size < hi - lo:        # the block takes at most hi - lo outcomes
             atoms = np.concatenate((atoms, dist.draw_atoms(rng, hi - lo - atoms.size)))
-        service = dist.duration_array.take(atoms)
+        index = draws.indexed(atoms)
+        service = dist.duration_array.take(index)
         durations = memoryview(service)     # indexes to Python floats, no list built
         k = 0                           # packets of the block accepted so far
         drops: list[int] = []           # the block's accepted count at each queue drop
@@ -412,7 +467,7 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> tuple[int, int]:
         delay = (start - arr) + service[:k]
         if trace is not None:
             trace.start[lo:hi][accepted] = start
-            trace.attempts[lo:hi][accepted] = dist.attempts.take(used)
+            trace.attempts[lo:hi][accepted] = dist.attempts.take(index[:k])
             trace.delay[lo:hi][accepted] = np.where(ok, delay, np.nan)
             outcome = np.full(hi - lo, OUTCOME_QUEUE_DROP, dtype=object)
             outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
@@ -456,20 +511,35 @@ class EmpiricalCcdf(Record):
         set_field(self, "confidence", confidence)
 
 
+# empirical_ccdf sorts and counts the samples a block of this many at a time
+_CCDF_BLOCK = 1 << 14
+
+
 def empirical_ccdf(delays: np.ndarray, grid: np.ndarray, confidence: float = 0.99) -> EmpiricalCcdf:
     """Fraction of samples strictly exceeding each grid point.
 
     The upper envelope is the one-sided Clopper-Pearson binomial bound at
     the given confidence level, which must lie in [0.5, 1).
+
+    The exceedances are counted over blocks of _CCDF_BLOCK samples, each
+    converted to float and sorted in one buffer of that size: the counts
+    are those of one sort of all the samples, but an array of them costs
+    the call 128 KiB whatever their number, not a sorted copy.
     """
     if not 0.5 <= confidence < 1.0:
         raise ValueError(f"confidence must be in [0.5, 1), got {confidence}")
-    samples = np.sort(np.asarray(delays, dtype=float))
+    delays = np.asarray(delays)
     grid = np.asarray(grid, dtype=float)
-    n = samples.size
+    n = delays.size
     if n == 0:
         raise ValueError("need at least one delay sample")
-    exceed = n - np.searchsorted(samples, grid, side="right")
+    exceed = np.zeros(grid.shape, dtype=np.intp)
+    buffer = np.empty(min(n, _CCDF_BLOCK))
+    for lo in range(0, n, _CCDF_BLOCK):
+        block = buffer[:min(n - lo, _CCDF_BLOCK)]
+        block[...] = delays[lo:lo + block.size]
+        block.sort()
+        exceed += block.size - np.searchsorted(block, grid, side="right")
     return EmpiricalCcdf(delays=grid.copy(), fractions=exceed / n,
                          upper=upper_limit(exceed, n, confidence),
                          n_samples=n, confidence=confidence)

@@ -201,11 +201,14 @@ def _emitted_by(on_time: np.ndarray, period: float) -> np.ndarray:
     """Largest k with k * period <= on_time in float arithmetic, per element, as floats.
 
     The quotient's floor can miss by one near a multiple of period, so it
-    is corrected with the comparison itself.
+    is corrected with the comparison itself.  At a subnormal period the
+    quotient can pass the float range: it reads inf, which the comparisons
+    keep, and the caller clamps the counts to the packets it wants.
     """
     import numpy as np
 
-    total = np.floor(on_time / period)
+    with np.errstate(over="ignore"):
+        total = np.floor(on_time / period)
     total += (total + 1.0) * period <= on_time
     total -= total * period > on_time
     return total

@@ -272,6 +272,20 @@ def test_huge_onoff_peak_rate_exits_cleanly(tmp_path, capsys, rate):
     assert err.startswith("config error: " if rate > 1e100 else "overloaded: ") and err.count("\n") == 1
 
 
+def test_subnormal_onoff_period_simulates_without_a_warning(tmp_path, capsys):
+    # at a peak rate of 1e308 the period 1 / rate is subnormal, and the On
+    # time over it passes the float range; pytest makes numpy's overflow
+    # warning an error, so the division must not raise one
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"traffic": {"kind": "onoff", "lam_on_off": 0.03, "mu_off_on": 0.02,
+                                           "rate": 1e308, "horizon": 200}}))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg), "--seed", "1")
+    assert code == 0 and err == ""
+    counts = dict(line[2:].split("=") for line in out.splitlines() if line.startswith("# n_"))
+    assert counts == {"n_arrivals": "200", "n_delivered": "61", "n_queue_drops": "139",
+                      "n_retry_drops": "0"}
+
+
 def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
     # snr=5000 underflows the error-rate expression to exactly zero, so the
     # service law is one atom at t1 = 10.108 ms and the optimized bound is

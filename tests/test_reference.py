@@ -13,9 +13,10 @@ must reproduce the loop bit for bit.  Through ``simulate``, whose
 drop-free prefix comes from the Lindley pass, the delay of a packet that
 met an idle server must be bit-equal and every other delay within the
 rounding tolerance that ``simulate`` documents; where no packet waits
-before the switch to the recurrence, or all arrive at 0, every delay,
-trace row and the rng state must be the loop's bit for bit, whichever
-chunk the switch packet falls in and whichever bit generator draws.
+before the switch to the recurrence, or all arrive at 0, or every sum
+is exact (service times and arrivals on a lattice), every delay, trace
+row and the rng state must be the loop's bit for bit, whichever chunk
+the switch packet falls in and whichever bit generator draws.
 The optimiser's bound
 must be the reference composition's bit for bit, and so must the whole
 optimiser, against its loop as it was before probes shared their curves.
@@ -354,9 +355,10 @@ ONOFF_SOURCES = (
 # ~500 cycles per packet, most of them silent: 300 packets already span two blocks
 SPARSE_SOURCE = OnOffTraffic(lam_on_off=5.0, mu_off_on=0.3, rate=0.01)
 # one On sojourn emits every packet; past a peak rate near 1e17 the emission
-# counts of a cycle no longer fit int64, and at 1e200 not even a float's square
+# counts of a cycle no longer fit int64, at 1e200 not even a float's square,
+# and at 1e308 the period is subnormal and the On time over it overflows
 HUGE_PEAK_SOURCES = tuple(OnOffTraffic(lam_on_off=0.03, mu_off_on=0.02, rate=rate)
-                          for rate in (1e15, 1e17, 1e19, 1e200))
+                          for rate in (1e15, 1e17, 1e19, 1e200, 1e308))
 
 
 def test_emission_count_exact_near_multiples_of_the_period():
@@ -643,7 +645,7 @@ def test_handover_redraws_the_event_loops_draws_bit_for_bit(case, bit_generator)
     assert ("queue_drop" in ref_outcome) == (stop < n)
 
 
-def assert_loop_bit_for_bit(arrivals, link, p_e, make_rng):
+def assert_loop_bit_for_bit(arrivals, link, p_e, make_rng, tc=TC):
     """simulate against the event loop, with and without a trace: every output and the rng state.
 
     make_rng gives a fresh generator in the same state on each call.
@@ -651,10 +653,10 @@ def assert_loop_bit_for_bit(arrivals, link, p_e, make_rng):
     """
     ref_rng = make_rng()
     ref_delays, ref_q, ref_r, ref_start, ref_attempts, ref_outcome, ref_delay = reference_simulate(
-        arrivals, link, TC, p_e, ref_rng)
+        arrivals, link, tc, p_e, ref_rng)
     for collect_trace in (False, True):
         rng = make_rng()
-        got = simulate(arrivals, link, TC, p_e, rng, collect_trace=collect_trace)
+        got = simulate(arrivals, link, tc, p_e, rng, collect_trace=collect_trace)
         assert got.delivered_delays.tobytes() == ref_delays.astype(float).tobytes()
         assert (got.n_delivered, got.n_queue_drops, got.n_retry_drops) == (ref_delays.size, ref_q, ref_r)
         assert rng_state(rng) == rng_state(ref_rng)
@@ -720,6 +722,105 @@ def test_tail_blocks_serve_the_event_loops_run_bit_for_bit(monkeypatch, case, bi
         assert whole.all(axis=1).any()               # a block of drops only
     else:
         assert tail.size < block
+
+
+# Timing on a lattice of 1/4 ms: with l_d = 9 a frame takes 2 ms, and every
+# service time is a multiple of 1/4 ms.  With arrivals on a lattice of 1/8 ms
+# every sum the Lindley pass and the event loop take is exact, so the pass's
+# waits are the loop's bit for bit, not only within its rounding bound
+LATTICE_TC = TimingConstants(t_spi=0.5, t_tr=0.25, t_bo=1.0, t_ack=0.5, t_wait_ack=2.0,
+                             frame_overhead=7, phy_rate=64.0)
+
+
+@pytest.mark.parametrize("q_max, block", [
+    (10**6, None),  # drop-free: the Lindley pass serves every packet
+    (3, 300),       # overflows: the recurrence serves the tail in blocks under the first chunk
+])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("atoms", range(1, 9))
+def test_service_times_by_atom_index_are_the_event_loops_bit_for_bit(monkeypatch, atoms,
+                                                                     bit_generator, q_max, block):
+    # service times and trace attempts are taken through an intp index
+    # buffer sized by the largest chunk or block; laws of 2-8 atoms from
+    # n_max_tries 1-7, and of 1 when p_e = 0 leaves only the first
+    if block is not None:
+        monkeypatch.setattr(simulator, "_MAX_CHUNK", block)
+    link = LinkConfig(l_d=9, n_max_tries=max(atoms - 1, 1), d_retry=0.5, q_max=q_max)
+    p_e = 0.0 if atoms == 1 else 0.45
+    dist = service_distribution(link, LATTICE_TC, p_e)
+    assert all(d * 4.0 == int(d * 4.0) for d in dist.durations)
+    poisson = generate_arrivals(PoissonTraffic(rate=0.9 / dist.mean(), horizon=5000),
+                                np.random.default_rng(atoms))
+    arrivals = np.round(poisson * 8.0) / 8.0
+
+    def make_rng():
+        return np.random.Generator(bit_generator(atoms))
+
+    outcome = assert_loop_bit_for_bit(arrivals, link, p_e, make_rng, LATTICE_TC)
+    assert ("queue_drop" in outcome) == (q_max == 3)
+
+
+# Unit service times: with l_d = 1 and p_e = 0 each packet takes 0.5 + 0.25 + 0.25 ms
+UNIT_TC = TimingConstants(t_spi=0.5, t_tr=0.0, t_bo=0.0, t_ack=0.25, t_wait_ack=0.25,
+                          frame_overhead=0, phy_rate=32.0)
+UNIT_LINK = LinkConfig(l_d=1, n_max_tries=1, q_max=10**6)
+
+
+def carried_busy_period(p, ulps):
+    """4000 arrivals: one busy period from packet 1000 to the end, packet p waiting ulps ulps.
+
+    Packets 0-999 come 3 ms apart and never wait; packet 1000 opens a busy
+    period at 3000 ms, and each later packet arrives half a unit before the
+    one ahead of it departs, so the chunk [1024, 3072) holds no idle time at
+    all.  Packet p, in the last chunk [3072, 4000), arrives ulps ulps of that
+    chunk's T before its predecessor departs.
+    """
+    arrivals = np.concatenate((3.0 * np.arange(1000), 3000.0 + np.arange(3000) - 0.5))
+    arrivals[1000] = 3000.0
+    ulp = np.spacing(2.0 * (4000 + arrivals[-1]))
+    assert ulp == 2.0**-38
+    arrivals[p] = 3000.0 + (p - 1000) - ulps * ulp
+    return arrivals
+
+
+@pytest.mark.parametrize("ulps, kept", [(5016, False), (5020, True)])
+def test_busy_period_carried_across_a_chunk_with_no_idle_time(monkeypatch, ulps, kept):
+    # packet 3500 sits at p = 2501 of the busy period opened by packet 1000
+    # in the first chunk, so its wait counts as none up to 2 * (p + 8) =
+    # 5018 ulps.  The wait lies inside the chunk's screen, 2 * (4000 + 8 -
+    # 1000) = 6016 ulps, so this chunk alone lists its busy periods; the
+    # two before take the last busy-period start from their ends, and the
+    # start must come through the chunk with no idle time: from 0 the cut
+    # would be 7018 ulps, and from 1024 or later under 4970
+    p = 3500
+    arrivals = carried_busy_period(p, ulps)
+    opened, last_opened = [], []
+    real_opened, real_last_opened = simulator._opened, simulator._last_opened
+
+    def spy_opened(j, opens):
+        opened.append(j.tolist())
+        return real_opened(j, opens)
+
+    def spy_last_opened(*args):
+        last_opened.append(real_last_opened(*args))
+        return last_opened[-1]
+
+    monkeypatch.setattr(simulator, "_opened", spy_opened)
+    monkeypatch.setattr(simulator, "_last_opened", spy_last_opened)
+
+    def make_rng():
+        return np.random.default_rng(4)
+
+    if kept:
+        assert_loop_bit_for_bit(arrivals, UNIT_LINK, 0.0, make_rng, UNIT_TC)
+    else:
+        ref_delays = reference_simulate(arrivals, UNIT_LINK, UNIT_TC, 0.0, make_rng())[0]
+        got = simulate(arrivals, UNIT_LINK, UNIT_TC, 0.0, make_rng())
+        assert ref_delays[p] == 1.0 + ulps * 2.0**-38 and got.delivered_delays[p] == 1.0
+        ref_delays[p] = 1.0
+        assert got.delivered_delays.tobytes() == ref_delays.tobytes()
+    assert opened[0] == [p] and opened.count([p]) == len(opened)
+    assert last_opened[:2] == [1000, 1000]
 
 
 def assert_same_draws(dist, n, seed):

@@ -2,13 +2,19 @@
 classical queue oracles, and the empirical CCDF with its confidence band."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.stats import binom
 
+from linkdelay import simulator
+from linkdelay._clopper_pearson import upper_limit
 from linkdelay import (
     LinkConfig,
     PeriodicTraffic,
@@ -27,6 +33,7 @@ from linkdelay import (
 
 LINK = LinkConfig()
 TC = TimingConstants()
+SRC = Path(__file__).parents[1] / "src"
 
 
 def test_lossless_periodic_delays_are_exactly_first_attempt():
@@ -198,8 +205,8 @@ def test_waiting_room_size_costs_no_memory(q_max):
     assert peak < 5e6
 
 
-def traced_peak(kind, q_max, rho):
-    """(result, tracemalloc peak) of simulate over 1e6 packets of the given kind at load rho."""
+def overflow_arrivals(kind, q_max, rho):
+    """1e6 arrivals of the given kind at load rho on a link with q_max waiting slots: (link, arrivals)."""
     n, p_e = 10**6, 0.1
     link = LinkConfig(q_max=q_max)
     mean_t = service_distribution(link, TC, p_e).mean()
@@ -207,10 +214,15 @@ def traced_peak(kind, q_max, rho):
             "poisson": PoissonTraffic(rate=rho / mean_t, horizon=n),
             "onoff": OnOffTraffic(lam_on_off=1.0 / (6.0 * mean_t), mu_off_on=1.0 / (6.0 * mean_t),
                                   rate=2.0 * rho / mean_t, horizon=n)}[kind]
-    arrivals = generate_arrivals(spec, np.random.default_rng(5))
+    return link, generate_arrivals(spec, np.random.default_rng(5))
+
+
+def traced_peak(kind, q_max, rho):
+    """(result, tracemalloc peak) of simulate over 1e6 packets of the given kind at load rho."""
+    link, arrivals = overflow_arrivals(kind, q_max, rho)
     tracemalloc.start()
     try:
-        result = simulate(arrivals, link, TC, p_e, np.random.default_rng(6))
+        result = simulate(arrivals, link, TC, 0.1, np.random.default_rng(6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -232,21 +244,54 @@ def test_simulate_holds_little_beyond_its_input_and_its_output(kind, q_max):
     assert peak <= 16 * n
 
 
+# Runs in a fresh interpreter: arrivals from the .npy file argv[1], q_max
+# argv[2].  After a 5000-packet warm-up, prints the growth of the process's
+# peak resident set over one simulate call, in bytes a packet, and the
+# call's queue drops.  The peak is VmHWM, the high-water mark of the
+# process's own pages: ru_maxrss would start at the resident set of the
+# process that spawned it, pytest's, and hide the growth
+_RSS_GROWTH_PROBE = """
+import sys
+import numpy as np
+from linkdelay import LinkConfig, TimingConstants, simulate
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+arrivals = np.load(sys.argv[1])
+link, tc = LinkConfig(q_max=int(sys.argv[2])), TimingConstants()
+simulate(arrivals[:5000], link, tc, 0.1, np.random.default_rng(7))
+before = peak_kib()
+result = simulate(arrivals, link, tc, 0.1, np.random.default_rng(6))
+print(1024 * (peak_kib() - before) / arrivals.size, result.n_queue_drops)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
 @pytest.mark.parametrize("kind, q_max, rho", [
     ("onoff", 60, 0.7),     # a dozen drops: the recurrence serves most of the run
     ("poisson", 3, 0.88),
     ("onoff", 3, 1.08),     # overloaded: over a third of the packets are dropped
 ])
-def test_simulate_holds_little_when_the_queue_overflows(kind, q_max, rho):
+def test_simulate_holds_little_when_the_queue_overflows(tmp_path, kind, q_max, rho):
     # the departure recurrence serves the packets from the first possible
     # overflow on in blocks of the Lindley pass's largest chunk, drawing
-    # only what a block can take and writing its delays as it ends: the
-    # drop-free bound holds, where serving the whole tail at once took
-    # 52-58 bytes a packet
-    n = 10**6
-    result, peak = traced_peak(kind, q_max, rho)
-    assert result.n_queue_drops > 0
-    assert peak <= 16 * n
+    # only what a block can take and writing its delays as it ends.  The
+    # peak resident set of a fresh process, past its input, grows by
+    # 14-18 bytes a packet, the delays' 8 included, where serving the whole
+    # tail at once grew it by 64-81.  Resident memory counts whole pages
+    # and the heap the allocator keeps, so the bound sits between the two
+    # rather than at the 16 bytes a packet tracemalloc would allow
+    arrivals = tmp_path / "arrivals.npy"
+    np.save(arrivals, overflow_arrivals(kind, q_max, rho)[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RSS_GROWTH_PROBE, str(arrivals), str(q_max)],
+                          env=env, capture_output=True, text=True, check=True)
+    per_packet, n_queue_drops = proc.stdout.split()
+    assert int(n_queue_drops) > 0
+    assert float(per_packet) <= 32.0
 
 
 def test_empirical_ccdf_handcrafted():
@@ -283,6 +328,59 @@ def test_empirical_ccdf_strict_exceedance():
     # samples equal to the grid point do not count as exceedances
     emp = empirical_ccdf(np.array([5.0, 5.0, 6.0]), [5.0])
     assert emp.fractions[0] == pytest.approx(1.0 / 3.0)
+
+
+def one_sort_ccdf(delays, grid, confidence=0.99):
+    """(fractions, upper) of empirical_ccdf as it counted before it sorted in blocks: one sort of all."""
+    samples = np.sort(np.asarray(delays, dtype=float))
+    exceed = samples.size - np.searchsorted(samples, np.asarray(grid, dtype=float), side="right")
+    return exceed / samples.size, upper_limit(exceed, samples.size, confidence)
+
+
+def assert_one_sort_counts(delays, grid):
+    emp = empirical_ccdf(delays, grid)
+    fractions, upper = one_sort_ccdf(delays, grid)
+    assert emp.fractions.dtype == fractions.dtype and emp.fractions.tobytes() == fractions.tobytes()
+    assert emp.upper.tobytes() == upper.tobytes()
+
+
+BLOCK = simulator._CCDF_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_empirical_ccdf_blocks_count_as_one_sort(n):
+    rng = np.random.default_rng(n)
+    delays = rng.exponential(20.0, n)
+    # grid points on samples themselves (equal samples never exceed), below
+    # and above every sample, unsorted, and repeated
+    grid = np.concatenate((delays[rng.integers(0, n, 8)], [-1.0, 0.0, 1e9, 5.0, 5.0, 20.0]))
+    assert_one_sort_counts(delays, grid)
+    # ties across blocks: the samples rounded to a coarse lattice the grid lies on
+    coarse = np.round(delays)
+    assert_one_sort_counts(coarse, np.arange(-1.0, 60.0, 0.5))
+    # a strided view, and integers, converted block by block
+    wide = rng.exponential(20.0, 2 * n)
+    assert_one_sort_counts(wide[::2], grid)
+    assert_one_sort_counts(wide[::-1], grid)
+    assert_one_sort_counts(coarse.astype(np.int64), np.arange(-1.0, 60.0, 0.5))
+
+
+def test_empirical_ccdf_holds_one_block_whatever_the_sample_count():
+    grid = np.linspace(0.0, 100.0, 64)
+    peaks = []
+    for delays in (np.random.default_rng(1).exponential(20.0, 4 * BLOCK),
+                   np.random.default_rng(2).exponential(20.0, 64 * BLOCK),
+                   np.random.default_rng(3).integers(0, 100, 64 * BLOCK)):
+        tracemalloc.start()
+        try:
+            empirical_ccdf(delays, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one float buffer of a block, and the envelope's work on the grid: no
+    # more at 64 blocks than at 4, where one sort of all 64 would hold 8 MiB
+    assert max(peaks) - min(peaks) <= 16 * 1024
+    assert max(peaks) <= 2 * BLOCK * 64
 
 
 def test_dominance_report_flags_and_filters():
