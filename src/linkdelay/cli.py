@@ -22,14 +22,7 @@ import sys
 
 from . import gg1
 from .config import ConfigError, RunConfig, default_config, dump_config, load_config
-from .empirical import (
-    equivalent_arrival,
-    packet_error_rate,
-    plr_mean,
-    plr_var,
-    service_time_mean,
-    service_time_var,
-)
+from .empirical import packet_error_rate
 
 __all__ = ["main"]
 
@@ -105,12 +98,12 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _require_finite(fitted: dict) -> None:
-    """ConfigError naming the first fitted value that overflowed or is not a number."""
-    for name, value in fitted.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"the fitted {name} is {_fmt(value)} at this link and these "
-                              "coefficients; it must be finite")
+def _checked(fn, *args):
+    """fn(*args), with its ValueError a ConfigError: what it refuses comes from the config."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _service_inputs(cfg: RunConfig):
@@ -118,7 +111,7 @@ def _service_inputs(cfg: RunConfig):
     from .service_time import service_distribution
 
     p_e = packet_error_rate(cfg.link.l_d, cfg.link.snr, cfg.per_coeffs)
-    _require_finite({"per": p_e})
+    _checked(gg1._require_finite, {"per": p_e})
     dist = service_distribution(cfg.link, cfg.timing, p_e)
     packet_bits = 8.0 * cfg.link.l_d
     return p_e, dist, packet_bits
@@ -139,58 +132,30 @@ def _bound_inputs(cfg: RunConfig, command: str):
         cfg.traffic, dist, packet_bits, cfg.delay_grid, thetas=cfg.theta_grid.values())
 
 
-def _fitted_moments(cfg: RunConfig) -> dict:
-    """The fitted service-time and loss-rate moments, by models' column names."""
-    link, coeffs = cfg.link, cfg.moment_coeffs
-    return {
-        "mean_service_ms": service_time_mean(link, coeffs),
-        "var_service_ms": service_time_var(link, coeffs),
-        "plr_mean": plr_mean(link.l_d, link.snr, link.q_max, coeffs),
-        "plr_var": plr_var(link.l_d, link.snr, coeffs),
-    }
-
-
-def _fitted_inputs(cfg: RunConfig) -> gg1.Gg1Inputs:
-    """Equivalent-queue inputs from the fitted models, which need some traffic and some service time."""
-    moments = _fitted_moments(cfg)
-    if moments["plr_mean"] >= 1.0:
-        raise ConfigError("the fitted loss rate plr_mean reaches 1 at this l_d, snr and q_max, "
-                          "so the equivalent queue gets no traffic")
-    mean_t = moments["mean_service_ms"]
-    if not mean_t > 0.0:
-        raise ConfigError(f"the fitted mean service time is {mean_t:.6g} ms at this link and "
-                          "moment_coeffs; the equivalent queue needs it > 0")
-    _require_finite(moments)
-    try:
-        inputs = gg1.inputs_from_fitted_models(cfg.link, cfg.moment_coeffs)
-    except ValueError as exc:  # the moments are valid, so t_pit is at fault
-        raise ConfigError(f"link t_pit: {exc}") from exc
-    _require_finite({"var_a": inputs.var_a})
-    return inputs
-
-
 def cmd_models(cfg: RunConfig, args: argparse.Namespace) -> int:
     link = cfg.link
-    fitted = {"per": packet_error_rate(link.l_d, link.snr, cfg.per_coeffs), **_fitted_moments(cfg)}
-    _require_finite(fitted)
-    try:
-        arrival = equivalent_arrival(link.t_pit, fitted["plr_mean"], fitted["plr_var"])
-    except ValueError as exc:
-        raise ConfigError(f"link t_pit: {exc}") from exc
-    fitted.update(lambda_pkts_per_ms=arrival.lam, var_a=arrival.var_a)
-    _require_finite(fitted)
+    fitted = {"per": packet_error_rate(link.l_d, link.snr, cfg.per_coeffs)}
+    _checked(gg1._require_finite, fitted)
+    fitted.update(_checked(gg1._fitted_values, link, cfg.moment_coeffs))
     _emit(cfg, {}, list(fitted), [tuple(fitted.values())])
     return 0
 
 
-def cmd_mean_delay(cfg: RunConfig, args: argparse.Namespace) -> int:
-    inputs = _fitted_inputs(cfg)
+_MEAN_DELAY_COLUMNS = ["rho", "waiting_ms", "service_mean_ms", "delay_ms"]
+
+
+def _fitted_mean_delay(cfg: RunConfig) -> tuple:
+    """mean-delay's row: the fitted route through the equivalent queue, every value finite."""
+    inputs = _checked(gg1.inputs_from_fitted_models, cfg.link, cfg.moment_coeffs)
     rho = gg1.traffic_intensity(inputs)
     waiting = gg1.waiting_time(inputs)
-    columns = ["rho", "waiting_ms", "service_mean_ms", "delay_ms"]
     row = (rho, waiting, inputs.mean_t, waiting + inputs.mean_t)
-    _require_finite(dict(zip(columns, row)))
-    _emit(cfg, {}, columns, [row])
+    _checked(gg1._require_finite, dict(zip(_MEAN_DELAY_COLUMNS, row)))
+    return row
+
+
+def cmd_mean_delay(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _emit(cfg, {}, _MEAN_DELAY_COLUMNS, [_fitted_mean_delay(cfg)])
     return 0
 
 
@@ -276,8 +241,8 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"traffic: {exc}") from exc
     analytic = gg1.mean_delay(inputs)
-    try:
-        fitted = gg1.mean_delay(_fitted_inputs(cfg))
+    try:   # blank wherever mean-delay refuses the fitted route
+        fitted = _fitted_mean_delay(cfg)[-1]
     except (ConfigError, gg1.Overloaded):
         fitted = None
 

@@ -7,7 +7,7 @@ import numbers
 
 from ._record import Frozen, set_field
 from .empirical import LinkConfig, MomentCoefficients, PerCoefficients, TimingConstants, _check_integer
-from .traffic import OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
+from .traffic import DEFAULT_HORIZON, OnOffTraffic, PeriodicTraffic, PoissonTraffic, TrafficSpec
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING for type checkers, without importing typing
 if TYPE_CHECKING:
@@ -16,7 +16,6 @@ if TYPE_CHECKING:
 __all__ = ["ConfigError", "RunConfig", "ThetaGridSpec", "load_config", "dump_config", "default_config"]
 
 DEFAULT_DELAY_GRID = tuple(float(d) for d in range(15, 95, 5))
-DEFAULT_HORIZON = 20000
 
 
 class ConfigError(Exception):
@@ -82,16 +81,18 @@ class RunConfig(Frozen):
         set_field(self, "output_format", output_format)
 
 
+# the sections that hold one record each, by the record class, whose defaults are the section's
+_RECORDS = {"link": LinkConfig, "timing": TimingConstants, "per_coeffs": PerCoefficients,
+            "moment_coeffs": MomentCoefficients, "theta_grid": ThetaGridSpec}
+_SECTIONS = (*_RECORDS, "traffic", "seed", "delay_grid", "mean_delay_tolerance", "output")
+
+
 def default_config() -> RunConfig:
     return RunConfig(
-        link=LinkConfig(),
-        timing=TimingConstants(),
-        per_coeffs=PerCoefficients(),
-        moment_coeffs=MomentCoefficients(),
+        **{name: cls() for name, cls in _RECORDS.items()},
         traffic=PeriodicTraffic(t_pit=50.0, horizon=DEFAULT_HORIZON),
         seed=12345,
         delay_grid=DEFAULT_DELAY_GRID,
-        theta_grid=ThetaGridSpec(),
         mean_delay_tolerance=0.25,
         output_path=None,
         output_format="csv",
@@ -145,10 +146,6 @@ def _as_number(value) -> float:
     return float(value)
 
 
-_SECTIONS = ("link", "timing", "per_coeffs", "moment_coeffs", "traffic", "seed",
-             "delay_grid", "theta_grid", "mean_delay_tolerance", "output")
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
@@ -156,12 +153,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}' at top level (allowed: {sorted(_SECTIONS)})")
     base = default_config()
-    link = _build_section(LinkConfig, raw.get("link", {}), "link") if "link" in raw else base.link
-    timing = _build_section(TimingConstants, raw.get("timing", {}), "timing") if "timing" in raw else base.timing
-    per_coeffs = (_build_section(PerCoefficients, raw["per_coeffs"], "per_coeffs")
-                  if "per_coeffs" in raw else base.per_coeffs)
-    moment_coeffs = (_build_section(MomentCoefficients, raw["moment_coeffs"], "moment_coeffs")
-                     if "moment_coeffs" in raw else base.moment_coeffs)
+    records = {name: _build_section(cls, raw[name], name) if name in raw else getattr(base, name)
+               for name, cls in _RECORDS.items()}
     traffic = _build_traffic(raw["traffic"]) if "traffic" in raw else base.traffic
 
     seed = raw.get("seed", base.seed)
@@ -177,9 +170,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         b <= a for a, b in zip(delay_grid, delay_grid[1:])
     ):
         raise ConfigError("delay_grid must be a strictly increasing list of positive, finite ms values")
-
-    theta_grid = (_build_section(ThetaGridSpec, raw["theta_grid"], "theta_grid")
-                  if "theta_grid" in raw else base.theta_grid)
 
     tolerance = raw.get("mean_delay_tolerance", base.mean_delay_tolerance)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or not tolerance >= 0.0:
@@ -199,14 +189,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"output format must be 'csv' or 'json', got {output_format!r}")
 
     return RunConfig(
-        link=link,
-        timing=timing,
-        per_coeffs=per_coeffs,
-        moment_coeffs=moment_coeffs,
+        **records,
         traffic=traffic,
         seed=seed,
         delay_grid=delay_grid,
-        theta_grid=theta_grid,
         mean_delay_tolerance=float(tolerance),
         output_path=output_path,
         output_format=output_format,
@@ -234,17 +220,9 @@ def dump_config(cfg: RunConfig) -> dict:
     """JSON-ready dict that loads back to an identical RunConfig."""
     traffic = _section_dict(cfg.traffic)
     traffic["kind"] = cfg.traffic.kind
-    out: dict = {
-        "link": _section_dict(cfg.link),
-        "timing": _section_dict(cfg.timing),
-        "per_coeffs": _section_dict(cfg.per_coeffs),
-        "moment_coeffs": _section_dict(cfg.moment_coeffs),
-        "traffic": traffic,
-        "seed": cfg.seed,
-        "delay_grid": list(cfg.delay_grid),
-        "theta_grid": _section_dict(cfg.theta_grid),
-        "mean_delay_tolerance": cfg.mean_delay_tolerance,
-    }
+    out: dict = {name: _section_dict(getattr(cfg, name)) for name in _RECORDS}
+    out.update(traffic=traffic, seed=cfg.seed, delay_grid=list(cfg.delay_grid),
+               mean_delay_tolerance=cfg.mean_delay_tolerance)
     output: dict = {"format": cfg.output_format}
     if cfg.output_path is not None:
         output["path"] = cfg.output_path

@@ -8,6 +8,8 @@ from the exact discrete service-time distribution.
 
 from __future__ import annotations
 
+import math
+
 from . import empirical
 from ._record import Frozen, set_field
 from .empirical import LinkConfig, MomentCoefficients
@@ -86,20 +88,65 @@ def mean_delay(inputs: Gg1Inputs) -> float:
     return waiting_time(inputs) + inputs.mean_t
 
 
+def _require_finite(values: dict[str, float]) -> None:
+    """ValueError naming the first value that overflowed or is not a number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"the fitted {name} is {value:.12g} at this link and these "
+                             "coefficients; it must be finite")
+
+
+def _fitted_values(link: LinkConfig, moment_coeffs: MomentCoefficients | None = None,
+                   queue: bool = False) -> dict[str, float]:
+    """The fitted route's values, finite, by the names of the models subcommand's columns.
+
+    The four fitted moments, and the equivalent arrival that link.t_pit
+    and the loss-rate moments give.  ValueError names the first moment
+    that is not finite, then prefixes the equivalent arrival's own
+    refusal with ``link t_pit:``, then names lambda_pkts_per_ms or var_a
+    where it is not finite.  With queue, a loss rate of 1 and a mean
+    service time <= 0 are refused before all that: the equivalent queue
+    would get no traffic or no service.
+    """
+    fitted = {
+        "mean_service_ms": empirical.service_time_mean(link, moment_coeffs),
+        "var_service_ms": empirical.service_time_var(link, moment_coeffs),
+        "plr_mean": empirical.plr_mean(link.l_d, link.snr, link.q_max, moment_coeffs),
+        "plr_var": empirical.plr_var(link.l_d, link.snr, moment_coeffs),
+    }
+    if queue and fitted["plr_mean"] >= 1.0:
+        raise ValueError("the fitted loss rate plr_mean reaches 1 at this l_d, snr and q_max, "
+                         "so the equivalent queue gets no traffic")
+    if queue and not fitted["mean_service_ms"] > 0.0:
+        raise ValueError(f"the fitted mean service time is {fitted['mean_service_ms']:.6g} ms at "
+                         "this link and moment_coeffs; the equivalent queue needs it > 0")
+    _require_finite(fitted)
+    try:
+        arrival = empirical.equivalent_arrival(link.t_pit, fitted["plr_mean"], fitted["plr_var"])
+    except ValueError as exc:
+        raise ValueError(f"link t_pit: {exc}") from exc
+    fitted.update(lambda_pkts_per_ms=arrival.lam, var_a=arrival.var_a)
+    _require_finite(fitted)
+    return fitted
+
+
 def inputs_from_fitted_models(cfg: LinkConfig, moment_coeffs: MomentCoefficients | None = None) -> Gg1Inputs:
     """Queue inputs from the measurement-fitted closed forms.
 
     Loss enters through the fitted PLR model, not the packet error rate.
+    ValueError where the fitted route leaves the queue no traffic or no
+    service, or gives a value that is not finite (``_fitted_values``).
     """
-    plr = empirical.plr_mean(cfg.l_d, cfg.snr, cfg.q_max, moment_coeffs)
-    pvar = empirical.plr_var(cfg.l_d, cfg.snr, moment_coeffs)
-    arrival = empirical.equivalent_arrival(cfg.t_pit, plr, pvar)
-    return Gg1Inputs(
-        lam=arrival.lam,
-        var_a=arrival.var_a,
-        mean_t=empirical.service_time_mean(cfg, moment_coeffs),
-        var_t=empirical.service_time_var(cfg, moment_coeffs),
-    )
+    fitted = _fitted_values(cfg, moment_coeffs, queue=True)
+    try:
+        return Gg1Inputs(
+            lam=fitted["lambda_pkts_per_ms"],
+            var_a=fitted["var_a"],
+            mean_t=fitted["mean_service_ms"],
+            var_t=fitted["var_service_ms"],
+        )
+    except ValueError as exc:   # all else was checked: the rate 1/t_pit thinned to 0
+        raise ValueError(f"link t_pit: {exc}") from exc
 
 
 def inputs_from_distribution(dist: ServiceDistribution, t_int: float) -> Gg1Inputs:

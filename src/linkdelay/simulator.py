@@ -171,10 +171,10 @@ class _ChunkDraws:
 
     draw(lo, hi) draws the outcomes of packets [lo, hi) and returns their
     service times.  sink(lo, waits) adds those times to the waits of the
-    packets from lo on, in place, writes the delays of the delivered ones
-    after the delays already written (as write does), and fills their
-    trace rows.  Only
-    the chunk drawn last is kept, and, at each chunk's draw, the rng state
+    packets from lo on, in place, and hands them to deliver, which writes
+    the delays of the delivered ones after the delays already written and
+    fills the trace rows; ``_serve_from`` hands deliver its blocks too.
+    Only the chunk drawn last is kept, and, at each chunk's draw, the rng state
     and the number of delays written: rewind(stop) takes back what was
     written for packets stop on and sets the rng to packet stop's draw,
     from which ``_serve_from`` draws their outcomes and writes their delays.
@@ -207,24 +207,35 @@ class _ChunkDraws:
         return self.durations
 
     def sink(self, lo: int, waits: np.ndarray) -> None:
-        hi = lo + waits.size
-        atoms = self.atoms[:waits.size]
+        starts = None if self.trace is None else self.arrivals[lo:lo + waits.size] + waits
+        waits += self.durations[:waits.size]    # in place: the delays of these packets
+        self.deliver(lo, lo + waits.size, slice(None), starts, waits, self.atoms[:waits.size])
+
+    def deliver(self, lo: int, hi: int, accepted: slice | np.ndarray, starts: np.ndarray | None,
+                delays: np.ndarray, atoms: np.ndarray) -> int:
+        """Write the delivered delays of the packets served in [lo, hi), and their trace rows.
+
+        accepted picks the packets served out of [lo, hi): slice(None)
+        for all of them, else a mask.  starts, delays and atoms are
+        theirs, in service order, and the index buffer holds the atoms as
+        indexed cast them; starts is read only for the trace.  The
+        delivered delays go after those already written, and the trace
+        rows of the packets not served read queue drops.  Returns the
+        number delivered.
+        """
         ok = atoms < self.dist.n_max_tries
+        delivered = int(np.count_nonzero(ok))
+        self.delays[self.written:self.written + delivered] = delays[ok]
+        self.written += delivered
         trace = self.trace
         if trace is not None:
-            trace.start[lo:hi] = self.arrivals[lo:hi] + waits
-            # the index still holds this chunk's atoms, cast by draw
-            trace.attempts[lo:hi] = self.dist.attempts.take(self.index[:waits.size])
-            trace.outcome[lo:hi] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP).tolist()
-        waits += self.durations[:waits.size]    # in place: the delays of these packets
-        if trace is not None:
-            trace.delay[lo:hi] = np.where(ok, waits, np.nan)
-        self.write(waits[ok])
-
-    def write(self, delays: np.ndarray) -> None:
-        """Append delivered delays, in service order, to those already written."""
-        self.delays[self.written:self.written + delays.size] = delays
-        self.written += delays.size
+            trace.start[lo:hi][accepted] = starts
+            trace.attempts[lo:hi][accepted] = self.dist.attempts.take(self.index[:atoms.size])
+            trace.delay[lo:hi][accepted] = np.where(ok, delays, np.nan)
+            outcome = np.full(hi - lo, OUTCOME_QUEUE_DROP, dtype=object)
+            outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
+            trace.outcome[lo:hi] = outcome.tolist()
+        return delivered
 
     def rewind(self, stop: int) -> None:
         """Take back what was written for packets stop on, and set the rng to packet stop's draw.
@@ -428,11 +439,11 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> tuple[int, int]:
     drawn that, with the ones left over from the blocks before, make b;
     the rest of the n - first outcomes are drawn at the end, so the rng
     ends as one draw of them would leave it.  Each block writes its
-    delivered delays through draws.write and fills its trace rows, so
+    delivered delays and its trace rows through draws.deliver, so
     beyond the delays memory holds arrays of one block and the last m
     departures.  Returns (queue drops, retry drops) of these packets.
     """
-    arrivals, dist, rng, trace = draws.arrivals, draws.dist, draws.rng, draws.trace
+    arrivals, dist, rng = draws.arrivals, draws.dist, draws.rng
     n = arrivals.size
     m = min(q_max, n - first) + 1   # never more slots than packets, whatever q_max
     deps = [-math.inf] * m          # the last m departures, then the block's
@@ -443,8 +454,7 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> tuple[int, int]:
         hi = min(lo + _MAX_CHUNK, n)
         if atoms.size < hi - lo:        # the block takes at most hi - lo outcomes
             atoms = np.concatenate((atoms, dist.draw_atoms(rng, hi - lo - atoms.size)))
-        index = draws.indexed(atoms)
-        service = dist.duration_array.take(index)
+        service = dist.duration_array.take(draws.indexed(atoms))
         durations = memoryview(service)     # indexes to Python floats, no list built
         k = 0                           # packets of the block accepted so far
         drops: list[int] = []           # the block's accepted count at each queue drop
@@ -462,20 +472,9 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> tuple[int, int]:
         accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops))] = False
         arr = arrivals[lo:hi][accepted]
         start = np.where(prev > arr, prev, arr)  # the loop's max: the arrival unless strictly later
-        used = atoms[:k]
-        ok = used < dist.n_max_tries
-        delay = (start - arr) + service[:k]
-        if trace is not None:
-            trace.start[lo:hi][accepted] = start
-            trace.attempts[lo:hi][accepted] = dist.attempts.take(index[:k])
-            trace.delay[lo:hi][accepted] = np.where(ok, delay, np.nan)
-            outcome = np.full(hi - lo, OUTCOME_QUEUE_DROP, dtype=object)
-            outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
-            trace.outcome[lo:hi] = outcome.tolist()
-        delivered = delay[ok]
-        draws.write(delivered)
+        delivered = draws.deliver(lo, hi, accepted, start, (start - arr) + service[:k], atoms[:k])
         n_queue_drops += len(drops)
-        n_retry_drops += k - delivered.size
+        n_retry_drops += k - delivered
         atoms = atoms[k:]
     # each queue drop leaves one of the n - first outcomes untaken: draw those not drawn yet
     for left in range(n_queue_drops - atoms.size, 0, -_MAX_CHUNK):

@@ -12,7 +12,7 @@ Each traffic spec gives its own arrival envelope (traffic.py), which
 refuses the exponents it cannot take, so this module tells no traffic
 kinds apart.  optimize_delay_ccdf builds its kernel once per call: one
 function maps an exponent to its curves, or to why it is infeasible,
-with the spec's envelope and the service law's atoms bound once, and
+with the spec's envelope and the service law's MGF bound once, and
 each exponent's bound is a function of the delay whose exponent-only
 terms are worked out once.  A scan of the theta grid picks each delay's best grid exponent, and a
 golden-section search refines it between the grid neighbours.  The
@@ -187,12 +187,12 @@ def _curve_builder(traffic: TrafficSpec, dist: ServiceDistribution,
     range, when the spec's envelope refuses it (None: so would the MGF of
     one packet's bits), when theta is so small that the service-time MGF
     rounds to 1 (no service curve), or when the arrival envelope outruns
-    the service curve.  The spec's envelope and the service law are looked
-    up once, not on every theta, and the service rate is service_curve's,
-    with the MGF summed inline as ServiceDistribution.mgf sums it.
+    the service curve.  The spec's envelope and the service law's MGF are
+    looked up once, not on every theta, and the service rate is
+    service_curve's.
     """
     envelope = traffic.envelope(packet_bits)
-    max_duration, atoms = dist.max_duration, tuple(zip(dist.durations, dist.probs))
+    max_duration, mgf = dist.max_duration, dist.mgf
 
     def curves_at(theta: float) -> _Curves | str:
         if theta * max_duration > _MGF_EXPONENT_LIMIT:
@@ -200,10 +200,7 @@ def _curve_builder(traffic: TrafficSpec, dist: ServiceDistribution,
         fields = envelope(theta)
         if fields is None:
             return _PACKET_OVERFLOW
-        mgf = 0.0
-        for d, p in atoms:
-            mgf += math.exp(theta * d) * p
-        log_m = math.log(mgf)
+        log_m = math.log(mgf(theta))
         if not log_m > 0.0:
             return _MGF_FLAT
         rate = packet_bits * theta / log_m

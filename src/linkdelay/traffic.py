@@ -32,6 +32,9 @@ __all__ = [
     "generate_arrivals",
 ]
 
+# packets drawn when a spec names no horizon
+DEFAULT_HORIZON = 20000
+
 
 class PeriodicTraffic(Frozen):
     kind = "periodic"  # the name a config's traffic section gives
@@ -41,7 +44,7 @@ class PeriodicTraffic(Frozen):
     def __init__(
         self,
         t_pit: float,         # packet inter-arrival time, ms
-        horizon: int = 20000,
+        horizon: int = DEFAULT_HORIZON,
     ) -> None:
         if t_pit <= 0.0:
             raise ValueError(f"t_pit must be > 0, got {t_pit}")
@@ -72,7 +75,7 @@ class PoissonTraffic(Frozen):
     def __init__(
         self,
         rate: float,          # packets/ms
-        horizon: int = 20000,
+        horizon: int = DEFAULT_HORIZON,
     ) -> None:
         if rate <= 0.0:
             raise ValueError(f"rate must be > 0, got {rate}")
@@ -121,7 +124,7 @@ class OnOffTraffic(Frozen):
         lam_on_off: float,    # 1/ms, leaves On
         mu_off_on: float,     # 1/ms, leaves Off
         rate: float,          # packets/ms while On
-        horizon: int = 20000,
+        horizon: int = DEFAULT_HORIZON,
     ) -> None:
         if lam_on_off <= 0.0 or mu_off_on <= 0.0:
             raise ValueError("state transition rates must be > 0")

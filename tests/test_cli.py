@@ -562,12 +562,19 @@ def test_extreme_fitted_inputs_exit_cleanly(tmp_path, capsys, case, command):
     assert re.search(r"\b(inf|nan)\b", out) is None, out
 
 
-def test_validate_leaves_an_unrepresentable_fitted_delay_blank(tmp_path, capsys):
+@pytest.mark.parametrize("raw", [
+    {"moment_coeffs": {"var_scale": 1e308}},
+    # every fitted value is finite, but the queue's 1 - rho is so small that the wait overflows
+    {"moment_coeffs": {"var_scale": 1e306, "mean_offset": 49.7482}},
+])
+def test_validate_leaves_an_unrepresentable_fitted_delay_blank(tmp_path, capsys, raw):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"moment_coeffs": {"var_scale": 1e308}}))
+    cfg.write_text(json.dumps(raw))
     code, out, _ = run(capsys, "validate", "--config", str(cfg))
     assert code == 0
     assert "# fitted_mean_delay_ms=\n" in out
+    code, out, err = run(capsys, "mean-delay", "--config", str(cfg))
+    assert code == 2 and out == "" and err.startswith("config error:")
 
 
 def _finite(lo, hi, **bounds):
@@ -648,10 +655,12 @@ def operating_points(draw):
 @given(operating_points())
 def test_every_subcommand_exits_cleanly_at_any_operating_point(sweep_config, raw):
     sweep_config.write_text(json.dumps(raw))
+    outputs = {}
     for command in ("models", "mean-delay", "delay-bound", "simulate", "validate"):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--config", str(sweep_config)])
+        outputs[command] = code, out.getvalue()
         err = err.getvalue().splitlines()
         assert code in (0, 2, 3, 4), (command, err)
         # an error is one stderr line (an exception would have ended the call);
@@ -662,3 +671,9 @@ def test_every_subcommand_exits_cleanly_at_any_operating_point(sweep_config, raw
             assert int(counts["n_arrivals"]) == raw["traffic"]["horizon"]
             assert int(counts["n_arrivals"]) == sum(int(counts[k]) for k in (
                 "n_delivered", "n_queue_drops", "n_retry_drops"))
+    # where validate prints its summary, its fitted mean is mean-delay's delay_ms,
+    # and blank exactly where mean-delay refuses the fitted route
+    summary = dict(line[2:].split("=") for line in outputs["validate"][1].splitlines() if line.startswith("# "))
+    if summary:
+        code, out = outputs["mean-delay"]
+        assert summary["fitted_mean_delay_ms"] == (out.splitlines()[1].split(",")[-1] if code == 0 else "")

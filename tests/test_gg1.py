@@ -5,6 +5,7 @@ import pytest
 from linkdelay import (
     Gg1Inputs,
     LinkConfig,
+    MomentCoefficients,
     Overloaded,
     TimingConstants,
     inputs_from_distribution,
@@ -69,6 +70,18 @@ def test_distribution_route_refuses_certain_loss():
     assert dist.drop_probability == 1.0
     with pytest.raises(ValueError, match="every packet exhausts its retries"):
         inputs_from_distribution(dist, 50.0)
+
+
+@pytest.mark.parametrize("link, coeffs, message", [
+    (LinkConfig(q_max=1), None, "fitted loss rate plr_mean reaches 1"),
+    (LinkConfig(l_d=0), MomentCoefficients(mean_offset=0.0), "fitted mean service time is 0 ms"),
+    # the queue would take an infinite service-time variance without a word
+    (LinkConfig(), MomentCoefficients(var_scale=1e308), "fitted var_service_ms is inf"),
+    (LinkConfig(t_pit=1e-200), None, "link t_pit: an interarrival time"),
+], ids=["loss_rate_1", "mean_service_0", "var_service_inf", "t_pit_underflow"])
+def test_fitted_route_refusals_name_the_quantity(link, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        inputs_from_fitted_models(link, coeffs)
 
 
 def test_inputs_validation():
