@@ -112,7 +112,7 @@ def _service_inputs(cfg: RunConfig):
 
     p_e = packet_error_rate(cfg.link.l_d, cfg.link.snr, cfg.per_coeffs)
     _checked(gg1._require_finite, {"per": p_e})
-    dist = service_distribution(cfg.link, cfg.timing, p_e)
+    dist = _checked(service_distribution, cfg.link, cfg.timing, p_e)
     packet_bits = 8.0 * cfg.link.l_d
     return p_e, dist, packet_bits
 

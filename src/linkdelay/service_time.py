@@ -226,10 +226,18 @@ def _read_only(values: tuple) -> np.ndarray:
 
 
 def service_distribution(cfg: LinkConfig, tc: TimingConstants, p_e: float) -> ServiceDistribution:
-    """Build the full service-time law for a link operating point."""
+    """Build the full service-time law for a link operating point.
+
+    Raises ValueError where a service time or its square, which the
+    variance and the mean delay need, leaves the float range.
+    """
     comps = service_components(cfg, tc)
     probs, drop_prob = attempt_pmf(p_e, cfg.n_max_tries)
     durations = [delivered_duration(k, comps, tc.t_spi) for k in range(1, cfg.n_max_tries + 1)]
     durations.append(dropped_duration(comps, tc.t_spi, cfg.n_max_tries))
+    longest = max(durations)
+    if not math.isfinite(longest * longest):
+        raise ValueError(f"link l_d, d_retry and n_max_tries give service times up to {longest:.6g} ms, "
+                         "whose square leaves the float range")
     return ServiceDistribution(durations=durations, probs=(*probs, drop_prob),
                                p_e=p_e, n_max_tries=cfg.n_max_tries)

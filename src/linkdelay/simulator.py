@@ -84,19 +84,19 @@ def simulate(
 ) -> SimResult:
     """Run the queue over the given arrival instants.
 
-    Deterministic for a fixed rng state and inputs: the k-th packet to
-    start service takes the k-th outcome drawn, so queue-dropped packets
-    never consume a draw, and the rng ends as one draw of n outcomes
-    would leave it.
+    Deterministic for a fixed rng state and inputs: packet j takes the
+    j-th outcome drawn, whether the queue accepts it or not; a
+    queue-dropped packet's outcome goes unused.  The rng ends as one draw
+    of n outcomes would leave it.
 
     Outcomes are drawn a chunk at a time inside the Lindley pass, and
     each chunk's delays are written to the output as the chunk ends.
     When the pass finds a possible overflow, the rng goes back to its
     state at the draw of the chunk holding stop and draws that chunk's
     outcomes before stop again; the delays written past stop are taken
-    back, and the recurrence below serves the rest in blocks of
-    _MAX_CHUNK arrivals, drawing on from there as each block needs.  So
-    whether or not the queue overflows, beyond its input and the delays
+    back, and ``_serve_from`` serves the rest in blocks of _MAX_CHUNK
+    arrivals, drawing each block's outcomes in turn.  So whether or not
+    the queue overflows, beyond its input and the delays
     it returns (the first n_delivered slots of an array of n, 8 bytes a
     packet) simulate holds arrays of one chunk or block, one intp index
     buffer of the largest chunk or block (512 KiB past 65,536 packets),
@@ -111,16 +111,15 @@ def simulate(
     no drop yet, arrival j meets a full queue exactly when packet
     j - q_max - 1 has not departed, so each arrival is tested against
     that one departure.  From the start of the busy period that holds the
-    first arrival that might, an exact FIFO departure recurrence takes
-    over (``_serve_from``): it does the float operations of a per-packet
-    event loop in its order, so from there on every start and delay is
-    the event loop's bit for bit.  For each block it keeps only a list of
-    departures and the accepted count at each queue drop; the starts, the
-    accepted mask and the trace rows are rebuilt from them with numpy.  A
-    strided arrivals array gives the result of its contiguous copy.
-    Counts and outcomes are those of the event loop run over the whole
-    input, and a packet that meets an idle server has a delay of exactly
-    its service time.  In the Lindley prefix only, the delay of a packet
+    first arrival that might, ``_serve_from`` takes over: from there on
+    every start and delay is a per-packet event loop's bit for bit.  It
+    runs short segments of each block from an empty queue in numpy
+    lockstep, and the event loop itself only until its run meets theirs;
+    the starts and the trace rows are taken from the departures with
+    numpy.  A strided arrivals array gives the result of its contiguous
+    copy.  Counts and outcomes are those of the event loop run over the
+    whole input, and a packet that meets an idle server has a delay of
+    exactly its service time.  In the Lindley prefix only, the delay of a packet
     that waited can differ from the event loop's by rounding, because
     the two add service times in different orders: by at most
     5 * (p + 8) * ulp(T), where p is the packet's position in its busy
@@ -154,7 +153,7 @@ def simulate(
     n_queue_drops = 0
     if stop < n:
         draws.rewind(stop)
-        n_queue_drops, _ = _serve_from(stop, cfg.q_max, draws)
+        n_queue_drops = _serve_from(stop, cfg.q_max, draws)
     delivered_delays = draws.delays[:draws.written]
     return SimResult(
         delivered_delays=delivered_delays,
@@ -167,17 +166,19 @@ def simulate(
 
 
 class _ChunkDraws:
-    """Service outcomes drawn one Lindley chunk at a time, and the delays they give.
+    """Service outcomes drawn one Lindley chunk or tail block at a time, and the delays they give.
 
-    draw(lo, hi) draws the outcomes of packets [lo, hi) and returns their
-    service times.  sink(lo, waits) adds those times to the waits of the
-    packets from lo on, in place, and hands them to deliver, which writes
-    the delays of the delivered ones after the delays already written and
+    Packet j takes the j-th outcome drawn, whether the queue accepts it
+    or not; the outcome of a queue-dropped packet goes unused.  draw(lo,
+    hi) draws the outcomes of packets [lo, hi) and returns their service
+    times.  sink(lo, waits) adds those times to the waits of the packets
+    from lo on, in place, and hands them to deliver, which writes the
+    delays of the delivered ones after the delays already written and
     fills the trace rows; ``_serve_from`` hands deliver its blocks too.
-    Only the chunk drawn last is kept, and, at each chunk's draw, the rng state
-    and the number of delays written: rewind(stop) takes back what was
-    written for packets stop on and sets the rng to packet stop's draw,
-    from which ``_serve_from`` draws their outcomes and writes their delays.
+    Only the chunk drawn last is kept, and, at each draw of the Lindley
+    pass, the rng state and the number of delays written: rewind(stop)
+    takes back what was written for packets stop on and sets the rng to
+    packet stop's draw, from which ``_serve_from`` draws on.
     """
 
     def __init__(self, dist: ServiceDistribution, rng: np.random.Generator, arrivals: np.ndarray,
@@ -190,52 +191,50 @@ class _ChunkDraws:
         # room for the largest chunk or block: the first chunk may exceed _MAX_CHUNK
         self.index = np.empty(min(arrivals.size, max(_FIRST_CHUNK, _MAX_CHUNK)), dtype=np.intp)
 
-    def indexed(self, atoms: np.ndarray) -> np.ndarray:
-        """atoms cast into the index buffer, valid until the next call.
-
-        take widens a narrow index itself, several times slower than a
-        cast and a take on intp.
-        """
-        index = self.index[:atoms.size]
-        index[...] = atoms
-        return index
-
     def draw(self, lo: int, hi: int) -> np.ndarray:
         self.marks.append((lo, self.written, self.rng.bit_generator.state))
-        self.atoms = self.dist.draw_atoms(self.rng, hi - lo)
-        self.durations = self.dist.duration_array.take(self.indexed(self.atoms))
+        return self.draw_on(hi - lo)
+
+    def draw_on(self, size: int) -> np.ndarray:
+        """The service times of the next size outcomes, kept with their atoms.
+
+        The atoms go through the intp index buffer: take widens a narrow
+        index itself, several times slower than a cast and a take on intp.
+        """
+        self.atoms = self.dist.draw_atoms(self.rng, size)
+        index = self.index[:size]
+        index[...] = self.atoms
+        self.durations = self.dist.duration_array.take(index)
         return self.durations
 
     def sink(self, lo: int, waits: np.ndarray) -> None:
         starts = None if self.trace is None else self.arrivals[lo:lo + waits.size] + waits
         waits += self.durations[:waits.size]    # in place: the delays of these packets
-        self.deliver(lo, lo + waits.size, slice(None), starts, waits, self.atoms[:waits.size])
+        self.deliver(lo, lo + waits.size, slice(None), starts, waits)
 
-    def deliver(self, lo: int, hi: int, accepted: slice | np.ndarray, starts: np.ndarray | None,
-                delays: np.ndarray, atoms: np.ndarray) -> int:
+    def deliver(self, lo: int, hi: int, served: slice | np.ndarray, starts: np.ndarray | None,
+                delays: np.ndarray) -> None:
         """Write the delivered delays of the packets served in [lo, hi), and their trace rows.
 
-        accepted picks the packets served out of [lo, hi): slice(None)
-        for all of them, else a mask.  starts, delays and atoms are
-        theirs, in service order, and the index buffer holds the atoms as
-        indexed cast them; starts is read only for the trace.  The
+        The outcomes drawn last are those of packets lo on.  served picks
+        the packets served out of [lo, hi): slice(None) for all of them,
+        else their ascending index from lo.  starts and delays are theirs,
+        in service order; starts is read only for the trace.  The
         delivered delays go after those already written, and the trace
-        rows of the packets not served read queue drops.  Returns the
-        number delivered.
+        rows of the packets not served read queue drops.
         """
-        ok = atoms < self.dist.n_max_tries
+        ok = self.atoms[:hi - lo][served] < self.dist.n_max_tries
         delivered = int(np.count_nonzero(ok))
         self.delays[self.written:self.written + delivered] = delays[ok]
         self.written += delivered
         trace = self.trace
         if trace is not None:
-            trace.start[lo:hi][accepted] = starts
-            trace.attempts[lo:hi][accepted] = self.dist.attempts.take(self.index[:atoms.size])
-            trace.delay[lo:hi][accepted] = np.where(ok, delays, np.nan)
+            trace.start[lo:hi][served] = starts
+            trace.attempts[lo:hi][served] = self.dist.attempts.take(self.index[:hi - lo][served])
+            trace.delay[lo:hi][served] = np.where(ok, delays, np.nan)
             outcome = np.full(hi - lo, OUTCOME_QUEUE_DROP, dtype=object)
-            outcome[accepted] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
+            outcome[served] = np.where(ok, OUTCOME_DELIVERED, OUTCOME_RETRY_DROP)
             trace.outcome[lo:hi] = outcome.tolist()
-        return delivered
 
     def rewind(self, stop: int) -> None:
         """Take back what was written for packets stop on, and set the rng to packet stop's draw.
@@ -244,12 +243,9 @@ class _ChunkDraws:
         packet stop and draws that chunk's outcomes before stop again, the
         same draws, to count the delays written for those packets: the
         delays written are cut back to those of packets before stop.  The
-        rng then stands where one draw of all n outcomes would reach
-        packet stop, and ``_serve_from`` draws on from there a block at a
-        time, so no array of the packets from stop on is drawn here.  The
         trace rows written past stop are left: those packets passed the
-        overflow test, so the departure recurrence accepts each of them
-        and writes its row again.
+        overflow test, so ``_serve_from`` accepts each of them and writes
+        its row again.
         """
         self.atoms = self.durations = np.empty(0)   # the last chunk's draws are not read again
         lo, written, state = next(mark for mark in reversed(self.marks) if mark[0] <= stop)
@@ -415,71 +411,206 @@ def _opened(j: np.ndarray, opens: np.ndarray) -> np.ndarray:
     return opens[np.searchsorted(opens, j, side="right") - 1]
 
 
-def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> tuple[int, int]:
-    """FIFO departure recurrence over packets [first, n), in blocks of _MAX_CHUNK arrivals.
+# The tail is speculated in segments of this many arrivals
+_SEGMENT = 1 << 8
+
+
+def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> int:
+    """The FIFO event loop's run over packets [first, n), in blocks of _MAX_CHUNK arrivals.
 
     Packet first must meet an idle server and an empty queue, and the rng
-    of draws must stand at packet first's draw: the k-th packet accepted
-    from here takes the k-th outcome drawn from there.  Service is FIFO,
-    so departures never decrease, and an arrival at t meets q_max + 1
-    packets in the system exactly when the packet accepted q_max + 1
-    places before it departs after t (a departure at t frees its place
-    first).  One list holds the last m = min(q_max, n - first) + 1
-    departures (-inf before the first), and then those of the block, so
-    that its entry k is the departure that the block's k-th accepted
-    packet is tested against.  A queue drop records only the block's
-    accepted count at that moment; the dropped arrival's index is that
-    count plus the block's drops before it.  An accepted packet starts at
-    the later of its arrival and the previous departure, which numpy
-    takes again after the block's loop with the same comparison.  These
-    are the float operations of a per-packet event loop, in its order,
-    so starts and delays are the loop's bit for bit.
+    of draws must stand at packet first's draw; each block draws the
+    outcomes of its packets.  Service is FIFO, so departures never
+    decrease, and an arrival at t meets q_max + 1 packets in the system
+    exactly when the packet accepted q_max + 1 places before it departs
+    after t (a departure at t frees its place first).
 
-    A block of b arrivals takes at most b outcomes, so only those are
-    drawn that, with the ones left over from the blocks before, make b;
-    the rest of the n - first outcomes are drawn at the end, so the rng
-    ends as one draw of them would leave it.  Each block writes its
-    delivered delays and its trace rows through draws.deliver, so
-    beyond the delays memory holds arrays of one block and the last m
-    departures.  Returns (queue drops, retry drops) of these packets.
+    A block is served in two phases.  ``_speculate`` runs each of its
+    segments of at most _SEGMENT arrivals from an empty queue, all of
+    them at once.  Then ``_event_loop`` serves each segment in order from
+    its true state, the state the segment before it left, but only until
+    the loop and the speculative run both find the queue empty at the
+    same arrival.  There every departure of either run is at or before
+    the arrival, so no later drop test tells the runs apart, and from
+    there on they do the same float operations: the speculative run's
+    acceptances, departures and final state are the loop's.  Once the
+    loop has served half a block or more this way (a queue that seldom
+    empties), it serves every later block alone.  The starts are taken
+    from the departures with numpy, by the loop's comparison, so every
+    start, delay and count is the event loop's bit for bit.  Each block
+    writes its delivered delays and its trace rows through
+    draws.deliver, so beyond the delays memory holds arrays of one block
+    and the last m departures.  Returns the queue drops of these packets.
     """
-    arrivals, dist, rng = draws.arrivals, draws.dist, draws.rng
+    arrivals = draws.arrivals
     n = arrivals.size
     m = min(q_max, n - first) + 1   # never more slots than packets, whatever q_max
-    deps = [-math.inf] * m          # the last m departures, then the block's
-    dep = -math.inf                 # departure of the last accepted packet
-    atoms = np.empty(0, dtype=np.uint8)   # outcomes drawn and not yet taken
-    n_queue_drops = n_retry_drops = 0
+    deps = [-math.inf] * m          # the last m departures, then those the block adds
+    speculate = True
+    n_queue_drops = 0
     for lo in range(first, n, _MAX_CHUNK):
         hi = min(lo + _MAX_CHUNK, n)
-        if atoms.size < hi - lo:        # the block takes at most hi - lo outcomes
-            atoms = np.concatenate((atoms, dist.draw_atoms(rng, hi - lo - atoms.size)))
-        service = dist.duration_array.take(draws.indexed(atoms))
-        durations = memoryview(service)     # indexes to Python floats, no list built
-        k = 0                           # packets of the block accepted so far
-        drops: list[int] = []           # the block's accepted count at each queue drop
-        for t in memoryview(arrivals[lo:hi]):   # a strided view iterates in order too
-            if deps[k] > t:
-                drops.append(k)
-                continue
-            dep = (dep if dep > t else t) + durations[k]
-            deps.append(dep)
-            k += 1
-        # the departure before each accepted packet: the last one before the block, then the block's
-        prev = np.fromiter(islice(deps, m - 1, m - 1 + k), float, k)
-        del deps[:-m]                   # the next block needs only the last m
-        accepted = np.ones(hi - lo, dtype=bool)
-        accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops))] = False
-        arr = arrivals[lo:hi][accepted]
+        service = draws.draw_on(hi - lo)
+        arr = arrivals[lo:hi]
+        kept, prev, looped = _serve_block(arr, service, m, deps, speculate)
+        arr = arr.take(kept)            # an index takes faster than a mask picks
         start = np.where(prev > arr, prev, arr)  # the loop's max: the arrival unless strictly later
-        delivered = draws.deliver(lo, hi, accepted, start, (start - arr) + service[:k], atoms[:k])
-        n_queue_drops += len(drops)
-        n_retry_drops += k - delivered
-        atoms = atoms[k:]
-    # each queue drop leaves one of the n - first outcomes untaken: draw those not drawn yet
-    for left in range(n_queue_drops - atoms.size, 0, -_MAX_CHUNK):
-        dist.draw_atoms(rng, min(left, _MAX_CHUNK))
-    return n_queue_drops, n_retry_drops
+        draws.deliver(lo, hi, kept, start, (start - arr) + service.take(kept))
+        n_queue_drops += hi - lo - kept.size
+        del deps[:-m]                   # the next block needs only the last m
+        speculate = speculate and 2 * looped < hi - lo
+    return n_queue_drops
+
+
+def _serve_block(arr: np.ndarray, service: np.ndarray, m: int, deps: list[float],
+                 speculate: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """One block of ``_serve_from``: (accepted, prev, looped).
+
+    accepted indexes the arrivals the queue accepts, in order, prev holds
+    the departure before each of them, and looped counts the arrivals the
+    event loop served; without speculate, it serves the whole block.
+    deps must end with the last m departures before the block, and ends
+    with entries the loop's tests take as the last m after it: where the
+    loop meets a speculative run, deps goes on with that run's last
+    departures, and an older entry the loop reads again lies at or
+    before the arrival where they met, as the true one does.
+    """
+    times, durations = memoryview(arr), memoryview(service)    # a strided view iterates in order too
+    drops: list[int] = []               # per queue drop of the loop, len(deps) - m at the drop
+    if not speculate:
+        k0 = len(deps)
+        _event_loop(times, durations, None, deps, m, deps[-1], drops)
+        accepted = np.ones(arr.size, dtype=bool)
+        accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops)) + (m - k0)] = False
+        return np.flatnonzero(accepted), np.fromiter(islice(deps, k0 - 1, len(deps) - 1), float,
+                                                     len(deps) - k0), arr.size
+    accepted, empty, departure, finals = _speculate(arr, service, m)
+    met = memoryview(empty)
+    width = min(_SEGMENT, arr.size)
+    ends = range(arr.size - (finals.shape[0] - 1) * width, arr.size + 1, width)  # of the segments
+    before = dep = deps[-1]             # the departure of the last packet accepted before the block
+    # the loop's departures, and per stretch it served: where it starts, how many
+    # arrivals it took, and what turns the record of a drop in it into its index
+    loop_deps: list[float] = []
+    spans: list[tuple[int, int, int, int]] = []
+    looped = s0 = 0
+    for i, s1 in enumerate(ends):
+        r = 0
+        if dep > times[s0]:             # else the runs meet at s0, where both find it empty
+            k0, d0 = len(deps), len(drops)
+            dep = _event_loop(times[s0:s1], durations[s0:s1], met[s0:s1], deps, m, dep, drops)
+            r = len(deps) - k0 + len(drops) - d0
+            loop_deps += deps[k0:]
+            spans.append((s0, r, s0 - (k0 - m) - d0, len(drops) - d0))
+            looped += r
+        if r < s1 - s0:                 # met: the speculative run is the loop's from s0 + r
+            deps += finals[i].tolist()
+            dep = deps[-1]
+        s0 = s1
+    if spans:
+        at, length, offset, count = np.array(spans).T
+        fixed = np.arange(length.sum()) + np.repeat(at - (np.cumsum(length) - length), length)
+        accepted[fixed] = True
+        accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops))
+                 + np.repeat(offset, count)] = False
+        departure[fixed[accepted[fixed]]] = np.fromiter(loop_deps, float, len(loop_deps))
+    kept = np.flatnonzero(accepted)
+    return kept, np.concatenate(([before], departure.take(kept)))[:-1], looped
+
+
+def _event_loop(times: memoryview, durations: memoryview, met: memoryview | None, deps: list[float],
+                m: int, dep: float, drops: list[int]) -> float:
+    """The FIFO event loop over arrivals at times with the given service durations.
+
+    deps holds the departures of the packets accepted so far, at least
+    the last m, and dep the last of them; each accepted packet appends its
+    departure, and each queue drop appends len(deps) - m to drops.  An
+    arrival meets a full queue when the departure m places back is after
+    it.  The loop stops before the first arrival that finds the queue
+    empty where met is true, if met is given, and returns the last
+    departure.
+    """
+    k = len(deps) - m
+    base = k + len(drops)           # k + len(drops) - base: the arrival's place in times
+    for t, s in zip(times, durations):
+        if deps[k] > t:
+            drops.append(k)
+            continue
+        if dep > t:
+            dep += s
+        elif met is not None and met[k + len(drops) - base]:
+            break
+        else:
+            dep = t + s
+        deps.append(dep)
+        k += 1
+    return dep
+
+
+def _speculate(arr: np.ndarray, service: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Each segment of a block served from an empty queue, the segments in numpy lockstep.
+
+    The block is cut into segments of _SEGMENT arrivals from its end, so
+    the first may be shorter.  Returns (accepted, empty, departure,
+    finals): in arrival order, whether the run of its segment accepts
+    each arrival, whether it finds the queue empty there and the
+    departure it gives the arrival if it accepts it; and per segment, the
+    last min(m, _SEGMENT) departures its run leaves (-inf for fewer).
+    """
+    size = arr.size
+    width = min(_SEGMENT, size)
+    segments = -(-size // width)
+    lead = segments * width - size
+    # the columns and the history are freed before the results go back to arrival order
+    accepted, start, finals = _lockstep(_columns(arr, -math.inf, lead, width),
+                                        _columns(service, 0.0, lead, width), m)
+    start = start.T.ravel()[lead:]
+    empty = start == arr            # the run finds the queue empty exactly where it starts on arrival
+    start += service
+    return accepted.T.ravel()[lead:], empty, start, finals
+
+
+def _columns(values: np.ndarray, fill: float, lead: int, width: int) -> np.ndarray:
+    """values cut into segments of width down the columns, the first padded in front with lead fills."""
+    out = np.empty((width, (lead + values.size) // width))
+    rows = out.T                    # one segment a row
+    rows[0, :lead] = fill
+    rows[0, lead:] = values[:width - lead]
+    rows[1:] = values[width - lead:].reshape(-1, width)
+    return out
+
+
+def _lockstep(times: np.ndarray, durations: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Serve each column of arrival times from an empty queue, one row of all columns a step.
+
+    Returns (accepted, start, finals): whether each arrival is accepted
+    and the later of it and the departure before it, as times is laid
+    out, and per column the last min(m, rows) departures.  An arrival
+    is dropped when the departure pushed m accepted places back is after
+    it, and otherwise pushes its departure on its column's history,
+    which starts with -inf.  Arrivals at -inf taking no time, as the
+    padding of ``_columns``, are accepted and push -inf: they change
+    nothing.
+    """
+    width, segments = times.shape
+    # a column accepts fewer than width packets before its last test, so
+    # past width slots every test reads the -inf it starts with
+    pad = min(m, width)
+    history = np.full(segments * (pad + width), -math.inf)
+    pushed = history[pad:]          # pushed[i] is history[i + pad], pad accepted places on
+    last = history[pad - 1:]        # last[i]: the departure just before pushed[i]
+    head = np.arange(0, history.size, pad + width)  # per column: its entry m places back
+    accepted = np.empty((width, segments), dtype=bool)
+    start = np.empty((width, segments))
+    done = np.empty(segments)
+    for t, s, ok, st in zip(times, durations, accepted, start):
+        np.less_equal(history.take(head), t, out=ok)
+        # a tie may take the other zero of the two, whose sum with s is the same
+        np.maximum(t, last.take(head), out=st)
+        np.add(st, s, out=done)
+        pushed.put(head, done)      # a dropped arrival's is overwritten before it is read
+        head += ok
+    return accepted, start, history[head[:, None] + np.arange(pad)]
 
 
 def run_simulation(

@@ -164,6 +164,9 @@ class OnOffTraffic(Frozen):
         the float range (theta * r above about 1.3e154), the root is taken
         as |g| * sqrt(1 + 4 * (lam/g) * (mu/g)), g = theta*r - lam + mu,
         which stays in range; everywhere else the square is taken as it is.
+        Below theta*r = lam + mu the numerator cancels, so the rate is
+        taken in the conjugate form 2*mu*theta*r / (theta * (sqrt(...) -
+        theta*r + lam + mu)), which has no subtraction of near equals.
         """
         lam, mu, peak = self.lam_on_off, self.mu_off_on, self.rate * packet_bits
 
@@ -174,7 +177,10 @@ class OnOffTraffic(Frozen):
                 root = math.sqrt(gap ** 2 + 4.0 * lam * mu)
             except OverflowError:   # gap ** 2 is past the float range
                 root = abs(gap) * math.sqrt(1.0 + 4.0 * (lam / gap) * (mu / gap))
-            rate = (tr - lam - mu + root) / (2.0 * theta)
+            if tr >= lam + mu:
+                rate = (tr - lam - mu + root) / (2.0 * theta)
+            else:   # tr - lam - mu + root cancels: the same root times its conjugate over it
+                rate = 2.0 * mu * tr / (theta * (root - tr + lam + mu))
             return rate, packet_bits, theta
 
         return envelope

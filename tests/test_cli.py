@@ -286,6 +286,30 @@ def test_subnormal_onoff_period_simulates_without_a_warning(tmp_path, capsys):
                       "n_retry_drops": "0"}
 
 
+OUT_OF_RANGE_LINKS = {
+    # the squares of the service times pass the float range
+    "square": {"link": {"d_retry": 1e154}},
+    # so do the drop atom and the last delivery atom themselves
+    "duration": {"link": {"d_retry": 1e308, "n_max_tries": 8}},
+    # near the top of the range, where the simulator's sums would pass it
+    "sum": {"link": {"snr": -4400, "l_d": 57, "d_retry": 3e306},
+            "traffic": {"kind": "periodic", "t_pit": 50.0, "horizon": 50}},
+}
+
+
+@pytest.mark.parametrize("command", ["delay-bound", "simulate", "validate"])
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_LINKS))
+def test_service_times_out_of_the_float_range_are_a_config_error(tmp_path, capsys, case, command):
+    # every subcommand that builds the service law refuses it in one line;
+    # pytest makes a RuntimeWarning an error, so none may be raised either
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(OUT_OF_RANGE_LINKS[case]))
+    code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"config error: link l_d, d_retry and n_max_tries give service times up to "
+                        r"\S+ ms, whose square leaves the float range\n", err)
+
+
 def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
     # snr=5000 underflows the error-rate expression to exactly zero, so the
     # service law is one atom at t1 = 10.108 ms and the optimized bound is

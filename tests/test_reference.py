@@ -1,30 +1,31 @@
 """The vectorised simulator core, the on-off generator and the tail bound against references.
 
-The references are the sequential event loop and the scalar on-off
-generator the package used before both were vectorised, the Lindley
-pass and the atom draw as they were before they skipped per-packet
-work, and the per-(theta, delay) bound composition the optimiser used
-before it built its curves once per theta.  The Lindley pass and the
-atom draw must reproduce theirs bit for bit, dtypes and rng state
-included.  Counts, outcomes, on-off arrivals and rng states must be
-identical.  The
-departure recurrence that serves the packets after a possible overflow
-must reproduce the loop bit for bit.  Through ``simulate``, whose
-drop-free prefix comes from the Lindley pass, the delay of a packet that
-met an idle server must be bit-equal and every other delay within the
-rounding tolerance that ``simulate`` documents; where no packet waits
-before the switch to the recurrence, or all arrive at 0, or every sum
-is exact (service times and arrivals on a lattice), every delay, trace
-row and the rng state must be the loop's bit for bit, whichever chunk
-the switch packet falls in and whichever bit generator draws.
-The optimiser's bound
-must be the reference composition's bit for bit, and so must the whole
-optimiser, against its loop as it was before probes shared their curves.
+The references are the sequential event loop (packet j taking the j-th
+outcome drawn, served or not) and the scalar on-off generator the
+package used before both were vectorised, the Lindley pass and the atom
+draw as they were before they skipped per-packet work, and the
+per-(theta, delay) bound composition the optimiser used before it built
+its curves once per theta.  The Lindley pass and the atom draw must
+reproduce theirs bit for bit, dtypes and rng state included.  Counts,
+outcomes, on-off arrivals and rng states must be identical.  The tail
+serve after a possible overflow, whatever the lengths of its lockstep
+segments and blocks, must reproduce the loop bit for bit.  Through
+``simulate``, whose drop-free prefix comes from the Lindley pass, the
+delay of a packet that met an idle server must be bit-equal and every
+other delay within the rounding tolerance that ``simulate`` documents;
+where no packet waits before the switch to the tail serve, or all arrive
+at 0, or every sum is exact (service times and arrivals on a lattice),
+every delay, trace row and the rng state must be the loop's bit for
+bit, whichever chunk the switch packet falls in and whichever bit
+generator draws.  The optimiser's bound must be the reference
+composition's bit for bit, and so must the whole optimiser, against its
+loop as it was before probes shared their curves.
 """
 
 import json
 import math
 from collections import Counter, deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,7 +55,10 @@ TC = TimingConstants()
 
 
 def reference_simulate(arrivals, cfg, tc, p_e, rng):
-    """Sequential event loop: (delays, queue drops, retry drops, start, attempts, outcome, delay)."""
+    """Sequential event loop: (delays, queue drops, retry drops, start, attempts, outcome, delay).
+
+    Packet idx takes the idx-th outcome drawn; a queue-dropped packet's goes unused.
+    """
     dist = service_distribution(cfg, tc, p_e)
     draw_attempts, draw_durations, draw_delivered = dist.sample_many(rng, arrivals.size)
     n = arrivals.size
@@ -65,17 +69,15 @@ def reference_simulate(arrivals, cfg, tc, p_e, rng):
     queue = deque()
     busy_until = -np.inf
     busy = False
-    draw_ptr = 0
     n_queue_drops = 0
     n_retry_drops = 0
     delays = []
 
     def begin_service(idx, at):
-        nonlocal draw_ptr, n_retry_drops
-        k = draw_attempts[draw_ptr]
-        duration = draw_durations[draw_ptr]
-        ok = draw_delivered[draw_ptr]
-        draw_ptr += 1
+        nonlocal n_retry_drops
+        k = draw_attempts[idx]
+        duration = draw_durations[idx]
+        ok = draw_delivered[idx]
         start[idx] = at
         attempts[idx] = k
         if ok:
@@ -210,15 +212,26 @@ def scenarios(draw):
     return arrivals, link, p_e, seed
 
 
+# (segment, block) lengths of the tail serve: its own, and lengths short
+# enough that up to 1500 arrivals span many segments and blocks
+TAIL_LENGTHS = [(simulator._SEGMENT, simulator._MAX_CHUNK), (1, 5), (2, 64), (7, 100), (64, 300)]
+
+
+def tail_lengths(segment, block):
+    """The tail serve's segment and block lengths, set for a with block."""
+    return mock.patch.multiple(simulator, _SEGMENT=segment, _MAX_CHUNK=block)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios(), st.booleans())
-def test_simulate_matches_reference_loop(scenario, collect_trace):
+@given(scenarios(), st.booleans(), st.sampled_from(TAIL_LENGTHS))
+def test_simulate_matches_reference_loop(scenario, collect_trace, lengths):
     arrivals, link, p_e, seed = scenario
-    assert_matches_reference(arrivals, link, p_e, seed, collect_trace)
+    with tail_lengths(*lengths):
+        assert_matches_reference(arrivals, link, p_e, seed, collect_trace)
 
 
 def serve(arrivals, link, p_e, seed, collect_trace):
-    """The departure recurrence alone, from packet 0 and a fresh seeded rng.
+    """The tail serve alone, from packet 0 and a fresh seeded rng.
 
     Returns (delays, queue drops, retry drops, trace or None, the rng after it).
     """
@@ -230,19 +243,21 @@ def serve(arrivals, link, p_e, seed, collect_trace):
                          delay=np.full(n, np.nan))
     rng = np.random.default_rng(seed)
     draws = simulator._ChunkDraws(service_distribution(link, TC, p_e), rng, arrivals, trace)
-    n_queue_drops, n_retry_drops = simulator._serve_from(0, link.q_max, draws)
-    return draws.delays[:draws.written], n_queue_drops, n_retry_drops, trace, rng
+    n_queue_drops = simulator._serve_from(0, link.q_max, draws)
+    delays = draws.delays[:draws.written]
+    return delays, n_queue_drops, n - delays.size - n_queue_drops, trace, rng
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios(), st.booleans())
-def test_departure_recurrence_is_the_reference_loop_bit_for_bit(scenario, collect_trace):
-    # the recurrence alone, from packet 0: no rounding tolerance applies
+@given(scenarios(), st.booleans(), st.sampled_from(TAIL_LENGTHS))
+def test_departure_recurrence_is_the_reference_loop_bit_for_bit(scenario, collect_trace, lengths):
+    # the tail serve alone, from packet 0: no rounding tolerance applies
     arrivals, link, p_e, seed = scenario
     ref_rng = np.random.default_rng(seed)
     ref = reference_simulate(arrivals, link, TC, p_e, ref_rng)
     ref_delays, ref_q, ref_r, ref_start, ref_attempts, ref_outcome, ref_delay = ref
-    delays, n_queue_drops, n_retry_drops, trace, rng = serve(arrivals, link, p_e, seed, collect_trace)
+    with tail_lengths(*lengths):
+        delays, n_queue_drops, n_retry_drops, trace, rng = serve(arrivals, link, p_e, seed, collect_trace)
 
     assert delays.tobytes() == ref_delays.astype(float).tobytes()
     assert (n_queue_drops, n_retry_drops) == (ref_q, ref_r)
@@ -310,7 +325,7 @@ def run_bytes(arrivals, link, p_e, seed, collect_trace):
 
 
 def serve_bytes(arrivals, link, p_e, seed, collect_trace):
-    """Every output of the departure recurrence from packet 0, as comparable values."""
+    """Every output of the tail serve from packet 0, as comparable values."""
     delays, n_queue_drops, n_retry_drops, trace, rng = serve(arrivals, link, p_e, seed, collect_trace)
     out = [delays.tobytes(), n_queue_drops, n_retry_drops, rng.bit_generator.state]
     if collect_trace:
@@ -332,19 +347,121 @@ STRIDED_CASES = {
 }
 
 
+@pytest.mark.parametrize("lengths", [TAIL_LENGTHS[0], (7, 100)])
 @pytest.mark.parametrize("collect_trace", [False, True])
 @pytest.mark.parametrize("case", list(STRIDED_CASES))
-def test_strided_arrivals_give_the_contiguous_result_bit_for_bit(case, collect_trace):
-    # simulate passes a strided view through to the recurrence, which
-    # iterates it as a memoryview: it must read the view's elements only
+def test_strided_arrivals_give_the_contiguous_result_bit_for_bit(case, collect_trace, lengths):
+    # simulate passes a strided view through to the tail serve, which
+    # iterates it as a memoryview and cuts it into lockstep segments: it
+    # must read the view's elements only
     values, q_max, stop = STRIDED_CASES[case]
     link, p_e, seed, n = LinkConfig(q_max=q_max), 0.3, 7, values.size
     durations = service_distribution(link, TC, p_e).sample_many(np.random.default_rng(seed), n)[1]
     handover = lindley_pass(values, durations, q_max)[1]
     assert 0 < handover < n if stop is None else handover == stop
     view = strided(values)
-    assert run_bytes(view, link, p_e, seed, collect_trace) == run_bytes(values, link, p_e, seed, collect_trace)
-    assert serve_bytes(view, link, p_e, seed, collect_trace) == serve_bytes(values, link, p_e, seed, collect_trace)
+    with tail_lengths(*lengths):
+        assert run_bytes(view, link, p_e, seed, collect_trace) == run_bytes(values, link, p_e, seed,
+                                                                            collect_trace)
+        assert serve_bytes(view, link, p_e, seed, collect_trace) == serve_bytes(values, link, p_e, seed,
+                                                                                collect_trace)
+        assert serve_bytes(values, link, p_e, seed, collect_trace) == reference_bytes(values, link, p_e,
+                                                                                      seed, collect_trace)
+
+
+def reference_bytes(arrivals, link, p_e, seed, collect_trace):
+    """serve_bytes of the reference loop."""
+    rng = np.random.default_rng(seed)
+    delays, n_queue_drops, n_retry_drops, start, attempts, outcome, delay = reference_simulate(
+        arrivals, link, TC, p_e, rng)
+    out = [delays.astype(float).tobytes(), n_queue_drops, n_retry_drops, rng.bit_generator.state]
+    if collect_trace:
+        out += [start.tobytes(), attempts.tobytes(), outcome, delay.tobytes()]
+    return out
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the given functions of the simulator, as they run."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _real=getattr(simulator, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(simulator, name, counted)
+    return calls
+
+
+def bursts(link, p_e, sizes, gap=10.0):
+    """Bursts of the given sizes, each at one instant, gap longest service times apart."""
+    spacing = gap * service_distribution(link, TC, p_e).max_duration
+    return np.repeat(spacing * np.arange(len(sizes)), sizes)
+
+
+def test_segments_that_meet_at_their_first_arrival(monkeypatch):
+    # bursts of 6 arrivals into two waiting slots, the queue empty between
+    # them, against segments of 8: every third segment opens with a burst
+    # on an empty queue, where the runs meet at once and the loop never
+    # runs; the two between open inside a burst, on a full queue, and the
+    # runs meet at the next burst
+    link, p_e = LinkConfig(q_max=2), 0.3
+    arrivals = bursts(link, p_e, [6] * 40)
+    calls = count_calls(monkeypatch, "_speculate", "_event_loop")
+    with tail_lengths(8, 96):
+        for collect_trace in (False, True):
+            calls.clear()
+            assert serve_bytes(arrivals, link, p_e, 5, collect_trace) == reference_bytes(arrivals, link, p_e, 5,
+                                                                                         collect_trace)
+            assert calls == {"_speculate": 3, "_event_loop": 20}
+
+
+def test_segments_that_never_meet_leave_the_tail_to_the_loop(monkeypatch):
+    # at rho 1.5 a long waiting room never empties: the loop serves all of
+    # the first block from the true state, and every later block alone
+    link, p_e = LinkConfig(q_max=60), 0.3
+    spec = PoissonTraffic(rate=1.5 / service_distribution(link, TC, p_e).mean(), horizon=3000)
+    arrivals = generate_arrivals(spec, np.random.default_rng(2))
+    calls = count_calls(monkeypatch, "_speculate", "_event_loop")
+    with tail_lengths(64, 512):
+        assert serve_bytes(arrivals, link, p_e, 6, True) == reference_bytes(arrivals, link, p_e, 6, True)
+        # the first segment opens on an empty queue, the other 7 of the block
+        # on a busy one; then 5 blocks
+        assert calls == {"_speculate": 1, "_event_loop": 7 + 5}
+        assert_matches_reference(arrivals, link, p_e, 6, True)
+
+
+def test_a_busy_queue_carried_across_a_block_end(monkeypatch):
+    # lone arrivals, then a burst across the end of the first block of 32:
+    # the last segment of that block meets its speculative run at its first
+    # arrival and hands that run's state, the burst's three packets, to the
+    # next block, which opens on a full queue
+    link, p_e = LinkConfig(q_max=2), 0.3
+    arrivals = bursts(link, p_e, [1] * 28 + [12] + [1] * 30)
+    ref_outcome = reference_simulate(arrivals, link, TC, p_e, np.random.default_rng(4))[5]
+    assert ref_outcome[28:31] != ["queue_drop"] * 3 and ref_outcome[31:40] == ["queue_drop"] * 9
+    with tail_lengths(8, 32):
+        for collect_trace in (False, True):
+            assert serve_bytes(arrivals, link, p_e, 4, collect_trace) == reference_bytes(arrivals, link, p_e, 4,
+                                                                                         collect_trace)
+
+
+@pytest.mark.parametrize("lengths", TAIL_LENGTHS)
+@pytest.mark.parametrize("p_e", [0.0, 0.45])
+def test_departures_that_land_on_arrivals(lengths, p_e):
+    # on a lattice every sum is exact: arrivals spaced by the shortest
+    # service time meet the departure before them exactly, where the queue
+    # counts as empty; with retries the one waiting slot also overflows
+    link = LinkConfig(l_d=9, n_max_tries=3, d_retry=0.5, q_max=1)
+    dist = service_distribution(link, LATTICE_TC, p_e)
+    arrivals = np.arange(1500) * dist.durations[0]
+    ref = reference_simulate(arrivals, link, LATTICE_TC, p_e, np.random.default_rng(3))
+    start, attempts, outcome = ref[3], ref[4], ref[5]
+    served = np.flatnonzero(np.array(outcome) != "queue_drop")
+    atom = np.where(np.array(outcome)[served] == "delivered", attempts[served] - 1, link.n_max_tries)
+    ends = start[served] + np.array(dist.durations)[atom]
+    assert np.any(ends[:-1] == arrivals[served[1:]])   # ties with the next packet served
+    assert ("queue_drop" in outcome) == (p_e > 0.0)
+    with tail_lengths(*lengths):
+        assert_loop_bit_for_bit(arrivals, link, p_e, lambda: np.random.default_rng(3), LATTICE_TC)
 
 
 ONOFF_SOURCES = (
@@ -697,10 +814,10 @@ BLOCK_EDGE_CASES = {
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
 @pytest.mark.parametrize("case", list(BLOCK_EDGE_CASES))
 def test_tail_blocks_serve_the_event_loops_run_bit_for_bit(monkeypatch, case, bit_generator):
-    # the recurrence serves the tail in blocks of _MAX_CHUNK arrivals and
-    # draws only what a block can take; with small blocks, runs of drops
-    # cross block ends and whole blocks are dropped.  No packet waits
-    # before stop, so everything must be the event loop's bit for bit
+    # the tail is served in blocks of _MAX_CHUNK arrivals, each drawing the
+    # outcomes of its own; with small blocks, runs of drops cross block
+    # ends and whole blocks are dropped.  No packet waits before stop, so
+    # everything must be the event loop's bit for bit
     block, n_wide, n_rush, n_calm = BLOCK_EDGE_CASES[case]
     monkeypatch.setattr(simulator, "_MAX_CHUNK", block)
     link, p_e = LinkConfig(q_max=2), 0.3
@@ -734,7 +851,7 @@ LATTICE_TC = TimingConstants(t_spi=0.5, t_tr=0.25, t_bo=1.0, t_ack=0.5, t_wait_a
 
 @pytest.mark.parametrize("q_max, block", [
     (10**6, None),  # drop-free: the Lindley pass serves every packet
-    (3, 300),       # overflows: the recurrence serves the tail in blocks under the first chunk
+    (3, 300),       # overflows: the tail is served in blocks under the first chunk
 ])
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
 @pytest.mark.parametrize("atoms", range(1, 9))

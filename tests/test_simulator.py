@@ -121,6 +121,23 @@ def test_determinism_per_seed():
     assert not np.array_equal(a.delivered_delays, c.delivered_delays)
 
 
+def test_a_packet_takes_its_own_outcome_whatever_the_waiting_room():
+    # packet j takes the j-th outcome drawn, served or not: a short queue
+    # that drops every few packets serves each packet it keeps with the
+    # attempts the drop-free run gives it, and leaves the rng where it does
+    spec = PoissonTraffic(rate=1.1 / service_distribution(LINK, TC, 0.3).mean(), horizon=20_000)
+    runs = {}
+    for q_max in (3, 10**6):
+        rng = np.random.default_rng(8)
+        arrivals = generate_arrivals(spec, rng)
+        runs[q_max] = simulate(arrivals, LinkConfig(q_max=q_max), TC, 0.3, rng, collect_trace=True), rng
+    (short, short_rng), (long, long_rng) = runs[3], runs[10**6]
+    served = np.array(short.trace.outcome) != "queue_drop"
+    assert short.n_queue_drops > 0.05 * served.size and long.n_queue_drops == 0
+    assert np.array_equal(short.trace.attempts[served], long.trace.attempts[served])
+    assert short_rng.bit_generator.state == long_rng.bit_generator.state
+
+
 def test_dd1_no_waiting_when_arrivals_slower_than_service():
     # deterministic service (p_e=0) slower than the period: no queueing at all
     result = run_simulation(LINK, TC, PeriodicTraffic(t_pit=30.0, horizon=2000), 0.0, seed=5)
@@ -191,7 +208,7 @@ def test_simulate_names_the_first_problem_of_its_input(arrivals, problem):
 @pytest.mark.parametrize("q_max", [10**7, 3])
 def test_waiting_room_size_costs_no_memory(q_max):
     # a huge q_max (drop-free, handled by the Lindley pass) and a short one
-    # (overflows early, the departure recurrence serves nearly every packet)
+    # (overflows early, the tail serve takes nearly every packet)
     link = LinkConfig(q_max=q_max)
     p_e = 0.1
     spec = PoissonTraffic(rate=0.9 / service_distribution(link, TC, p_e).mean(), horizon=2000)
@@ -270,16 +287,16 @@ print(1024 * (peak_kib() - before) / arrivals.size, result.n_queue_drops)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
 @pytest.mark.parametrize("kind, q_max, rho", [
-    ("onoff", 60, 0.7),     # a dozen drops: the recurrence serves most of the run
+    ("onoff", 60, 0.7),     # a dozen drops: the tail serve takes most of the run
     ("poisson", 3, 0.88),
     ("onoff", 3, 1.08),     # overloaded: over a third of the packets are dropped
 ])
 def test_simulate_holds_little_when_the_queue_overflows(tmp_path, kind, q_max, rho):
-    # the departure recurrence serves the packets from the first possible
-    # overflow on in blocks of the Lindley pass's largest chunk, drawing
-    # only what a block can take and writing its delays as it ends.  The
-    # peak resident set of a fresh process, past its input, grows by
-    # 14-18 bytes a packet, the delays' 8 included, where serving the whole
+    # the tail serve takes the packets from the first possible overflow
+    # on in blocks of the Lindley pass's largest chunk, drawing the
+    # outcomes of a block's arrivals and writing its delays as it ends.
+    # The peak resident set of a fresh process, past its input, grows by
+    # 11-16 bytes a packet, the delays' 8 included, where serving the whole
     # tail at once grew it by 64-81.  Resident memory counts whole pages
     # and the heap the allocator keeps, so the bound sits between the two
     # rather than at the 16 bytes a packet tracemalloc would allow

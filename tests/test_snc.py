@@ -156,7 +156,12 @@ ENVELOPE_PINS = [
     (PoissonTraffic(rate=0.0137), 400.0, 1.75,
      ("0x1.da3f1c820b2ffp+1002", "0x0.0p+0", "0x1.c000000000000p+0")),
     (OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 1e-9,
-     ("0x1.00002035ff695p+6", "0x1.9000000000000p+8", "0x1.12e0be826d695p-30")),
+     ("0x1.0000203657ad3p+6", "0x1.9000000000000p+8", "0x1.12e0be826d695p-30")),
+    # switching far faster than theta * r: the direct form's numerator cancels
+    (OnOffTraffic(1e8, 0.02, rate=0.4), 400.0, 1e-5,
+     ("0x1.12e0be81942ebp-25", "0x1.9000000000000p+8", "0x1.4f8b588e368f1p-17")),
+    (OnOffTraffic(1e12, 0.02, rate=0.4), 400.0, 1e-5,
+     ("0x1.c25c2684975f1p-39", "0x1.9000000000000p+8", "0x1.4f8b588e368f1p-17")),
     (OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 0.01,
      ("0x1.3a1350f09cbbfp+7", "0x1.9000000000000p+8", "0x1.47ae147ae147bp-7")),
     (OnOffTraffic(0.03, 0.02, rate=0.4), 400.0, 1e4,
@@ -174,6 +179,21 @@ def test_arrival_curves_are_pinned_bit_for_bit(spec, packet_bits, theta, want):
     assert (ac.rate.hex(), ac.burst.hex(), None if ac.decay is None else ac.decay.hex()) == want
     # the optimiser's kernel reads the same envelope
     assert spec.envelope(packet_bits)(theta) == (ac.rate, ac.burst, ac.decay)
+
+
+@pytest.mark.parametrize("spec, packet_bits, theta", [
+    (spec, packet_bits, theta) for spec, packet_bits, theta, _ in ENVELOPE_PINS
+    if isinstance(spec, OnOffTraffic)])
+def test_onoff_envelope_rate_is_the_exact_root(spec, packet_bits, theta):
+    # the Perron root in 60 digits from the same float inputs: the direct
+    # form, or the conjugate where its numerator cancels, stays within 4 ulps
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        lam, mu, th = mpmath.mpf(spec.lam_on_off), mpmath.mpf(spec.mu_off_on), mpmath.mpf(theta)
+        tr = th * mpmath.mpf(spec.rate) * packet_bits
+        want = (tr - lam - mu + mpmath.sqrt((tr - lam + mu) ** 2 + 4 * lam * mu)) / (2 * th)
+        got = spec.envelope(packet_bits)(theta)[0]
+        assert abs(got - want) <= 4 * math.ulp(float(want))
 
 
 @pytest.mark.parametrize("packet_bits, theta", [
