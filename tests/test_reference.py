@@ -811,15 +811,17 @@ BLOCK_EDGE_CASES = {
 }
 
 
+@pytest.mark.parametrize("segment", [simulator._SEGMENT, 3])
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
 @pytest.mark.parametrize("case", list(BLOCK_EDGE_CASES))
-def test_tail_blocks_serve_the_event_loops_run_bit_for_bit(monkeypatch, case, bit_generator):
+def test_tail_blocks_serve_the_event_loops_run_bit_for_bit(monkeypatch, case, bit_generator, segment):
     # the tail is served in blocks of _MAX_CHUNK arrivals, each drawing the
     # outcomes of its own; with small blocks, runs of drops cross block
-    # ends and whole blocks are dropped.  No packet waits before stop, so
-    # everything must be the event loop's bit for bit
+    # and segment ends and whole blocks are dropped.  No packet waits
+    # before stop, so everything must be the event loop's bit for bit
     block, n_wide, n_rush, n_calm = BLOCK_EDGE_CASES[case]
     monkeypatch.setattr(simulator, "_MAX_CHUNK", block)
+    monkeypatch.setattr(simulator, "_SEGMENT", segment)
     link, p_e = LinkConfig(q_max=2), 0.3
     arrivals = wide_then_rush(link, p_e, n_wide, n_rush, n_calm)
     n = arrivals.size
@@ -849,19 +851,21 @@ LATTICE_TC = TimingConstants(t_spi=0.5, t_tr=0.25, t_bo=1.0, t_ack=0.5, t_wait_a
                              frame_overhead=7, phy_rate=64.0)
 
 
-@pytest.mark.parametrize("q_max, block", [
+@pytest.mark.parametrize("q_max, lengths", [
     (10**6, None),  # drop-free: the Lindley pass serves every packet
-    (3, 300),       # overflows: the tail is served in blocks under the first chunk
+    (3, (simulator._SEGMENT, 300)),  # overflows: the tail is served in blocks under the first chunk
+    (3, (7, 300)),  # and in segments of 7
 ])
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
 @pytest.mark.parametrize("atoms", range(1, 9))
 def test_service_times_by_atom_index_are_the_event_loops_bit_for_bit(monkeypatch, atoms,
-                                                                     bit_generator, q_max, block):
+                                                                     bit_generator, q_max, lengths):
     # service times and trace attempts are taken through an intp index
     # buffer sized by the largest chunk or block; laws of 2-8 atoms from
     # n_max_tries 1-7, and of 1 when p_e = 0 leaves only the first
-    if block is not None:
-        monkeypatch.setattr(simulator, "_MAX_CHUNK", block)
+    if lengths is not None:
+        monkeypatch.setattr(simulator, "_SEGMENT", lengths[0])
+        monkeypatch.setattr(simulator, "_MAX_CHUNK", lengths[1])
     link = LinkConfig(l_d=9, n_max_tries=max(atoms - 1, 1), d_retry=0.5, q_max=q_max)
     p_e = 0.0 if atoms == 1 else 0.45
     dist = service_distribution(link, LATTICE_TC, p_e)
