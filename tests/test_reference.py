@@ -437,11 +437,15 @@ def test_a_busy_queue_carried_across_a_block_end(monkeypatch):
     link, p_e = LinkConfig(q_max=2), 0.3
     arrivals = bursts(link, p_e, [1] * 28 + [12] + [1] * 30)
     ref_outcome = reference_simulate(arrivals, link, TC, p_e, np.random.default_rng(4))[5]
-    assert ref_outcome[28:31] != ["queue_drop"] * 3 and ref_outcome[31:40] == ["queue_drop"] * 9
+    assert "queue_drop" not in ref_outcome[28:31] and ref_outcome[31:40] == ["queue_drop"] * 9
+    calls = count_calls(monkeypatch, "_speculate", "_event_loop")
     with tail_lengths(8, 32):
         for collect_trace in (False, True):
+            calls.clear()
             assert serve_bytes(arrivals, link, p_e, 4, collect_trace) == reference_bytes(arrivals, link, p_e, 4,
                                                                                          collect_trace)
+            # three blocks, and only the segment that opens the second needs the loop
+            assert calls == {"_speculate": 3, "_event_loop": 1}
 
 
 @pytest.mark.parametrize("lengths", TAIL_LENGTHS)
