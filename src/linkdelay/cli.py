@@ -192,14 +192,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .simulator import empirical_ccdf, run_simulation
 
     p_e, _, _ = _service_inputs(cfg)
-    result = run_simulation(
-        cfg.link,
-        cfg.timing,
-        cfg.traffic,
-        p_e,
-        cfg.seed,
-        collect_trace=args.trace is not None,
-    )
+    result = _checked(run_simulation, cfg.link, cfg.timing, cfg.traffic, p_e, cfg.seed,
+                      args.trace is not None)
     summary = {
         "n_arrivals": result.n_arrivals,
         "n_delivered": result.n_delivered,
@@ -230,7 +224,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     p_e, dist, delay_ccdf = _bound_inputs(cfg, "validate")
 
-    result = run_simulation(cfg.link, cfg.timing, cfg.traffic, p_e, cfg.seed)
+    result = _checked(run_simulation, cfg.link, cfg.timing, cfg.traffic, p_e, cfg.seed)
     if result.n_delivered == 0:
         print("validate: no packets delivered; cannot compare delays", file=sys.stderr)
         return 4

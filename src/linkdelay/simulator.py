@@ -113,11 +113,11 @@ def simulate(
     that one departure.  From the start of the busy period that holds the
     first arrival that might, ``_serve_from`` takes over: from there on
     every start and delay is a per-packet event loop's bit for bit.  It
-    runs short segments of each block from an empty queue in numpy
-    lockstep, and the event loop itself only until its run meets theirs;
-    the starts and the trace rows are taken from the departures with
-    numpy.  A strided arrivals array gives the result of its contiguous
-    copy.  Counts and outcomes are those of the event loop run over the
+    runs the whole segments cut from each block from an empty queue in
+    numpy lockstep, and the event loop only until its run meets theirs
+    and over the rest; the starts and the trace rows are taken from the
+    departures with numpy.  A strided arrivals array gives the result of
+    its contiguous copy.  Counts and outcomes are those of the event loop run over the
     whole input, and a packet that meets an idle server has a delay of
     exactly its service time.  In the Lindley prefix only, the delay of a packet
     that waited can differ from the event loop's by rounding, because
@@ -129,7 +129,9 @@ def simulate(
     margin.  At T near 1e7 ms and p near 1e3 the bound is about 1e-5 ms.
     A wait below 2 * (p + 8) * ulp(T) is taken as none.  These margins
     are those of every packet's own p, though p is worked out only for
-    the packets a chunk-wide bound on it leaves in doubt.
+    the packets a chunk-wide bound on it leaves in doubt.  Arrivals for
+    which twice the largest |arrival| plus n times the longest service
+    time passes the float range raise ValueError.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.size == 0:
@@ -143,6 +145,9 @@ def simulate(
         raise ValueError("arrivals must be non-decreasing")
     dist = service_distribution(cfg, tc, p_e)
     n = arrivals.size
+    peak = max(abs(float(arrivals[0])), abs(float(arrivals[-1])))
+    if not math.isfinite(2.0 * (peak + n * dist.max_duration)):    # an upper bound on T
+        raise ValueError(f"arrivals up to {peak:g} ms take the simulation's sums past the float range")
     trace = None
     if collect_trace:
         trace = SimTrace(arrival=arrivals.copy(), start=np.full(n, np.nan),
@@ -425,22 +430,24 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> int:
     exactly when the packet accepted q_max + 1 places before it departs
     after t (a departure at t frees its place first).
 
-    A block is served in two phases.  ``_speculate`` runs each of its
-    segments of at most _SEGMENT arrivals from an empty queue, all of
-    them at once.  Then ``_event_loop`` serves each segment in order from
-    its true state, the state the segment before it left, but only until
-    the loop and the speculative run both find the queue empty at the
-    same arrival.  There every departure of either run is at or before
-    the arrival, so no later drop test tells the runs apart, and from
-    there on they do the same float operations: the speculative run's
-    acceptances, departures and final state are the loop's.  Once the
-    loop has served half a block or more this way (a queue that seldom
-    empties), it serves every later block alone.  The starts are taken
-    from the departures with numpy, by the loop's comparison, so every
-    start, delay and count is the event loop's bit for bit.  Each block
-    writes its delivered delays and its trace rows through
-    draws.deliver, so beyond the delays memory holds arrays of one block
-    and the last m departures.  Returns the queue drops of these packets.
+    A block is served in two phases.  ``_speculate`` runs each of the
+    whole segments of _SEGMENT arrivals cut from its start (the block
+    itself when it is shorter) from an empty queue, all of them at once.
+    Then ``_event_loop`` serves each segment in order from its true
+    state, the state the segment before it left, but only until the loop
+    and the speculative run both find the queue empty at the same
+    arrival.  There every departure of either run is at or before the
+    arrival, so no later drop test tells the runs apart, and from there
+    on they do the same float operations: the speculative run's
+    acceptances, departures and final state are the loop's.  The
+    arrivals past the last whole segment are one stretch the loop serves
+    from its true state.  Once the loop has served half a block or more
+    (a queue that seldom empties), every later block is such a stretch.
+    The starts are taken from the departures with numpy, by the loop's
+    comparison, so every start, delay and count is the event loop's bit
+    for bit.  Each block writes its delivered delays and its trace rows
+    through draws.deliver, so beyond the delays memory holds arrays of
+    one block and the last m departures.  Returns the queue drops.
     """
     arrivals = draws.arrivals
     n = arrivals.size
@@ -468,54 +475,60 @@ def _serve_block(arr: np.ndarray, service: np.ndarray, m: int, deps: list[float]
 
     accepted indexes the arrivals the queue accepts, in order, prev holds
     the departure before each of them, and looped counts the arrivals the
-    event loop served; without speculate, it serves the whole block.
-    deps must end with the last m departures before the block, and ends
-    with entries the loop's tests take as the last m after it: where the
-    loop meets a speculative run, deps goes on with that run's last
-    departures, and an older entry the loop reads again lies at or
-    before the arrival where they met, as the true one does.
+    event loop served as it walked the whole segments ``_speculate`` ran.
+    Then it serves the rest past them, or without speculate the whole
+    block, as one stretch.  deps must end with the last m departures
+    before the block, and ends with entries the loop's tests take as the
+    last m after it: where the loop meets a speculative run, deps goes on
+    with that run's last departures, and an older entry the loop reads
+    again lies at or before the arrival where they met, as the true one
+    does.
     """
+    size = arr.size
+    width = min(_SEGMENT, size)
+    whole = size - size % width if speculate else 0    # the arrivals of the whole segments
+    accepted, departure = np.ones(size, dtype=bool), np.empty(size)    # in arrival order
     times, durations = memoryview(arr), memoryview(service)    # a strided view iterates in order too
     drops: list[int] = []               # per queue drop of the loop, len(deps) - m at the drop
-    if not speculate:
-        k0 = len(deps)
-        _event_loop(times, durations, None, deps, m, deps[-1], drops)
-        accepted = np.ones(arr.size, dtype=bool)
-        accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops)) + (m - k0)] = False
-        return np.flatnonzero(accepted), np.fromiter(islice(deps, k0 - 1, len(deps) - 1), float,
-                                                     len(deps) - k0), arr.size
-    accepted, empty, departure, finals = _speculate(arr, service, m)
-    met = memoryview(empty)
-    width = min(_SEGMENT, arr.size)
-    ends = range(arr.size - (finals.shape[0] - 1) * width, arr.size + 1, width)  # of the segments
     before = dep = deps[-1]             # the departure of the last packet accepted before the block
-    # the loop's departures, and per stretch it served: where it starts, how many
-    # arrivals it took, and what turns the record of a drop in it into its index
-    loop_deps: list[float] = []
-    spans: list[tuple[int, int, int, int]] = []
-    looped = s0 = 0
-    for i, s1 in enumerate(ends):
-        r = 0
-        if dep > times[s0]:             # else the runs meet at s0, where both find it empty
-            k0, d0 = len(deps), len(drops)
-            dep = _event_loop(times[s0:s1], durations[s0:s1], met[s0:s1], deps, m, dep, drops)
-            r = len(deps) - k0 + len(drops) - d0
-            loop_deps += deps[k0:]
-            spans.append((s0, r, s0 - (k0 - m) - d0, len(drops) - d0))
-            looped += r
-        if r < s1 - s0:                 # met: the speculative run is the loop's from s0 + r
-            deps += finals[i].tolist()
-            dep = deps[-1]
-        s0 = s1
-    if spans:
-        at, length, offset, count = np.array(spans).T
-        fixed = np.arange(length.sum()) + np.repeat(at - (np.cumsum(length) - length), length)
-        accepted[fixed] = True
-        accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops))
-                 + np.repeat(offset, count)] = False
-        departure[fixed[accepted[fixed]]] = np.fromiter(loop_deps, float, len(loop_deps))
+    looped = 0
+    if whole:
+        empty, finals = _speculate(arr[:whole], service[:whole], m, accepted[:whole], departure[:whole])
+        met = memoryview(empty)
+        # the loop's departures, and per stretch it served: where it starts, how many
+        # arrivals it took, and what turns the record of a drop in it into its index
+        loop_deps: list[float] = []
+        spans: list[tuple[int, int, int, int]] = []
+        for i, s0 in enumerate(range(0, whole, width)):
+            s1, r = s0 + width, 0
+            if dep > times[s0]:         # else the runs meet at s0, where both find it empty
+                k0, d0 = len(deps), len(drops)
+                dep = _event_loop(times[s0:s1], durations[s0:s1], met[s0:s1], deps, m, dep, drops)
+                r = len(deps) - k0 + len(drops) - d0
+                loop_deps += deps[k0:]
+                spans.append((s0, r, s0 - (k0 - m) - d0, len(drops) - d0))
+                looped += r
+            if r < width:               # met: the speculative run is the loop's from s0 + r
+                deps += finals[i].tolist()
+                dep = deps[-1]
+        if spans:
+            at, length, offset, count = np.array(spans).T
+            fixed = np.arange(length.sum()) + np.repeat(at - (np.cumsum(length) - length), length)
+            accepted[fixed] = True
+            accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops))
+                     + np.repeat(offset, count)] = False
+            departure[fixed[accepted[fixed]]] = np.fromiter(loop_deps, float, len(loop_deps))
+    if whole < size:                    # the rest, served from the true state
+        k0, drops = len(deps), []
+        _event_loop(times[whole:], durations[whole:], None, deps, m, dep, drops)
+        rest = accepted[whole:]
+        rest[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops)) + (m - k0)] = False
+        departure[whole + np.flatnonzero(rest)] = np.fromiter(islice(deps, k0, None), float, len(deps) - k0)
     kept = np.flatnonzero(accepted)
-    return kept, np.concatenate(([before], departure.take(kept)))[:-1], looped
+    prev = np.empty(kept.size)
+    prev[:1] = before
+    departure.take(kept[:-1], out=prev[1:])
+    return kept, prev, looped
 
 
 def _event_loop(times: memoryview, durations: memoryview, met: memoryview | None, deps: list[float],
@@ -547,70 +560,41 @@ def _event_loop(times: memoryview, durations: memoryview, met: memoryview | None
     return dep
 
 
-def _speculate(arr: np.ndarray, service: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """Each segment of a block served from an empty queue, the segments in numpy lockstep.
+def _speculate(arr: np.ndarray, service: np.ndarray, m: int, accepted: np.ndarray,
+               departure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segments of width min(_SEGMENT, arr.size), each run from an empty queue in numpy lockstep.
 
-    The block is cut into segments of _SEGMENT arrivals from its end, so
-    the first may be shorter.  Returns (accepted, empty, departure,
-    finals): in arrival order, whether the run of its segment accepts
-    each arrival, whether it finds the queue empty there and the
-    departure it gives the arrival if it accepts it; and per segment, the
-    last min(m, _SEGMENT) departures its run leaves (-inf for fewer).
+    arr holds whole segments; a step reads and writes one row of views
+    with a segment a column.  Fills accepted with whether the run of its
+    segment accepts each arrival and departure with the departure it
+    gives the arrival if it does, in arrival order.  Returns (empty,
+    finals): whether the run finds the queue empty at each arrival, and
+    per segment the last min(m, width) departures its run leaves (-inf
+    for fewer).  An arrival is dropped when the departure pushed m
+    accepted places back is after it, and otherwise pushes its departure
+    on its segment's history, which starts with -inf.
     """
-    size = arr.size
-    width = min(_SEGMENT, size)
-    segments = -(-size // width)
-    lead = segments * width - size
-    # the columns and the history are freed before the results go back to arrival order
-    accepted, start, finals = _lockstep(_columns(arr, -math.inf, lead, width),
-                                        _columns(service, 0.0, lead, width), m)
-    start = start.T.ravel()[lead:]
-    empty = start == arr            # the run finds the queue empty exactly where it starts on arrival
-    start += service
-    return accepted.T.ravel()[lead:], empty, start, finals
-
-
-def _columns(values: np.ndarray, fill: float, lead: int, width: int) -> np.ndarray:
-    """values cut into segments of width down the columns, the first padded in front with lead fills."""
-    out = np.empty((width, (lead + values.size) // width))
-    rows = out.T                    # one segment a row
-    rows[0, :lead] = fill
-    rows[0, lead:] = values[:width - lead]
-    rows[1:] = values[width - lead:].reshape(-1, width)
-    return out
-
-
-def _lockstep(times: np.ndarray, durations: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """Serve each column of arrival times from an empty queue, one row of all columns a step.
-
-    Returns (accepted, start, finals): whether each arrival is accepted
-    and the later of it and the departure before it, as times is laid
-    out, and per column the last min(m, rows) departures.  An arrival
-    is dropped when the departure pushed m accepted places back is after
-    it, and otherwise pushes its departure on its column's history,
-    which starts with -inf.  Arrivals at -inf taking no time, as the
-    padding of ``_columns``, are accepted and push -inf: they change
-    nothing.
-    """
-    width, segments = times.shape
-    # a column accepts fewer than width packets before its last test, so
+    width = min(_SEGMENT, arr.size)
+    segments = arr.size // width
+    # a segment accepts fewer than width packets before its last test, so
     # past width slots every test reads the -inf it starts with
     pad = min(m, width)
     history = np.full(segments * (pad + width), -math.inf)
-    pushed = history[pad:]          # pushed[i] is history[i + pad], pad accepted places on
-    last = history[pad - 1:]        # last[i]: the departure just before pushed[i]
-    head = np.arange(0, history.size, pad + width)  # per column: its entry m places back
-    accepted = np.empty((width, segments), dtype=bool)
-    start = np.empty((width, segments))
+    pushed = history[pad:]              # pushed[i] is history[i + pad], pad accepted places on
+    last = history[pad - 1:]            # last[i]: the departure just before pushed[i]
+    head = np.arange(0, history.size, pad + width)  # per segment: its entry m places back
     done = np.empty(segments)
-    for t, s, ok, st in zip(times, durations, accepted, start):
-        np.less_equal(history.take(head), t, out=ok)
-        # a tie may take the other zero of the two, whose sum with s is the same
-        np.maximum(t, last.take(head), out=st)
+    rows = (x.reshape(segments, width).T for x in (arr, service, accepted, departure))
+    for t, s, ok, st in zip(*rows):
+        np.less_equal(history[head], t, out=ok)
+        # the start; a tie may take the other zero of the two, whose sum with s is the same
+        np.maximum(t, last[head], out=st)
         np.add(st, s, out=done)
-        pushed.put(head, done)      # a dropped arrival's is overwritten before it is read
+        pushed[head] = done             # a dropped arrival's is overwritten before it is read
         head += ok
-    return accepted, start, history[head[:, None] + np.arange(pad)]
+    empty = departure == arr            # the run finds the queue empty exactly where it starts on arrival
+    departure += service
+    return empty, history[head[:, None] + np.arange(pad)]
 
 
 def run_simulation(

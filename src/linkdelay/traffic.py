@@ -202,8 +202,18 @@ def _check_horizon(horizon: int) -> None:
 
 
 def generate_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray:
-    """Arrival instants (ms, non-decreasing) for spec.horizon packets."""
-    return spec.arrivals(rng)
+    """Arrival instants (ms, non-decreasing) for spec.horizon packets.
+
+    Raises ValueError, not numpy's overflow warning, when they pass the
+    float range.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        arrivals = spec.arrivals(rng)
+    if not math.isfinite(arrivals[-1]):
+        raise ValueError(f"{spec.kind} arrivals pass the float range within {spec.horizon} packets")
+    return arrivals
 
 
 def _emitted_by(on_time: np.ndarray, period: float) -> np.ndarray:

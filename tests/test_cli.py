@@ -310,6 +310,30 @@ def test_service_times_out_of_the_float_range_are_a_config_error(tmp_path, capsy
                         r"\S+ ms, whose square leaves the float range\n", err)
 
 
+OUT_OF_RANGE_ARRIVALS = {
+    # the arrivals themselves pass the float range as they are drawn
+    "periodic": {"traffic": {"kind": "periodic", "t_pit": 1e306, "horizon": 200}},
+    "poisson": {"traffic": {"kind": "poisson", "rate": 1e-307, "horizon": 100}},
+    # they stay in it, but twice the last does not: the simulator's rounding margins would overflow
+    "margin": {"traffic": {"kind": "periodic", "t_pit": 1e306, "horizon": 170}},
+}
+
+
+@pytest.mark.parametrize("command", ["models", "mean-delay", "delay-bound", "simulate", "validate"])
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_ARRIVALS))
+def test_arrivals_out_of_the_float_range_are_a_config_error(tmp_path, capsys, case, command):
+    # only the subcommands that draw arrivals refuse them, in one line;
+    # pytest makes a RuntimeWarning an error, so none may be raised either
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(OUT_OF_RANGE_ARRIVALS[case]))
+    code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    if command in ("simulate", "validate"):
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1
+    else:
+        assert (code, err) == (0, "")
+
+
 def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
     # snr=5000 underflows the error-rate expression to exactly zero, so the
     # service law is one atom at t1 = 10.108 ms and the optimized bound is

@@ -448,6 +448,26 @@ def test_a_busy_queue_carried_across_a_block_end(monkeypatch):
             assert calls == {"_speculate": 3, "_event_loop": 1}
 
 
+def test_the_rest_past_the_last_whole_segment_is_one_stretch_of_the_loop(monkeypatch):
+    # 250 arrivals in blocks of 96 and segments of 8: the last block holds 7
+    # whole segments, 56 arrivals, and a rest of 2.  Bursts of 8 fill the
+    # segments, each opening on an empty queue, where the runs meet at once;
+    # the last burst, of 4, straddles the end of the last whole segment, so
+    # the rest opens on a busy queue and its last arrival meets a full one
+    link, p_e = LinkConfig(q_max=2), 0.3
+    arrivals = bursts(link, p_e, [8] * 30 + [6, 4])
+    ref_outcome = reference_simulate(arrivals, link, TC, p_e, np.random.default_rng(8))[5]
+    assert "queue_drop" not in ref_outcome[246:249] and ref_outcome[249] == "queue_drop"
+    calls = count_calls(monkeypatch, "_speculate", "_event_loop")
+    with tail_lengths(8, 96):
+        for collect_trace in (False, True):
+            calls.clear()
+            assert serve_bytes(arrivals, link, p_e, 8, collect_trace) == reference_bytes(arrivals, link, p_e, 8,
+                                                                                         collect_trace)
+            # a speculation per block, and the loop serves the rest alone, in one call
+            assert calls == {"_speculate": 3, "_event_loop": 1}
+
+
 @pytest.mark.parametrize("lengths", TAIL_LENGTHS)
 @pytest.mark.parametrize("p_e", [0.0, 0.45])
 def test_departures_that_land_on_arrivals(lengths, p_e):
