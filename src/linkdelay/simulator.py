@@ -441,13 +441,14 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> int:
     on they do the same float operations: the speculative run's
     acceptances, departures and final state are the loop's.  The
     arrivals past the last whole segment are one stretch the loop serves
-    from its true state.  Once the loop has served half a block or more
-    (a queue that seldom empties), every later block is such a stretch.
-    The starts are taken from the departures with numpy, by the loop's
-    comparison, so every start, delay and count is the event loop's bit
-    for bit.  Each block writes its delivered delays and its trace rows
-    through draws.deliver, so beyond the delays memory holds arrays of
-    one block and the last m departures.  Returns the queue drops.
+    from its true state.  A block after the first is speculated only when
+    the accepted arrivals of the one before found the server idle once a
+    segment or more on average; else the loop serves it whole as such a
+    stretch.  The starts are taken from the departures with numpy, by the
+    loop's comparison, so every start, delay and count is the event
+    loop's bit for bit.  Each block writes its delivered delays and trace
+    rows through draws.deliver, so beyond the delays memory holds arrays
+    of one block and the last m departures.  Returns the queue drops.
     """
     arrivals = draws.arrivals
     n = arrivals.size
@@ -459,30 +460,30 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> int:
         hi = min(lo + _MAX_CHUNK, n)
         service = draws.draw_on(hi - lo)
         arr = arrivals[lo:hi]
-        kept, prev, looped = _serve_block(arr, service, m, deps, speculate)
+        kept, prev = _serve_block(arr, service, m, deps, speculate)
         arr = arr.take(kept)            # an index takes faster than a mask picks
-        start = np.where(prev > arr, prev, arr)  # the loop's max: the arrival unless strictly later
+        busy = prev > arr               # the loop's test: it waits only for a strictly later departure
+        start = np.where(busy, prev, arr)
         draws.deliver(lo, hi, kept, start, (start - arr) + service.take(kept))
         n_queue_drops += hi - lo - kept.size
         del deps[:-m]                   # the next block needs only the last m
-        speculate = speculate and 2 * looped < hi - lo
+        speculate = (busy.size - np.count_nonzero(busy)) * _SEGMENT >= hi - lo
     return n_queue_drops
 
 
 def _serve_block(arr: np.ndarray, service: np.ndarray, m: int, deps: list[float],
-                 speculate: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """One block of ``_serve_from``: (accepted, prev, looped).
+                 speculate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One block of ``_serve_from``: (accepted, prev).
 
-    accepted indexes the arrivals the queue accepts, in order, prev holds
-    the departure before each of them, and looped counts the arrivals the
-    event loop served as it walked the whole segments ``_speculate`` ran.
-    Then it serves the rest past them, or without speculate the whole
-    block, as one stretch.  deps must end with the last m departures
-    before the block, and ends with entries the loop's tests take as the
-    last m after it: where the loop meets a speculative run, deps goes on
-    with that run's last departures, and an older entry the loop reads
-    again lies at or before the arrival where they met, as the true one
-    does.
+    accepted indexes the arrivals the queue accepts, in order, and prev
+    holds the departure before each of them.  With speculate the event
+    loop walks the whole segments ``_speculate`` ran and then serves the
+    rest past them as one stretch; without it, the whole block is that
+    stretch.  deps must end with the last m departures before the block,
+    and ends with entries the loop's tests take as the last m after it:
+    where the loop meets a speculative run, deps goes on with that run's
+    last departures, and an older entry the loop reads again lies at or
+    before the arrival where they met, as the true one does.
     """
     size = arr.size
     width = min(_SEGMENT, size)
@@ -491,7 +492,6 @@ def _serve_block(arr: np.ndarray, service: np.ndarray, m: int, deps: list[float]
     times, durations = memoryview(arr), memoryview(service)    # a strided view iterates in order too
     drops: list[int] = []               # per queue drop of the loop, len(deps) - m at the drop
     before = dep = deps[-1]             # the departure of the last packet accepted before the block
-    looped = 0
     if whole:
         empty, finals = _speculate(arr[:whole], service[:whole], m, accepted[:whole], departure[:whole])
         met = memoryview(empty)
@@ -507,7 +507,6 @@ def _serve_block(arr: np.ndarray, service: np.ndarray, m: int, deps: list[float]
                 r = len(deps) - k0 + len(drops) - d0
                 loop_deps += deps[k0:]
                 spans.append((s0, r, s0 - (k0 - m) - d0, len(drops) - d0))
-                looped += r
             if r < width:               # met: the speculative run is the loop's from s0 + r
                 deps += finals[i].tolist()
                 dep = deps[-1]
@@ -518,9 +517,9 @@ def _serve_block(arr: np.ndarray, service: np.ndarray, m: int, deps: list[float]
             accepted[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops))
                      + np.repeat(offset, count)] = False
             departure[fixed[accepted[fixed]]] = np.fromiter(loop_deps, float, len(loop_deps))
-    if whole < size:                    # the rest, served from the true state
+    if whole < size:                    # the rest, from the true state to its end: all flags false
         k0, drops = len(deps), []
-        _event_loop(times[whole:], durations[whole:], None, deps, m, dep, drops)
+        _event_loop(times[whole:], durations[whole:], memoryview(bytes(size - whole)), deps, m, dep, drops)
         rest = accepted[whole:]
         rest[np.fromiter(drops, np.intp, len(drops)) + np.arange(len(drops)) + (m - k0)] = False
         departure[whole + np.flatnonzero(rest)] = np.fromiter(islice(deps, k0, None), float, len(deps) - k0)
@@ -528,10 +527,10 @@ def _serve_block(arr: np.ndarray, service: np.ndarray, m: int, deps: list[float]
     prev = np.empty(kept.size)
     prev[:1] = before
     departure.take(kept[:-1], out=prev[1:])
-    return kept, prev, looped
+    return kept, prev
 
 
-def _event_loop(times: memoryview, durations: memoryview, met: memoryview | None, deps: list[float],
+def _event_loop(times: memoryview, durations: memoryview, met: memoryview, deps: list[float],
                 m: int, dep: float, drops: list[int]) -> float:
     """The FIFO event loop over arrivals at times with the given service durations.
 
@@ -540,8 +539,8 @@ def _event_loop(times: memoryview, durations: memoryview, met: memoryview | None
     departure, and each queue drop appends len(deps) - m to drops.  An
     arrival meets a full queue when the departure m places back is after
     it.  The loop stops before the first arrival that finds the queue
-    empty where met is true, if met is given, and returns the last
-    departure.
+    empty where met, a flag per arrival, is true (it meets a speculative
+    run there), and returns the last departure.
     """
     k = len(deps) - m
     base = k + len(drops)           # k + len(drops) - base: the arrival's place in times
@@ -551,7 +550,7 @@ def _event_loop(times: memoryview, durations: memoryview, met: memoryview | None
             continue
         if dep > t:
             dep += s
-        elif met is not None and met[k + len(drops) - base]:
+        elif met[k + len(drops) - base]:
             break
         else:
             dep = t + s

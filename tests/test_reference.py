@@ -416,7 +416,8 @@ def test_segments_that_meet_at_their_first_arrival(monkeypatch):
 
 def test_segments_that_never_meet_leave_the_tail_to_the_loop(monkeypatch):
     # at rho 1.5 a long waiting room never empties: the loop serves all of
-    # the first block from the true state, and every later block alone
+    # the first block from the true state, and no block's accepted arrivals
+    # find the server idle once a segment, so it serves every later one alone
     link, p_e = LinkConfig(q_max=60), 0.3
     spec = PoissonTraffic(rate=1.5 / service_distribution(link, TC, p_e).mean(), horizon=3000)
     arrivals = generate_arrivals(spec, np.random.default_rng(2))
@@ -466,6 +467,33 @@ def test_the_rest_past_the_last_whole_segment_is_one_stretch_of_the_loop(monkeyp
                                                                                          collect_trace)
             # a speculation per block, and the loop serves the rest alone, in one call
             assert calls == {"_speculate": 3, "_event_loop": 1}
+
+
+@pytest.mark.parametrize("second, counts", [
+    ([1] * 32, {"_speculate": 3, "_event_loop": 4}),
+    ([8] * 4, {"_speculate": 3, "_event_loop": 4}),        # 4 idle arrivals: once a segment exactly
+    ([11, 11, 10], {"_speculate": 2, "_event_loop": 5}),   # 3 idle arrivals: fewer
+])
+def test_speculation_resumes_once_the_queue_empties_again(monkeypatch, second, counts):
+    # blocks of 32 and segments of 8, two waiting slots.  A burst of 32
+    # fills the first block: its first segment meets its run at once, and
+    # the loop serves the 3 others, which open on a full queue.  Only 1
+    # accepted arrival found the server idle, below one a segment, so the
+    # loop serves the second block whole.  Where the second block's
+    # arrivals find the server idle once a segment or more, the third
+    # block is speculated again; else the loop serves it whole too.  The
+    # lone arrivals of the third block each find it idle, so the fourth is
+    # speculated; a speculated block of lone arrivals meets its runs at the
+    # first arrival of every segment, where the loop never runs
+    link, p_e = LinkConfig(q_max=2), 0.3
+    arrivals = bursts(link, p_e, [32] + second + [1] * 64)
+    calls = count_calls(monkeypatch, "_speculate", "_event_loop")
+    with tail_lengths(8, 32):
+        for collect_trace in (False, True):
+            calls.clear()
+            assert serve_bytes(arrivals, link, p_e, 9, collect_trace) == reference_bytes(arrivals, link, p_e, 9,
+                                                                                         collect_trace)
+            assert calls == counts
 
 
 @pytest.mark.parametrize("lengths", TAIL_LENGTHS)
