@@ -441,14 +441,14 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> int:
     on they do the same float operations: the speculative run's
     acceptances, departures and final state are the loop's.  The
     arrivals past the last whole segment are one stretch the loop serves
-    from its true state.  A block after the first is speculated only when
-    the accepted arrivals of the one before found the server idle once a
-    segment or more on average; else the loop serves it whole as such a
-    stretch.  The starts are taken from the departures with numpy, by the
-    loop's comparison, so every start, delay and count is the event
-    loop's bit for bit.  Each block writes its delivered delays and trace
-    rows through draws.deliver, so beyond the delays memory holds arrays
-    of one block and the last m departures.  Returns the queue drops.
+    from its true state, and so is a block after one where the loop would
+    walk half or more: counted in rows of _SEGMENT accepted arrivals, each
+    from its first to the first that found the server idle, where runs
+    can first meet.  The starts are taken from the departures with numpy,
+    by the loop's comparison, so every start, delay and count is the
+    event loop's bit for bit.  Each block writes its delays and trace rows
+    through draws.deliver, so beyond the delays memory holds one block's
+    arrays and the last m departures.  Returns the queue drops.
     """
     arrivals = draws.arrivals
     n = arrivals.size
@@ -467,7 +467,9 @@ def _serve_from(first: int, q_max: int, draws: _ChunkDraws) -> int:
         draws.deliver(lo, hi, kept, start, (start - arr) + service.take(kept))
         n_queue_drops += hi - lo - kept.size
         del deps[:-m]                   # the next block needs only the last m
-        speculate = (busy.size - np.count_nonzero(busy)) * _SEGMENT >= hi - lo
+        rows = busy[:busy.size - busy.size % _SEGMENT].reshape(-1, _SEGMENT)    # _SEGMENT accepted a row
+        to_idle = rows.argmin(axis=1)   # per row the first that found the server idle, 0 if none did
+        speculate = 2 * (to_idle + _SEGMENT * rows[np.arange(to_idle.size), to_idle]).sum() < rows.size
     return n_queue_drops
 
 
@@ -539,8 +541,7 @@ def _event_loop(times: memoryview, durations: memoryview, met: memoryview, deps:
     departure, and each queue drop appends len(deps) - m to drops.  An
     arrival meets a full queue when the departure m places back is after
     it.  The loop stops before the first arrival that finds the queue
-    empty where met, a flag per arrival, is true (it meets a speculative
-    run there), and returns the last departure.
+    empty where its flag in met is true, and returns the last departure.
     """
     k = len(deps) - m
     base = k + len(drops)           # k + len(drops) - base: the arrival's place in times

@@ -416,8 +416,9 @@ def test_segments_that_meet_at_their_first_arrival(monkeypatch):
 
 def test_segments_that_never_meet_leave_the_tail_to_the_loop(monkeypatch):
     # at rho 1.5 a long waiting room never empties: the loop serves all of
-    # the first block from the true state, and no block's accepted arrivals
-    # find the server idle once a segment, so it serves every later one alone
+    # the first block from the true state, and in every block few accepted
+    # arrivals find the server idle, so the loop would walk most of each
+    # row of them before one does, and it serves every later block alone
     link, p_e = LinkConfig(q_max=60), 0.3
     spec = PoissonTraffic(rate=1.5 / service_distribution(link, TC, p_e).mean(), horizon=3000)
     arrivals = generate_arrivals(spec, np.random.default_rng(2))
@@ -470,22 +471,28 @@ def test_the_rest_past_the_last_whole_segment_is_one_stretch_of_the_loop(monkeyp
 
 
 @pytest.mark.parametrize("second, counts", [
-    ([1] * 32, {"_speculate": 3, "_event_loop": 4}),
-    ([8] * 4, {"_speculate": 3, "_event_loop": 4}),        # 4 idle arrivals: once a segment exactly
-    ([11, 11, 10], {"_speculate": 2, "_event_loop": 5}),   # 3 idle arrivals: fewer
+    ([1] * 32, {"_speculate": 3, "_event_loop": 4}),        # every row opens on an idle server
+    ([8] * 4, {"_speculate": 3, "_event_loop": 4}),
+    ([11, 11, 10], {"_speculate": 2, "_event_loop": 5}),    # walks 0 + 3 + 6 + 8 = 17 of 32
+    ([15, 9, 8], {"_speculate": 3, "_event_loop": 4}),      # 0 + 7 + 8 + 0 = 15
+    ([15, 10, 7], {"_speculate": 2, "_event_loop": 5}),     # 0 + 7 + 8 + 1 = 16: half
+    ([12, 17, 1, 1, 1], {"_speculate": 2, "_event_loop": 5}),   # 0 + 4 + 8 + 5 = 17, though 5 found it idle
 ])
 def test_speculation_resumes_once_the_queue_empties_again(monkeypatch, second, counts):
-    # blocks of 32 and segments of 8, two waiting slots.  A burst of 32
-    # fills the first block: its first segment meets its run at once, and
-    # the loop serves the 3 others, which open on a full queue.  Only 1
-    # accepted arrival found the server idle, below one a segment, so the
-    # loop serves the second block whole.  Where the second block's
-    # arrivals find the server idle once a segment or more, the third
-    # block is speculated again; else the loop serves it whole too.  The
-    # lone arrivals of the third block each find it idle, so the fourth is
-    # speculated; a speculated block of lone arrivals meets its runs at the
-    # first arrival of every segment, where the loop never runs
-    link, p_e = LinkConfig(q_max=2), 0.3
+    # blocks of 32 and segments of 8, 16 waiting slots.  A burst of 32
+    # overflows the first block: its first segment meets its run at once,
+    # and the loop serves the 3 others, which open on a busy queue.  Its
+    # 17 accepted arrivals hold two rows of 8, and only the first row
+    # opens on an idle server, so the loop would walk 8 of 16, half, and
+    # serves the second block whole.  The second block's bursts are
+    # accepted whole; where the loop would walk less than half of it, from
+    # the first arrival of each row to the first that found the server
+    # idle, the third block is speculated again; else the loop serves it
+    # whole too.  The lone arrivals of the third block each find the
+    # server idle, so the fourth is speculated; a speculated block of lone
+    # arrivals meets its runs at the first arrival of every segment, where
+    # the loop never runs
+    link, p_e = LinkConfig(q_max=16), 0.3
     arrivals = bursts(link, p_e, [32] + second + [1] * 64)
     calls = count_calls(monkeypatch, "_speculate", "_event_loop")
     with tail_lengths(8, 32):
