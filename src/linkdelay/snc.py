@@ -14,9 +14,13 @@ kinds apart.  optimize_delay_ccdf builds its kernel once per call: one
 function maps an exponent to its curves, or to why it is infeasible,
 with the spec's envelope and the service law's MGF bound once, and
 each exponent's bound is a function of the delay whose exponent-only
-terms are worked out once.  A scan of the theta grid picks each delay's best grid exponent, and a
-golden-section search refines it between the grid neighbours.  The
-module is pure Python: numpy loads only for DelayCcdf's arrays.
+terms are worked out once.  The theta grid seeds a scan: its stable
+exponents and, above them, the feasible edge, found exactly by
+bisection (the next float is infeasible), where most delays take their
+minimum.  A golden-section search refines a delay's scan minimum only
+where it is interior, between its two neighbours.  A bound below the
+smallest float is 0.  The module is pure Python: numpy loads only for
+DelayCcdf's arrays.
 
 Traffic volume is measured in bits; a packet contributes packet_bits at
 its arrival instant.
@@ -302,6 +306,22 @@ def _golden_min(probed: dict[float, _Bound], probe: Callable[[float], _Bound], d
     return mid, (bound_of(mid) or probe(mid))(delay)
 
 
+def _edge(curves_at: Callable[[float], _Curves | str], lo: float, lo_curves: _Curves,
+          hi: float) -> tuple[float, _Curves]:
+    """From feasible lo and infeasible hi, the largest feasible exponent and its curves.
+
+    Each refusal is monotone in theta, so the feasible exponents form an
+    interval, whose top a bisection in log theta (arithmetic once the
+    geometric mean rounds onto an end) reaches when lo and hi are adjacent floats.
+    """
+    while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi or lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if isinstance(curves := curves_at(mid), str):
+            hi = mid
+        else:
+            lo, lo_curves = mid, curves
+    return lo, lo_curves
+
+
 def optimize_delay_ccdf(
     traffic: TrafficSpec,
     dist: ServiceDistribution,
@@ -311,12 +331,14 @@ def optimize_delay_ccdf(
 ) -> DelayCcdf:
     """Optimised tail bound over a delay grid.
 
-    For each target delay the exponent is chosen by a scan over the theta
-    grid followed by golden-section refinement, subject to the stability
-    constraint rate(theta) <= R(theta).  Raises Overload when no grid
+    For each target delay the exponent is chosen by a scan over the stable
+    exponents of the theta grid and the exact feasible edge above them
+    (stability rate(theta) <= R(theta), and exp()'s range), and a minimum
+    with a candidate on each side and a bound below 1 is refined by
+    golden-section search between them.  Raises Overload when no grid
     exponent is stable, and ValueError for a packet size <= 0 and for
-    delays or exponents that are not finite.  Grid points where only the vacuous bound holds get
-    probability 1 and no exponent.
+    delays or exponents that are not finite.  Grid points where only the
+    vacuous bound holds get probability 1 and no exponent.
     """
     if packet_bits <= 0.0:
         raise ValueError(f"packet_bits must be > 0, got {packet_bits}")
@@ -338,22 +360,32 @@ def optimize_delay_ccdf(
     stable = [(t, curves) for t in grid if not isinstance(curves := curves_at(t), str)]
     if not stable:
         raise Overload(_overload_message(curves_at, grid))
+    # the feasible edge closes the scan: between the largest stable grid exponent
+    # and the next one, or an exponent whose service-time MGF overflows
+    top = stable[-1][0]
+    refused = next((t for t in grid if t > top), 2.0 * _MGF_EXPONENT_LIMIT / dist.max_duration)
+    if (edge := _edge(curves_at, *stable[-1], refused))[0] > top:
+        stable.append(edge)
 
-    # the bound of each theta a golden-section probe visits, shared by every
-    # delay (adjacent delays mostly refine in the same bracket)
-    probed: dict[float, _Bound] = {}
+    # each exponent's curves are built once per call; the bound of a theta a golden-section
+    # probe visits lives only as long as its bracket, which adjacent delays mostly share
+    curves_of = dict(stable)
+    bracket, probed = None, {}
 
     def probe(theta: float) -> _Bound:
-        bound = probed[theta] = _bound_at(curves_at(theta))
+        if (curves := curves_of.get(theta)) is None:
+            curves = curves_of[theta] = curves_at(theta)
+        bound = probed[theta] = _bound_at(curves)
         return bound
 
     points: list[DelayBound] = []
     best_prob, best_theta = math.inf, None
     for d, (i, prob) in zip(delays, _grid_minima([curves for _, curves in stable], delays)):
         theta = stable[i][0]
-        lo = stable[max(i - 1, 0)][0]
-        hi = stable[min(i + 1, len(stable) - 1)][0]
-        if lo < hi:
+        # refine only a minimum with a candidate on each side: past the edge theta is infeasible
+        if 0 < i < len(stable) - 1 and prob < 1.0:
+            if bracket != (lo := stable[i - 1][0], hi := stable[i + 1][0]):
+                bracket, probed = (lo, hi), {}
             t_ref, p_ref = _golden_min(probed, probe, d, lo, hi)
             if p_ref < prob:
                 prob, theta = p_ref, t_ref

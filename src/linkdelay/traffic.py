@@ -145,6 +145,12 @@ class OnOffTraffic(Frozen):
         return 1.0 / (self.rate * self.p_on)
 
     def arrivals(self, rng: np.random.Generator) -> np.ndarray:
+        """ValueError where the horizon takes more than _MAX_CYCLES on-off cycles to emit."""
+        # a packet takes 1/rate of On time, a cycle 1/lam_on_off on average
+        if (cycles := self.horizon * self.lam_on_off / self.rate) > _MAX_CYCLES:
+            raise ValueError(f"on-off traffic would draw about {cycles:.3g} on-off cycles for its "
+                             f"{self.horizon} packets, past the limit of {_MAX_CYCLES:.0e}: "
+                             "raise rate or lower lam_on_off or horizon")
         return _onoff_arrivals(self, rng, self.horizon)
 
     def envelope(self, packet_bits: float) -> Envelope:
@@ -193,6 +199,8 @@ TrafficSpec = PeriodicTraffic | PoissonTraffic | OnOffTraffic
 # memory when most cycles emit nothing, and the packets they are sized to emit
 _MAX_BLOCK_CYCLES = 1 << 16
 _BLOCK_PACKETS = 1 << 16
+# the on-off cycles a horizon may take on average: 3e8 take about 17 s to draw
+_MAX_CYCLES = 1e8
 
 
 def _check_horizon(horizon: int) -> None:

@@ -337,15 +337,18 @@ def test_arrivals_out_of_the_float_range_are_a_config_error(tmp_path, capsys, ca
 def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
     # snr=5000 underflows the error-rate expression to exactly zero, so the
     # service law is one atom at t1 = 10.108 ms and the optimized bound is
-    # exp(-theta_max (d - t1)) with theta_max = 1 from the default grid
+    # exp(-theta_max (d - t1)); it falls in theta up to the MGF's cap
+    # theta_max = 700 / max_duration, past the default grid's 1, where
+    # max_duration = 108.02 ms is the last retry atom's, of probability 0
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"link": {"snr": 5000.0}}))
     code, out, _ = run(capsys, "delay-bound", "--config", str(cfg))
     assert code == 0
-    t1 = 10.108
+    t1, theta_max = 10.108, 700.0 / 108.02
     for line in out.strip().splitlines()[1:]:
-        d, prob, _ = (float(v) for v in line.split(","))
-        assert prob == pytest.approx(math.exp(-(d - t1)), rel=0.01)
+        d, prob, theta = (float(v) for v in line.split(","))
+        assert prob == pytest.approx(math.exp(-theta_max * (d - t1)), rel=0.01)
+        assert theta == pytest.approx(theta_max, rel=1e-11)
 
 
 def test_delay_bound_poisson_large_payload(tmp_path, capsys):
@@ -623,6 +626,23 @@ def test_validate_leaves_an_unrepresentable_fitted_delay_blank(tmp_path, capsys,
     assert "# fitted_mean_delay_ms=\n" in out
     code, out, err = run(capsys, "mean-delay", "--config", str(cfg))
     assert code == 2 and out == "" and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["models", "mean-delay", "delay-bound", "simulate", "validate"])
+def test_onoff_traffic_silent_for_too_many_cycles_is_a_config_error(tmp_path, capsys, command):
+    # about 3e10 cycles, each of which emits nothing, for 100 packets: the
+    # draw would not finish, so the subcommands that draw arrivals refuse it
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"traffic": {"kind": "onoff", "lam_on_off": 0.03, "mu_off_on": 0.02,
+                                           "rate": 1e-10, "horizon": 100}}))
+    code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    if command in ("simulate", "validate"):
+        assert (code, out) == (2, "")
+        assert err == ("config error: on-off traffic would draw about 3e+10 on-off cycles for its "
+                       "100 packets, past the limit of 1e+08: raise rate or lower lam_on_off or "
+                       "horizon\n")
+    else:
+        assert (code, err) == (0, "")
 
 
 def _finite(lo, hi, **bounds):

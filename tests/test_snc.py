@@ -372,17 +372,37 @@ def test_delay_bound_at_deterministic_and_stochastic():
 
 def test_optimizer_deterministic_service_closed_form():
     # lossless link: single service atom t1, so R(theta) = L/t1 for all
-    # theta and the optimum sits at the largest exponent in the grid,
-    # giving exp(-theta_max * (d - t1)) exactly
+    # theta and the bound exp(-theta * (d - t1)) falls all the way to the
+    # largest feasible exponent, past the grid's top: the MGF's cap
+    # theta * max_duration <= 700, where max_duration counts the retry
+    # atoms of probability 0 too
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.0)
     t1 = dist.durations[0]
     traffic = PeriodicTraffic(t_pit=50.0, horizon=100)
     grid = [t1 + 5.0, t1 + 10.0, t1 + 20.0, t1 + 40.0]
     ccdf = optimize_delay_ccdf(traffic, dist, 400.0, grid, THETAS)
-    theta_max = float(THETAS[-1])
+    theta_max = 700.0 / dist.max_duration
     for point, d in zip(ccdf.points, grid):
         assert point.prob == pytest.approx(math.exp(-theta_max * (d - t1)), rel=0.01)
         assert point.theta == pytest.approx(theta_max, rel=0.01)
+
+
+@pytest.mark.parametrize("traffic, p_e", [
+    (PeriodicTraffic(t_pit=40.0), 0.2),     # the envelope meets the service curve
+    (PeriodicTraffic(t_pit=40.0), 0.0),     # the service-time MGF's cap, past the grid
+    (PoissonTraffic(rate=0.025), 0.2),
+    (OnOffTraffic(lam_on_off=0.05, mu_off_on=0.05, rate=0.05), 0.2),
+])
+def test_edge_points_sit_on_the_exact_stability_edge(traffic, p_e):
+    # where the bound still falls at the largest stable exponent, the
+    # chosen theta is feasible and the next float is not
+    dist = service_distribution(LinkConfig(), TimingConstants(), p_e)
+    curves_at = snc._curve_builder(traffic, dist, 400.0)
+    ccdf = optimize_delay_ccdf(traffic, dist, 400.0, [3.0 * (k + 1) for k in range(64)], THETAS)
+    edge = max(p.theta for p in ccdf.points if p.theta is not None)
+    assert edge not in THETAS and sum(p.theta == edge for p in ccdf.points) > 1
+    assert not isinstance(curves_at(edge), str)
+    assert isinstance(curves_at(math.nextafter(edge, math.inf)), str)
 
 
 def test_optimizer_never_beats_grid_scan():

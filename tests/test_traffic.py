@@ -124,6 +124,16 @@ def test_spec_validation():
     assert PoissonTraffic(rate=0.02, horizon=np.int64(5)).horizon == 5
 
 
+def test_onoff_horizon_past_the_cycle_limit_is_refused_before_any_draw():
+    # about lam_on_off / rate = 5e5 cycles per packet, so 300 packets pass 1e8 cycles
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    spec = OnOffTraffic(lam_on_off=0.5, mu_off_on=0.02, rate=1e-6, horizon=300)
+    with pytest.raises(ValueError, match=r"about 1\.5e\+08 on-off cycles for its 300 packets"):
+        generate_arrivals(spec, rng)
+    assert rng.bit_generator.state == state
+
+
 TRAFFIC_CLASSES = {"PeriodicTraffic", "PoissonTraffic", "OnOffTraffic", "TrafficSpec"}
 
 
