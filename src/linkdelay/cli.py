@@ -99,11 +99,17 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _checked(fn, *args):
-    """fn(*args), with its ValueError a ConfigError: what it refuses comes from the config."""
+    """fn(*args), with its ValueError a ConfigError: what it refuses comes from the config.
+
+    A MemoryError is one too: numpy refuses at once an array of a traffic
+    horizon's packets that the address space cannot hold.
+    """
     try:
         return fn(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        raise ConfigError(f"traffic horizon too large to simulate: {exc}") from exc
 
 
 def _service_inputs(cfg: RunConfig):

@@ -280,46 +280,40 @@ def _grid_minima(curves: Sequence[_Curves], delays: Sequence[float]) -> list[tup
     return [(row.index(m := min(row)), m) for row in rows]
 
 
-def _golden_min(probed: dict[float, _Bound], probe: Callable[[float], _Bound], delay: float,
-                lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
-    """Golden-section minimisation of the bound at delay over theta in [lo, hi], sampled on a log scale.
-
-    probed holds the bound of each theta visited so far, and probe(theta) adds one.
-    """
-    bound_of = probed.get   # a bound is truthy, so `or` probes only a new theta
+def _golden_min(bound: Callable[[float], float], lo: float, hi: float,
+                iters: int = 40) -> tuple[float, float]:
+    """Golden-section minimisation of bound(theta) over [lo, hi], sampled on a log scale."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = (bound_of(t := math.exp(c)) or probe(t))(delay)
-    fd = (bound_of(t := math.exp(d)) or probe(t))(delay)
+    fc, fd = bound(math.exp(c)), bound(math.exp(d))
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = (bound_of(t := math.exp(c)) or probe(t))(delay)
+            fc = bound(math.exp(c))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = (bound_of(t := math.exp(d)) or probe(t))(delay)
+            fd = bound(math.exp(d))
     mid = math.exp(0.5 * (a + b))
-    return mid, (bound_of(mid) or probe(mid))(delay)
+    return mid, bound(mid)
 
 
-def _edge(curves_at: Callable[[float], _Curves | str], lo: float, lo_curves: _Curves,
-          hi: float) -> tuple[float, _Curves]:
-    """From feasible lo and infeasible hi, the largest feasible exponent and its curves.
+def _edge(curves_at: Callable[[float], _Curves | str], lo: float, hi: float) -> float:
+    """From feasible lo and infeasible hi, the largest feasible exponent.
 
     Each refusal is monotone in theta, so the feasible exponents form an
     interval, whose top a bisection in log theta (arithmetic once the
     geometric mean rounds onto an end) reaches when lo and hi are adjacent floats.
     """
     while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi or lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        if isinstance(curves := curves_at(mid), str):
+        if isinstance(curves_at(mid), str):
             hi = mid
         else:
-            lo, lo_curves = mid, curves
-    return lo, lo_curves
+            lo = mid
+    return lo
 
 
 def optimize_delay_ccdf(
@@ -364,29 +358,18 @@ def optimize_delay_ccdf(
     # and the next one, or an exponent whose service-time MGF overflows
     top = stable[-1][0]
     refused = next((t for t in grid if t > top), 2.0 * _MGF_EXPONENT_LIMIT / dist.max_duration)
-    if (edge := _edge(curves_at, *stable[-1], refused))[0] > top:
-        stable.append(edge)
-
-    # each exponent's curves are built once per call; the bound of a theta a golden-section
-    # probe visits lives only as long as its bracket, which adjacent delays mostly share
-    curves_of = dict(stable)
-    bracket, probed = None, {}
-
-    def probe(theta: float) -> _Bound:
-        if (curves := curves_of.get(theta)) is None:
-            curves = curves_of[theta] = curves_at(theta)
-        bound = probed[theta] = _bound_at(curves)
-        return bound
+    if (edge := _edge(curves_at, top, refused)) > top:
+        stable.append((edge, curves_at(edge)))
 
     points: list[DelayBound] = []
     best_prob, best_theta = math.inf, None
     for d, (i, prob) in zip(delays, _grid_minima([curves for _, curves in stable], delays)):
         theta = stable[i][0]
-        # refine only a minimum with a candidate on each side: past the edge theta is infeasible
+        # refine only a minimum with a candidate on each side: past the edge theta is infeasible;
+        # adjacent delays share few probes, so each probe builds its curves and bound afresh
         if 0 < i < len(stable) - 1 and prob < 1.0:
-            if bracket != (lo := stable[i - 1][0], hi := stable[i + 1][0]):
-                bracket, probed = (lo, hi), {}
-            t_ref, p_ref = _golden_min(probed, probe, d, lo, hi)
+            t_ref, p_ref = _golden_min(lambda t: _bound_at(curves_at(t))(d),
+                                       stable[i - 1][0], stable[i + 1][0])
             if p_ref < prob:
                 prob, theta = p_ref, t_ref
         # a bound valid at a smaller delay also bounds every larger delay

@@ -645,6 +645,25 @@ def test_onoff_traffic_silent_for_too_many_cycles_is_a_config_error(tmp_path, ca
         assert (code, err) == (0, "")
 
 
+HUGE_HORIZON = {
+    # 1e15 packets: 7 PiB of arrivals, past the address space, so numpy's allocation fails at once
+    "periodic": {"kind": "periodic", "t_pit": 50.0},
+    "poisson": {"kind": "poisson", "rate": 0.02},
+    "onoff": {"kind": "onoff", "lam_on_off": 0.05, "mu_off_on": 0.05, "rate": 1e9},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("kind", list(HUGE_HORIZON))
+def test_horizon_too_large_to_allocate_is_a_config_error(tmp_path, capsys, kind, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"traffic": {**HUGE_HORIZON[kind], "horizon": 10**15}}))
+    code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: traffic horizon too large to simulate: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _finite(lo, hi, **bounds):
     """Floats in [lo, hi] half the time, and finite floats of any magnitude within bounds."""
     return st.one_of(st.floats(lo, hi),

@@ -1330,7 +1330,7 @@ def test_curve_builder_edges_are_the_reference_loop_bit_for_bit(kind, case):
     OnOffTraffic(lam_on_off=0.05, mu_off_on=0.05, rate=0.05),
 ])
 def test_curves_built_once_per_theta(monkeypatch, traffic):
-    # adjacent delays refine in the same bracket and probe the same exponents
+    # the scan builds each stable grid exponent's curves once for every delay
     built = Counter()
     curve_builder = snc._curve_builder
 
@@ -1345,6 +1345,9 @@ def test_curves_built_once_per_theta(monkeypatch, traffic):
     monkeypatch.setattr(snc, "_curve_builder", counting_builder)
     dist = service_distribution(LinkConfig(), TC, 0.2)
     delays = [3.0 * (k + 1) for k in range(64)]    # rho about 0.53 at a mean of 21 ms
-    snc.optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, ThetaGridSpec().values())
-    assert len(built) > len(ThetaGridSpec().values())  # the probes went through it too
-    assert max(built.values()) == 1
+    grid = ThetaGridSpec().values()
+    snc.optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, grid)
+    assert len(built) > len(grid)  # the probes went through it too
+    curves_at = curve_builder(traffic, dist, 8.0 * 50)
+    stable = [float(t) for t in grid if not isinstance(curves_at(t), str)]
+    assert stable and all(built[t] == 1 for t in stable)
