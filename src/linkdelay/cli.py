@@ -31,21 +31,19 @@ MIN_BOUND_PROB = 1e-3
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):   # first: most fields of every table
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
 
 
 def _render_csv(summary: dict, columns: list[str], rows: list[tuple]) -> str:
     lines = [f"# {key}={_fmt(val)}" for key, val in summary.items()]
     lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -175,23 +173,12 @@ def cmd_delay_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _write_trace(path: str, result) -> None:
+    """The per-packet trace, as a table with no summary: a start or delay that never happened is blank."""
     tr = result.trace
-    lines = ["arrival_ms,start_ms,attempts,outcome,delay_ms"]
-    for arrival, start, attempts, outcome, delay in zip(
-        tr.arrival, tr.start, tr.attempts, tr.outcome, tr.delay
-    ):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(float(arrival)),
-                    "" if math.isnan(start) else _fmt(float(start)),
-                    _fmt(int(attempts)),
-                    outcome,
-                    "" if math.isnan(delay) else _fmt(float(delay)),
-                )
-            )
-        )
-    _write(path, "\n".join(lines) + "\n")
+    start, delay = ([None if math.isnan(v) else v for v in times.tolist()]
+                    for times in (tr.start, tr.delay))
+    rows = list(zip(tr.arrival.tolist(), start, tr.attempts.tolist(), tr.outcome, delay))
+    _write(path, _render_csv({}, ["arrival_ms", "start_ms", "attempts", "outcome", "delay_ms"], rows))
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -322,11 +309,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = _effective_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.dump_config:
             import json
 

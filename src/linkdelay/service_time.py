@@ -104,7 +104,7 @@ class ServiceDistribution(Frozen):
     and hash by identity.
     """
 
-    # __dict__ holds the cached properties
+    # __dict__ holds the cached properties and _positive_atoms
     __slots__ = ("durations", "probs", "p_e", "n_max_tries", "__dict__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -127,6 +127,9 @@ class ServiceDistribution(Frozen):
         set_field(self, "probs", probs)
         set_field(self, "p_e", p_e)
         set_field(self, "n_max_tries", n_max_tries)
+        # not a field (__dict__ holds it): the atoms of positive probability, in atom
+        # order, as (duration, probability); mgf sums them and max_duration reads them
+        set_field(self, "_positive_atoms", tuple((d, p) for d, p in zip(durations, probs) if p > 0.0))
 
     @property
     def drop_probability(self) -> float:
@@ -134,7 +137,8 @@ class ServiceDistribution(Frozen):
 
     @cached_property
     def max_duration(self) -> float:
-        return max(self.durations)
+        """The longest duration of positive probability: the one the MGF's range depends on."""
+        return max(d for d, _ in self._positive_atoms)
 
     def _expectation(self, f: Callable[[float], float]) -> float:
         """E[f(T)] over all atoms.
@@ -156,7 +160,11 @@ class ServiceDistribution(Frozen):
         return self._expectation(lambda d: (d - m) ** 2)
 
     def mgf(self, theta: float) -> float:
-        """E[exp(theta * T)] over all outcomes including the drop atom."""
+        """E[exp(theta * T)], summed over the atoms of positive probability, the drop atom among them.
+
+        An atom of probability 0 adds nothing, and leaving it out keeps
+        exp() of its duration, which may overflow, out of the sum.
+        """
         if theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {theta}")
         if theta * self.max_duration > _MGF_EXPONENT_LIMIT:
@@ -166,7 +174,7 @@ class ServiceDistribution(Frozen):
             )
         # _expectation's left-to-right sum, without a call per atom
         total = 0.0
-        for d, p in zip(self.durations, self.probs):
+        for d, p in self._positive_atoms:
             total += math.exp(theta * d) * p
         return total
 

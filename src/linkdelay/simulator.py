@@ -146,7 +146,9 @@ def simulate(
     dist = service_distribution(cfg, tc, p_e)
     n = arrivals.size
     peak = max(abs(float(arrivals[0])), abs(float(arrivals[-1])))
-    if not math.isfinite(2.0 * (peak + n * dist.max_duration)):    # an upper bound on T
+    # every atom's duration: one of probability 0 is still drawn where rounding leaves
+    # the delivery probabilities' partial sum below 1
+    if not math.isfinite(2.0 * (peak + n * max(dist.durations))):    # an upper bound on T
         raise ValueError(f"arrivals up to {peak:g} ms take the simulation's sums past the float range")
     trace = None
     if collect_trace:

@@ -339,12 +339,13 @@ def test_delay_bound_lossless_matches_closed_form(tmp_path, capsys):
     # service law is one atom at t1 = 10.108 ms and the optimized bound is
     # exp(-theta_max (d - t1)); it falls in theta up to the MGF's cap
     # theta_max = 700 / max_duration, past the default grid's 1, where
-    # max_duration = 108.02 ms is the last retry atom's, of probability 0
+    # max_duration = t1: the retry atoms, of probability 0, do not count
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"link": {"snr": 5000.0}}))
     code, out, _ = run(capsys, "delay-bound", "--config", str(cfg))
     assert code == 0
-    t1, theta_max = 10.108, 700.0 / 108.02
+    t1 = 10.108
+    theta_max = 700.0 / t1
     for line in out.strip().splitlines()[1:]:
         d, prob, theta = (float(v) for v in line.split(","))
         assert prob == pytest.approx(math.exp(-theta_max * (d - t1)), rel=0.01)
@@ -448,32 +449,39 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys, argv, where):
     assert err.startswith(f"output error: cannot write {path}: ") and err.count("\n") == 1
 
 
-ONOFF = str(GOLDEN / "onoff.json")  # six attempts per packet at snr 8, on-off traffic
-GOLDEN_RUNS = [
-    ("models.csv", ["models"], 0),
-    ("mean-delay.csv", ["mean-delay"], 0),
-    ("delay-bound.csv", ["delay-bound"], 0),
-    ("simulate.csv", ["simulate"], 0),
-    ("validate.csv", ["validate"], 0),
-    ("delay-bound-poisson.csv", ["delay-bound", "--config", str(GOLDEN / "poisson.json")], 0),
-    ("delay-bound-onoff.csv", ["delay-bound", "--config", ONOFF], 0),
-    ("simulate-onoff.csv", ["simulate", "--config", ONOFF], 0),
-    # the exact-law mean misses this run's simulated mean by 28%, past the 25% gate
-    ("validate-onoff.csv", ["validate", "--config", ONOFF], 4),
-    # three waiting slots at rho 0.96: 3684 queue drops and 573 retry drops
-    ("simulate-overflow.csv", ["simulate", "--config", str(GOLDEN / "overflow.json")], 0),
-    # the same link and load over 2e5 packets: the overflow tail spans several of its serving blocks
-    ("simulate-overflow-long.csv", ["simulate", "--config", str(GOLDEN / "overflow-long.json")], 0),
-]
+def _golden_runs() -> list[tuple[str, list[str], int]]:
+    """(golden file, argv, exit code) of each line of golden/runs.txt, in its order."""
+    runs = []
+    for line in (GOLDEN / "runs.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            golden, exit_code, _warnings, *argv = line.split()
+            runs.append((golden, argv, int(exit_code)))
+    return runs
+
+
+GOLDEN_RUNS = _golden_runs()
 
 
 # ids name the golden file and the argv index only, as they did before the exit code
 @pytest.mark.parametrize("golden, argv, exit_code", GOLDEN_RUNS,
                          ids=[f"{golden}-argv{i}" for i, (golden, _, _) in enumerate(GOLDEN_RUNS)])
-def test_default_output_is_byte_identical(capsys, golden, argv, exit_code):
-    code, out, _ = run(capsys, *argv, "--seed", "1")
+def test_default_output_is_byte_identical(capsys, monkeypatch, golden, argv, exit_code):
+    monkeypatch.chdir(GOLDEN)   # the manifest's config paths are relative to it
+    code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_trace_is_byte_identical(tmp_path):
+    # overflow.json's link over 200 packets: 162 delivered, 32 queue drops and
+    # 6 retry drops, so the trace holds every outcome and blank starts and delays
+    doc = json.loads((GOLDEN / "overflow.json").read_text())
+    doc["traffic"]["horizon"] = 200
+    cfg, trace = tmp_path / "c.json", tmp_path / "t.csv"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--seed", "1", "--config", str(cfg), "--trace", str(trace),
+                 "--out", str(tmp_path / "s.csv"), "--format", "json"]) == 0
+    assert trace.read_bytes() == (GOLDEN / "trace-overflow.csv").read_bytes()
 
 
 _NO_SCIPY_PROBE = """

@@ -227,6 +227,18 @@ def test_mgf_guards():
         dist.mgf(701.0 / dist.max_duration)
 
 
+def test_mgf_range_counts_positive_atoms_only():
+    # at p_e = 0 the law draws its first atom only: the retry and drop atoms,
+    # of probability 0, neither cap the MGF's range nor enter its sum
+    dist = service_distribution(FORCED_CFG, FORCED_TC, 0.0)
+    assert dist.max_duration == dist.durations[0]
+    theta = 60.0  # past 700 / DUR_DROP, the cap that counted every atom
+    assert theta * DUR_DROP > 700.0
+    assert dist.mgf(theta) == math.exp(theta * dist.durations[0])
+    with pytest.raises(OverflowError):
+        dist.mgf(701.0 / dist.durations[0])
+
+
 def test_sampling_degenerate_outcomes():
     rng = np.random.default_rng(5)
     lossless = service_distribution(FORCED_CFG, FORCED_TC, 0.0)
