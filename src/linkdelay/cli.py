@@ -212,31 +212,40 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .simulator import dominance_report, empirical_ccdf, run_simulation
+def _validate_analysis(cfg: RunConfig, dist, delay_ccdf) -> tuple:
+    """validate's analytic side: the exact-law mean delay, the fitted one, and the delay-tail bound.
 
-    p_e, dist, delay_ccdf = _bound_inputs(cfg, "validate")
-
-    result = _checked(run_simulation, cfg.link, cfg.timing, cfg.traffic, p_e, cfg.seed)
-    if result.n_delivered == 0:
-        print("validate: no packets delivered; cannot compare delays", file=sys.stderr)
-        return 4
-    sim_mean = result.mean_delay
-
+    The fitted mean is None wherever mean-delay refuses the fitted route.
+    """
     try:
         inputs = gg1.inputs_from_distribution(dist, cfg.traffic.mean_interarrival)
     except ValueError as exc:
         raise ConfigError(f"traffic: {exc}") from exc
     analytic = gg1.mean_delay(inputs)
-    try:   # blank wherever mean-delay refuses the fitted route
+    try:
         fitted = _fitted_mean_delay(cfg)[-1]
     except (ConfigError, gg1.Overloaded):
         fitted = None
+    return analytic, fitted, delay_ccdf()
 
+
+def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .simulator import dominance_report, empirical_ccdf, run_simulation
+
+    p_e, dist, delay_ccdf = _bound_inputs(cfg, "validate")
+    # the analysis before the simulation, so that an overloaded config exits 3 without
+    # simulating; a law that drops every packet leaves the equivalent queue no arrivals,
+    # so there the simulation goes first and reports that no packet was delivered
+    analysis = _validate_analysis(cfg, dist, delay_ccdf) if dist.drop_probability < 1.0 else None
+    result = _checked(run_simulation, cfg.link, cfg.timing, cfg.traffic, p_e, cfg.seed)
+    if result.n_delivered == 0:
+        print("validate: no packets delivered; cannot compare delays", file=sys.stderr)
+        return 4
+    analytic, fitted, ccdf = analysis or _validate_analysis(cfg, dist, delay_ccdf)
+    sim_mean = result.mean_delay
     rel_error = abs(sim_mean - analytic) / analytic
     mean_ok = rel_error <= cfg.mean_delay_tolerance
 
-    ccdf = delay_ccdf()
     emp = empirical_ccdf(result.delivered_delays, cfg.delay_grid)
     violations = dominance_report(
         emp, ccdf.delays(), ccdf.probs(), min_bound_prob=MIN_BOUND_PROB

@@ -178,6 +178,26 @@ class ServiceDistribution(Frozen):
             total += math.exp(theta * d) * p
         return total
 
+    def tilted_moments(self, theta: float) -> tuple[float, float]:
+        """Mean and variance of T under the law tilted by exp(theta * T): the slope and curvature of log mgf.
+
+        Each atom of positive probability weighs p * exp(theta * (d - max_duration)),
+        which is at most p, so no exp() overflows whatever theta; the common
+        factor cancels.  The variance is taken about the mean, in a second
+        pass, so that it does not cancel where the tilted law is nearly one atom.
+        """
+        top = self.max_duration
+        weights = [(d, math.exp(theta * (d - top)) * p) for d, p in self._positive_atoms]
+        total = first = 0.0
+        for d, w in weights:
+            total += w
+            first += w * d
+        mean = first / total
+        second = 0.0
+        for d, w in weights:
+            second += w * (d - mean) ** 2
+        return mean, second / total
+
     # numpy views of the atoms, for the simulator: built on first use, read-only
 
     @cached_property

@@ -14,13 +14,17 @@ kinds apart.  optimize_delay_ccdf builds its kernel once per call: one
 function maps an exponent to its curves, or to why it is infeasible,
 with the spec's envelope and the service law's MGF bound once, and
 each exponent's bound is a function of the delay whose exponent-only
-terms are worked out once.  The theta grid seeds a scan: its stable
-exponents and, above them, the feasible edge, found exactly by
-bisection (the next float is infeasible), where most delays take their
-minimum.  A golden-section search refines a delay's scan minimum only
-where it is interior, between its two neighbours.  A bound below the
-smallest float is 0.  The module is pure Python: numpy loads only for
-DelayCcdf's arrays.
+terms are worked out once.  The search runs from the theta grid's
+smallest stable exponent to the feasible edge, found exactly by
+bisection above its largest (the next float is infeasible).  A
+deterministic envelope's bound is log-convex in theta, so each delay's
+minimum is solved exactly: an end of that range, or the root of the
+log bound's slope.  Only a stochastic envelope scans: the stable grid
+exponents and the edge, where most delays take their minimum, with a
+golden-section search refining a delay's scan minimum only where it is
+interior, between its two neighbours.  A bound below the smallest float
+is 0.  The module is pure Python: numpy loads only for DelayCcdf's
+arrays.
 
 Traffic volume is measured in bits; a packet contributes packet_bits at
 its arrival instant.
@@ -29,7 +33,7 @@ its arrival instant.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from ._record import Frozen, set_field
 from .empirical import _MGF_EXPONENT_LIMIT
@@ -316,6 +320,92 @@ def _edge(curves_at: Callable[[float], _Curves | str], lo: float, hi: float) -> 
     return lo
 
 
+# the minimum of each delay's bound and its exponent, delay by delay
+_Minima = Iterator[tuple[float, float]]
+
+
+def _scanned_minima(curves_at: Callable[[float], _Curves | str],
+                    stable: Sequence[tuple[float, _Curves]], delays: Sequence[float]) -> _Minima:
+    """A stochastic envelope's minima: the scan over stable's exponents, an interior minimum refined.
+
+    Only a minimum with a candidate on each side and a bound below 1 is
+    refined, by golden-section search between its neighbours: past the edge
+    theta is infeasible.  Adjacent delays share few probes, so each probe
+    builds its curves and bound afresh.
+    """
+    for d, (i, prob) in zip(delays, _grid_minima([curves for _, curves in stable], delays)):
+        theta = stable[i][0]
+        if 0 < i < len(stable) - 1 and prob < 1.0:
+            t_ref, p_ref = _golden_min(lambda t: _bound_at(curves_at(t))(d),
+                                       stable[i - 1][0], stable[i + 1][0])
+            if p_ref < prob:
+                prob, theta = p_ref, t_ref
+        yield prob, theta
+
+
+def _solved_minima(curves_at: Callable[[float], _Curves | str], dist: ServiceDistribution,
+                   packet_bits: float, low: tuple[float, _Curves], high: tuple[float, _Curves],
+                   delays: Sequence[float]) -> _Minima:
+    """A deterministic envelope's minima over [low, high]'s exponents, each exact.
+
+    With c = burst / packet_bits the bound is min(1, exp(c*log M(theta) -
+    theta*d)), M the service-time MGF, so its log is convex in theta with
+    slope c*m(theta) - d, m the tilted mean, which rises with theta.  The
+    minimum is at the top exponent where c*m <= d there, at the bottom one
+    where c*m >= d there, and otherwise at the root of c*m(theta) = d.  The
+    roots rise with the delay, so each solve starts from the last exponent.
+    The ends keep the curves they were built with.  A deterministic
+    envelope's burst is the same at every exponent.
+    """
+    (lo, lo_curves), (hi, hi_curves) = low, high
+    c = lo_curves[1] / packet_bits
+    moments = dist.tilted_moments
+    slope_lo, slope_hi = c * moments(lo)[0], c * moments(hi)[0]
+    theta = lo
+    for d in delays:
+        if slope_hi <= d:
+            theta, curves = hi, hi_curves
+        elif slope_lo >= d:
+            theta, curves = lo, lo_curves
+        else:
+            theta = _tilted_root(moments, c, d, lo, hi, theta)
+            curves = curves_at(theta)
+        yield _bound_at(curves)(d), theta
+
+
+def _tilted_root(moments: Callable[[float], tuple[float, float]], c: float, d: float,
+                 a: float, b: float, t: float) -> float:
+    """The root of c*m(theta) = d in (a, b), where c*m(a) < d < c*m(b), m = moments(theta)[0].
+
+    Newton steps from t (the slope's derivative is c times the tilted
+    variance, moments(theta)[1]) inside a bracket that each evaluation
+    shrinks; a bisection stands in for a step that would leave the bracket
+    or would not halve the step before it.  Stops once a step is within
+    2**-50 of theta; the root stays inside the last bracket.
+    """
+    step = b - a
+    while True:
+        mean, var = moments(t)
+        slope = c * mean - d
+        if slope < 0.0:
+            a = t
+        elif slope > 0.0:
+            b = t
+        else:
+            return t
+        newton = slope / (c * var) if var > 0.0 else math.inf
+        if abs(newton) <= 2.0 ** -50 * t:
+            return min(max(t - newton, a), b)
+        if 2.0 * abs(newton) <= abs(step) and a < t - newton < b:
+            step = newton
+            t -= step
+        else:
+            step = 0.5 * (b - a)
+            t = a + step
+            if step <= 2.0 ** -50 * t:
+                return t
+
+
 def optimize_delay_ccdf(
     traffic: TrafficSpec,
     dist: ServiceDistribution,
@@ -325,10 +415,12 @@ def optimize_delay_ccdf(
 ) -> DelayCcdf:
     """Optimised tail bound over a delay grid.
 
-    For each target delay the exponent is chosen by a scan over the stable
-    exponents of the theta grid and the exact feasible edge above them
-    (stability rate(theta) <= R(theta), and exp()'s range), and a minimum
-    with a candidate on each side and a bound below 1 is refined by
+    For each target delay the exponent is chosen between the smallest
+    stable exponent of the theta grid and the exact feasible edge above its
+    largest (stability rate(theta) <= R(theta), and exp()'s range): exactly
+    for a deterministic envelope (_solved_minima), and for a stochastic
+    one by a scan over the stable grid exponents and the edge, a minimum
+    with a candidate on each side and a bound below 1 refined by
     golden-section search between them.  Raises Overload when no grid
     exponent is stable, and ValueError for a packet size <= 0 and for
     delays or exponents that are not finite.  Grid points where only the
@@ -361,17 +453,13 @@ def optimize_delay_ccdf(
     if (edge := _edge(curves_at, top, refused)) > top:
         stable.append((edge, curves_at(edge)))
 
+    if stable[0][1][2] is None:   # a deterministic envelope: decay None
+        minima = _solved_minima(curves_at, dist, packet_bits, stable[0], stable[-1], delays)
+    else:
+        minima = _scanned_minima(curves_at, stable, delays)
     points: list[DelayBound] = []
     best_prob, best_theta = math.inf, None
-    for d, (i, prob) in zip(delays, _grid_minima([curves for _, curves in stable], delays)):
-        theta = stable[i][0]
-        # refine only a minimum with a candidate on each side: past the edge theta is infeasible;
-        # adjacent delays share few probes, so each probe builds its curves and bound afresh
-        if 0 < i < len(stable) - 1 and prob < 1.0:
-            t_ref, p_ref = _golden_min(lambda t: _bound_at(curves_at(t))(d),
-                                       stable[i - 1][0], stable[i + 1][0])
-            if p_ref < prob:
-                prob, theta = p_ref, t_ref
+    for d, (prob, theta) in zip(delays, minima):
         # a bound valid at a smaller delay also bounds every larger delay
         if prob < best_prob:
             best_prob, best_theta = prob, theta

@@ -210,6 +210,32 @@ def test_delay_bound_non_increasing(capsys):
     assert all(t > 0 for t in thetas)
 
 
+# the default link's mean service time, 11.6 ms: at t_pit 10 the queue's rho is 1.16;
+# on-off traffic at rho 0.99 with On and Off periods of 8 mean service times each
+# leaves the queue stable, but no exponent of the theta grid gives a stable bound
+DEFAULT_MEAN_T = 11.615375918760776
+ONOFF_RHO_099 = {"kind": "onoff", "lam_on_off": 1.0 / (8.0 * DEFAULT_MEAN_T),
+                 "mu_off_on": 1.0 / (8.0 * DEFAULT_MEAN_T), "rate": 2.0 * 0.99 / DEFAULT_MEAN_T}
+
+
+@pytest.mark.parametrize("traffic, message", [
+    ({"kind": "periodic", "t_pit": 10.0}, "overloaded: traffic intensity rho=1.16"),
+    (ONOFF_RHO_099, "overload: no stable exponent in the theta grid"),
+], ids=["periodic-rho-1.16", "onoff-rho-0.99"])
+def test_validate_exits_on_overload_before_simulating(tmp_path, capsys, monkeypatch, traffic, message):
+    from linkdelay import simulator
+
+    def refuse(*args):
+        raise AssertionError("validate simulated a config its analysis refuses")
+
+    monkeypatch.setattr(simulator, "run_simulation", refuse)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"traffic": {**traffic, "horizon": 3_000_000}}))
+    code, out, err = run(capsys, "validate", "--config", str(cfg), "--seed", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_delay_bound_overload_exit_code(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"traffic": {"kind": "periodic", "t_pit": 9.0, "horizon": 100}}))
@@ -667,9 +693,14 @@ def test_horizon_too_large_to_allocate_is_a_config_error(tmp_path, capsys, kind,
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"traffic": {**HUGE_HORIZON[kind], "horizon": 10**15}}))
     code, out, err = run(capsys, command, "--config", str(cfg), "--seed", "1")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if (kind, command) == ("onoff", "validate"):
+        # the on-off source offers rho about 6e9: validate's analysis, which comes
+        # before its simulation, refuses the config first
+        assert (code, out) == (3, "") and err.startswith("overloaded: traffic intensity rho=")
+        return
     assert (code, out) == (2, "")
     assert err.startswith("config error: traffic horizon too large to simulate: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def _finite(lo, hi, **bounds):

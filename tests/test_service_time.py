@@ -239,6 +239,33 @@ def test_mgf_range_counts_positive_atoms_only():
         dist.mgf(701.0 / dist.durations[0])
 
 
+@pytest.mark.parametrize("theta", [1e-6, 0.01, 0.1, 600.0 / DUR_DROP])
+def test_tilted_moments_are_the_derivatives_of_log_mgf(theta):
+    # the tilted law's atoms weigh p * exp(theta * d); its mean, the derivative
+    # of log mgf, is checked against a central difference too
+    dist = service_distribution(FORCED_CFG, FORCED_TC, 0.1)
+    weights = [p * math.exp(theta * d) for d, p in zip(dist.durations, dist.probs)]
+    mean = sum(w * d for w, d in zip(weights, dist.durations)) / sum(weights)
+    var = sum(w * (d - mean) ** 2 for w, d in zip(weights, dist.durations)) / sum(weights)
+    got_mean, got_var = dist.tilted_moments(theta)
+    assert got_mean == pytest.approx(mean, rel=1e-12)
+    assert got_var == pytest.approx(var, rel=1e-10)
+    h = 1e-4 * theta
+    log_mgf = [math.log(dist.mgf(theta + k * h)) for k in (-1, 0, 1)]
+    assert got_mean == pytest.approx((log_mgf[2] - log_mgf[0]) / (2 * h), rel=1e-6)
+
+
+def test_tilted_moments_past_the_mgf_range():
+    # the weights are scaled by exp(-theta * max_duration): no overflow where
+    # mgf refuses theta, and the tilted law sits on the longest atom
+    dist = service_distribution(FORCED_CFG, FORCED_TC, 0.1)
+    mean, var = dist.tilted_moments(1e4 / DUR_DROP)
+    assert mean == dist.durations[-1] and 0.0 <= var < 1e-200
+    # at p_e = 0 only the first atom has positive probability
+    lossless = service_distribution(FORCED_CFG, FORCED_TC, 0.0)
+    assert lossless.tilted_moments(0.05) == (lossless.durations[0], 0.0)
+
+
 def test_sampling_degenerate_outcomes():
     rng = np.random.default_rng(5)
     lossless = service_distribution(FORCED_CFG, FORCED_TC, 0.0)

@@ -21,6 +21,7 @@ from linkdelay import (
     PeriodicTraffic,
     PoissonTraffic,
     OnOffTraffic,
+    ServiceDistribution,
     ThetaGridSpec,
     TimingConstants,
     arrival_curve_for,
@@ -405,6 +406,53 @@ def test_edge_points_sit_on_the_exact_stability_edge(traffic, p_e):
     assert isinstance(curves_at(math.nextafter(edge, math.inf)), str)
 
 
+# a two-atom law: 5 ms with probability 0.7, else 20 ms; its mean is 9.5 ms
+TWO_ATOMS = ServiceDistribution(durations=(5.0, 20.0), probs=(0.7, 0.3), p_e=0.3, n_max_tries=1)
+
+
+@pytest.mark.parametrize("delay", [10.0, 12.0, 15.0, 18.0])
+def test_periodic_optimum_of_two_atoms_in_closed_form(delay):
+    # under periodic traffic the bound is M(theta) exp(-theta d); its log's slope
+    # vanishes where p1 (d - s1) exp(theta s1) = p2 (s2 - d) exp(theta s2)
+    (s1, p1), (s2, p2) = zip(TWO_ATOMS.durations, TWO_ATOMS.probs)
+    theta = math.log(p1 * (delay - s1) / (p2 * (s2 - delay))) / (s2 - s1)
+    bound = p1 * math.exp(theta * (s1 - delay)) + p2 * math.exp(theta * (s2 - delay))
+    [point] = optimize_delay_ccdf(PeriodicTraffic(t_pit=40.0), TWO_ATOMS, 400.0, [delay], THETAS).points
+    assert point.theta == pytest.approx(theta, rel=1e-12)
+    assert point.prob == pytest.approx(bound, rel=1e-12)
+
+
+def test_periodic_optimum_past_the_edge_slope_is_the_edge():
+    # at t_pit 15 the envelope meets the service curve near theta 0.23; from the delay
+    # c * m(edge) on, the log bound falls all the way to the edge, and the chosen
+    # exponent is the edge even where the bound underflows to 0
+    traffic = PeriodicTraffic(t_pit=15.0)
+    curves_at = snc._curve_builder(traffic, TWO_ATOMS, 400.0)
+    stable = [t for t in THETAS if not isinstance(curves_at(t), str)]
+    edge = snc._edge(curves_at, stable[-1], next(t for t in THETAS if t > stable[-1]))
+    slope = TWO_ATOMS.tilted_moments(edge)[0]   # c = burst / packet_bits = 1
+    assert 0.2 < edge < 0.25 and 15.0 < slope < 20.0
+    delays = [slope, math.nextafter(slope, math.inf), 1.01 * slope, 2.0 * slope, 10.0 * slope,
+              1e3 * slope]
+    points = optimize_delay_ccdf(traffic, TWO_ATOMS, 400.0, delays, THETAS).points
+    assert [p.theta for p in points] == [edge] * len(delays)
+    assert points[0].prob == pytest.approx(TWO_ATOMS.mgf(edge) * math.exp(-edge * slope), rel=1e-12)
+    assert points[-1].prob == 0.0
+
+
+def test_periodic_optimum_below_the_lowest_slope_is_the_lowest_exponent():
+    # from the grid's smallest exponent 0.2 on, the tilted mean is above 18 ms, so
+    # the log bound rises over the whole range at these delays
+    thetas = [0.2, 0.5, 1.0]
+    assert TWO_ATOMS.tilted_moments(0.2)[0] > 18.0
+    points = optimize_delay_ccdf(PeriodicTraffic(t_pit=40.0), TWO_ATOMS, 400.0, [15.0, 18.0],
+                                 thetas).points
+    assert [p.theta for p in points] == [0.2, 0.2]
+    for p in points:
+        assert p.prob == pytest.approx(TWO_ATOMS.mgf(0.2) * math.exp(-0.2 * p.delay), rel=1e-12)
+        assert p.prob < 1.0
+
+
 def test_optimizer_never_beats_grid_scan():
     link, tc = LinkConfig(), TimingConstants()
     dist = service_distribution(link, tc, 0.03186372375543293)
@@ -615,10 +663,11 @@ def test_grid_minima_takes_the_first_of_equal_bounds(tie):
     OnOffTraffic(lam_on_off=0.05, mu_off_on=0.05, rate=0.05),
 ])
 def test_grid_scan_builds_each_bound_once(monkeypatch, traffic):
-    # the optimiser's scan builds one bound function per stable grid
-    # exponent, however many delays it covers, and picks the scalar argmin
-    built, scans = [], []
-    bound_at, grid_minima = snc._bound_at, snc._grid_minima
+    # the optimiser's scan of a stochastic envelope builds one bound function
+    # per stable grid exponent, however many delays it covers, and picks the
+    # scalar argmin
+    built, scans, refined = [], [], []
+    bound_at, grid_minima, golden_min = snc._bound_at, snc._grid_minima, snc._golden_min
 
     def counting(curves):
         built.append(curves)
@@ -632,9 +681,15 @@ def test_grid_scan_builds_each_bound_once(monkeypatch, traffic):
 
     monkeypatch.setattr(snc, "_bound_at", counting)
     monkeypatch.setattr(snc, "_grid_minima", recording)
+    monkeypatch.setattr(snc, "_golden_min", lambda *args: refined.append(args) or golden_min(*args))
     dist = service_distribution(LinkConfig(), TimingConstants(), 0.2)
     delays = [3.0 * (k + 1) for k in range(64)]
     optimize_delay_ccdf(traffic, dist, 8.0 * 50, delays, THETAS)
+    if traffic.kind == "periodic":
+        # a deterministic envelope is solved, neither scanned nor refined:
+        # one bound per delay, at its exponent
+        assert scans == refined == [] and len(built) == len(delays)
+        return
     [(n_built, curves, scanned, minima)] = scans
     assert scanned == delays and 1 < len(curves) <= len(THETAS)
     assert n_built == len(curves)
